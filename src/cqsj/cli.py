@@ -12,7 +12,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import engines, fixtures, reductions, structure
+from . import engines, reductions, structure
 from .qmodel import (
     Database,
     Query,
@@ -40,50 +40,41 @@ class InapplicableEngineError(Exception):
 def _load_query(path: str) -> Query:
     try:
         return parse_query(Path(path).read_text())
-    except (OSError, QueryModelError) as exc:
+    except (OSError, UnicodeDecodeError, QueryModelError) as exc:
         raise InputError(f"cannot load query {path}: {exc}") from exc
 
 
 def _load_database(path: str) -> Database:
     try:
         return parse_database(Path(path).read_text())
-    except (OSError, QueryModelError) as exc:
+    except (OSError, UnicodeDecodeError, QueryModelError) as exc:
         raise InputError(f"cannot load database {path}: {exc}") from exc
 
 
 # -- engine selection -----------------------------------------------------------
 
 
-def _bespoke_strategy_for(query: Query):
-    key = structure.canonical_key(query)
-    for strategy, fixture_name in fixtures.BESPOKE_STRATEGIES.items():
-        if structure.canonical_key(fixtures.fixture(fixture_name)) == key:
-            return strategy
-    return None
-
-
 def select_engine(query: Query, engine: str):
-    """Resolve an engine name to a cursor factory.
-
-    auto prefers the strongest applicable guarantee: full-acyclic and mirror
-    (constant delay) over constant-delay bespokes, over untangling (linear
-    delay), over linear-delay bespokes, over the oracle.
-    """
+    """Resolve an engine name to a cursor factory; every engine, auto
+    included, reads one structural analysis of the query."""
+    analysis = structure.Analysis(query)
+    if engine == "auto":
+        engine = _auto_engine(query, analysis)
     if engine == "oracle":
         return "oracle", lambda db: engines.oracle_cursor(query, db)
     if engine == "acyclic":
-        if not (query.is_full and structure.is_acyclic(query)):
+        if not (query.is_full and analysis.acyclic):
             raise InapplicableEngineError("query is not full acyclic")
         return "acyclic", lambda db: engines.enum_full_acyclic(query, db)
     if engine == "mirror":
-        witness = structure.is_mirror(query) if query.is_full else None
+        witness = analysis.mirror
         if witness is None:
             raise InapplicableEngineError("query is not a mirror")
         return "mirror", lambda db: engines.enum_mirror(query, witness, db)
     if engine == "untangle":
         if not query.is_full:
             raise InapplicableEngineError("untangling needs a full query")
-        status, witness = structure.is_untangleable(query)
+        status, witness = analysis.untangling
         if status != "yes":
             raise InapplicableEngineError(f"query is not untangleable ({status})")
         return "untangle", lambda db: engines.enum_untangle(query, witness, db)
@@ -91,32 +82,38 @@ def select_engine(query: Query, engine: str):
         strategy = engine.split(":", 1)[1]
         if strategy not in engines.BESPOKE_DUPLICATION:
             raise InputError(f"unknown bespoke strategy {strategy}")
-        if _bespoke_strategy_for(query) != strategy:
+        if analysis.bespoke_strategy != strategy:
             raise InapplicableEngineError(f"query is not the {strategy} pattern")
         return engine, lambda db: engines.enum_bespoke(strategy, db)
-    if engine != "auto":
-        raise InputError(f"unknown engine {engine}")
+    raise InputError(f"unknown engine {engine}")
 
-    if query.is_full and structure.is_acyclic(query):
-        return select_engine(query, "acyclic")
-    if query.is_full and structure.is_mirror(query) is not None:
-        return select_engine(query, "mirror")
-    strategy = _bespoke_strategy_for(query)
+
+def _auto_engine(query: Query, analysis: structure.Analysis) -> str:
+    """The strongest applicable guarantee: full-acyclic and mirror (constant
+    delay) over constant-delay bespokes, over untangling (linear delay), over
+    linear-delay bespokes, over the oracle."""
+    if query.is_full and analysis.acyclic:
+        return "acyclic"
+    if analysis.mirror is not None:
+        return "mirror"
+    strategy = analysis.bespoke_strategy
     if strategy in ("SPIKE_Q2", "SPIKE_Q3"):
-        return select_engine(query, f"bespoke:{strategy}")
-    if query.is_full and structure.is_untangleable(query)[0] == "yes":
-        return select_engine(query, "untangle")
+        return f"bespoke:{strategy}"
+    if analysis.untangleable == "yes":
+        return "untangle"
     if strategy is not None:
-        return select_engine(query, f"bespoke:{strategy}")
+        return f"bespoke:{strategy}"
     print("warning: no specialised engine applies, falling back to the oracle",
           file=sys.stderr)
-    return select_engine(query, "oracle")
+    return "oracle"
 
 
 # -- subcommands ------------------------------------------------------------------
 
 
 def cmd_classify(args) -> int:
+    if args.budget < 0:
+        raise InputError("--budget must not be negative")
     query = _load_query(args.query)
     report = structure.classify(query, untangle_budget=args.budget)
     if args.json:
@@ -185,7 +182,8 @@ def cmd_verify(args) -> int:
     print(f"FAIL {name}: {len(got)} emitted vs {len(want)} expected "
           f"({dupes} duplicates)")
     for label, group in (("missing", missing), ("extra", extra)):
-        for item in sorted(group)[:5]:
+        # answers may mix plain tokens and pairs, which do not compare
+        for item in sorted(group, key=serialize_answer)[:5]:
             print(f"  {label}: {serialize_answer(item)}")
     return EXIT_VERIFY_FAIL
 
@@ -225,6 +223,8 @@ def _default_generator(query: Query) -> str:
 
 
 def cmd_bench_delay(args) -> int:
+    if min(args.sizes) < 1:
+        raise InputError("--sizes must be positive")
     query = _load_query(args.query)
     gen = args.gen or _default_generator(query)
     if gen not in GENERATORS:
@@ -285,7 +285,7 @@ def cmd_gadget(args) -> int:
         try:
             graph = reductions.parse_graph(Path(args.input).read_text())
             db = reductions.GADGET_BUILDERS[kind](graph)
-        except (OSError, reductions.GadgetInputError) as exc:
+        except (OSError, UnicodeDecodeError, reductions.GadgetInputError) as exc:
             raise InputError(str(exc)) from exc
     else:
         raise InputError(f"unknown gadget kind {kind}")

@@ -236,7 +236,8 @@ def _project(row, atom_pos, vars_sorted):
 def _reduce_forest(query: Query, db: Database, ticker: Ticker):
     """Full semi-join reduction along the join forest (up then down).
 
-    Returns (tree, rows, order) where order is a preorder listing of atoms.
+    Returns (tree, rows, preorder, pos): the join forest, each atom's reduced
+    rows, the atoms in preorder and each atom's first position per variable.
     Raises NotAcyclicError when no join forest exists.
     """
     tree = gyo_acyclic(query)
@@ -285,44 +286,13 @@ def _reduce_forest(query: Query, db: Database, ticker: Ticker):
     for a in preorder:  # roots towards leaves
         for ch in children[a]:
             semijoin(ch, a)
-    return tree, rows, preorder, children, pos
+    return tree, rows, preorder, pos
 
 
 def eval_boolean(query: Query, db: Database, ticker: Optional[Ticker] = None) -> bool:
-    """Satisfiability of an acyclic query via upward semi-joins."""
-    ticker = ticker or Ticker()
-    tree = gyo_acyclic(query)
-    if tree is None:
-        raise NotAcyclicError(f"query has no join tree: {query}")
-    rows = _atom_rows(query, db, ticker)
-    children: dict = {a: [] for a in tree.nodes}
-    for a in tree.nodes:
-        p = tree.parent[a]
-        if p is not None:
-            children[p].append(a)
-    pos = {a: _first_positions(a) for a in tree.nodes}
-
-    def up(a: Atom) -> None:
-        for ch in children[a]:
-            up(ch)
-            shared = sorted(set(a.args) & set(ch.args))
-            keys = set()
-            for row in rows[ch]:
-                ticker.tick()
-                keys.add(_project(row, pos[ch], shared))
-            kept = []
-            if rows[ch]:
-                for row in rows[a]:
-                    ticker.tick()
-                    if not shared or _project(row, pos[a], shared) in keys:
-                        kept.append(row)
-            rows[a] = kept
-
-    for r in tree.roots:
-        up(r)
-        if not rows[r]:
-            return False
-    return True
+    """Satisfiability of an acyclic query via semi-join reduction."""
+    _, rows, preorder, _ = _reduce_forest(query, db, ticker or Ticker())
+    return all(rows[a] for a in preorder)
 
 
 def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> set:
@@ -330,7 +300,7 @@ def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> s
     if query.arity != 1:
         raise ValueError("eval_unary expects exactly one free variable")
     ticker = ticker or Ticker()
-    _, rows, preorder, _, pos = _reduce_forest(query, db, ticker)
+    _, rows, preorder, pos = _reduce_forest(query, db, ticker)
     if any(not rows[a] for a in preorder):
         return set()
     var = query.free_vars[0]
@@ -348,7 +318,7 @@ def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
     After full reduction every partial match extends, so the stream walks the
     join forest without dead ends: constant work between assignments.
     """
-    tree, rows, preorder, children, pos = _reduce_forest(query, db, ticker)
+    tree, rows, preorder, pos = _reduce_forest(query, db, ticker)
     empty = any(not rows[a] for a in preorder)
 
     indexes: dict = {}

@@ -46,7 +46,13 @@ def max_vars_limit() -> int:
     raw = os.environ.get("CQSJ_MAX_VARS")
     if raw is None:
         return DEFAULT_MAX_VARS
-    return int(raw)
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise QueryModelError(f"CQSJ_MAX_VARS must be a positive integer, got {raw!r}")
+    return limit
 
 
 class Pair(NamedTuple):
@@ -173,43 +179,33 @@ def hypergraph_of(query: Query) -> set:
 class Database:
     """A finite relational instance; duplicate facts collapse.
 
-    Fact lists preserve first-insertion order so every consumer iterates
-    deterministically regardless of hash seeds.
+    Each relation is one dict of facts, a set that keeps first-insertion
+    order, so every consumer iterates deterministically regardless of hash
+    seeds.
     """
 
     def __init__(self):
-        self._facts: dict = {}  # name -> list of value tuples
-        self._index: dict = {}  # name -> set of value tuples
+        self._facts: dict = {}  # name -> insertion-ordered dict of value tuples
         self._arities: dict = {}
-
-    @classmethod
-    def from_facts(cls, facts: Iterable) -> "Database":
-        db = cls()
-        for name, values in facts:
-            db.add_fact(name, values)
-        return db
 
     def add_fact(self, name: str, values: Sequence[Value]) -> None:
         values = tuple(values)
         known = self._arities.get(name)
         if known is None:
             self._arities[name] = len(values)
-            self._facts[name] = []
-            self._index[name] = set()
+            self._facts[name] = {}
         elif known != len(values):
             raise ArityMismatchError(
                 f"fact {name}/{len(values)} conflicts with earlier arity {known}"
             )
-        if values not in self._index[name]:
-            self._index[name].add(values)
-            self._facts[name].append(values)
+        self._facts[name].setdefault(values, None)
 
-    def facts(self, name: str) -> list:
-        return self._facts.get(name, [])
+    def facts(self, name: str):
+        """The relation's facts in first-insertion order, as a read-only view."""
+        return self._facts.get(name, {}).keys()
 
     def has_fact(self, name: str, values: tuple) -> bool:
-        idx = self._index.get(name)
-        return idx is not None and values in idx
+        return values in self._facts.get(name, ())
 
     def arity(self, name: str) -> Optional[int]:
         return self._arities.get(name)
@@ -240,9 +236,7 @@ class Database:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Database):
             return NotImplemented
-        mine = {n: s for n, s in self._index.items() if s}
-        theirs = {n: s for n, s in other._index.items() if s}
-        return mine == theirs
+        return self._facts == other._facts  # dict equality ignores order
 
     def __repr__(self) -> str:
         return f"Database({self.size} facts, {len(self._facts)} relations)"

@@ -10,10 +10,11 @@ table.  Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
+from . import fixtures
 from .qmodel import (
     Atom,
     LimitExceededError,
@@ -45,9 +46,6 @@ class JoinTree:
     @property
     def roots(self) -> list:
         return [a for a in self.nodes if self.parent[a] is None]
-
-    def children(self, node: Atom) -> list:
-        return [a for a in self.nodes if self.parent[a] is node]
 
     def satisfies_running_intersection(self) -> bool:
         return _forest_has_running_intersection(self.nodes, self.parent)
@@ -202,11 +200,7 @@ _FRESH_HEAD = "FCHEAD"
 
 def is_free_connex(query: Query) -> bool:
     """Acyclic and still acyclic after adding a fresh head atom over free vars."""
-    if not is_acyclic(query):
-        return False
-    head = Atom(RelationSymbol(_FRESH_HEAD, len(query.free_vars)), tuple(query.free_vars))
-    extended = make_query(query.atoms + (head,), query.free_vars)
-    return is_acyclic(extended)
+    return Analysis(query).free_connex
 
 
 # -- homomorphism / endomorphism search --------------------------------------
@@ -333,31 +327,29 @@ def _is_injective(mapping: dict) -> bool:
     return len(set(mapping.values())) == len(mapping)
 
 
-def is_minimal(query: Query) -> bool:
-    """True iff every endomorphism fixing the free variables is injective."""
+def _folding_endomorphism(query: Query) -> Optional[dict]:
+    """First non-injective endomorphism fixing the free variables, if any."""
     for m in find_maps(query.atoms, query.atoms,
                        pinned={v: v for v in query.free_vars}):
         if not _is_injective(m):
-            return False
-    return True
+            return m
+    return None
+
+
+def is_minimal(query: Query) -> bool:
+    """True iff every endomorphism fixing the free variables is injective."""
+    return _folding_endomorphism(query) is None
 
 
 def minimal_form_with_retraction(query: Query):
     """Equivalent minimal retract plus the composed variable retraction."""
     current = query
     retraction = {v: v for v in query.all_vars}
-    while True:
-        found = None
-        for m in find_maps(current.atoms, current.atoms,
-                           pinned={v: v for v in current.free_vars}):
-            if not _is_injective(m):
-                found = m
-                break
-        if found is None:
-            return current, retraction
+    while (found := _folding_endomorphism(current)) is not None:
         current = make_query(tuple(a.rename(found) for a in current.atoms),
                              current.free_vars)
         retraction = {v: found[t] for v, t in retraction.items()}
+    return current, retraction
 
 
 def minimal_form(query: Query) -> Query:
@@ -623,13 +615,15 @@ def validate_untangling_witness(query: Query, witness: UntanglingWitness) -> boo
     return True
 
 
-def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET):
+def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
+                    imgs: Optional[list] = None):
     """Search for an untangling chain.
 
     Returns ("yes", witness) with a re-validating witness, ("no", None) when
     the progressing-step search is exhausted, or ("unknown", None) when the
     node budget ran out.  Steps must shrink the query (trivial images are
     excluded), which bounds the depth; canonical memoisation prunes repeats.
+    ``imgs``, when given, are the query's images, already computed.
     """
     if not query.is_full:
         raise ValueError("untangling is defined for full queries")
@@ -638,7 +632,8 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET):
     memo_unknown = set()
     BUDGET = "budget"
 
-    def search(q: Query):
+    def visit(q: Query):
+        # memoised up to renaming; steps shrink, so the input never recurs
         if is_acyclic(q):
             return UntanglingWitness(q, ())
         key = canonical_key(q)
@@ -646,36 +641,39 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET):
             return None
         if key in memo_unknown:
             return BUDGET
-        if remaining[0] <= 0:
+        out = expand(q)
+        if out is BUDGET:
             memo_unknown.add(key)
+        elif out is None:
+            memo_no.add(key)
+        return out
+
+    def expand(q: Query, q_images: Optional[list] = None):
+        if remaining[0] <= 0:
             return BUDGET
         remaining[0] -= 1
         hit_budget = False
-        for img in images(q):
+        for img in images(q) if q_images is None else q_images:
             if img.atoms == set(q.atoms):
                 continue  # trivial image: no progress
             result = untangling_step(q, img.atoms)
             if is_acyclic(result):
-                sub = search(img.query)
+                sub = visit(img.query)
                 if isinstance(sub, UntanglingWitness):
                     step = UntanglingStep(q, img.atoms, result, "image_is_previous")
                     return UntanglingWitness(sub.base, sub.steps + (step,))
                 if sub is BUDGET:
                     hit_budget = True
             if is_acyclic(img.query) and untangling_collision_free(q, img.atoms):
-                sub = search(result)
+                sub = visit(result)
                 if isinstance(sub, UntanglingWitness):
                     step = UntanglingStep(q, img.atoms, result, "result_is_previous")
                     return UntanglingWitness(sub.base, sub.steps + (step,))
                 if sub is BUDGET:
                     hit_budget = True
-        if hit_budget:
-            memo_unknown.add(key)
-            return BUDGET
-        memo_no.add(key)
-        return None
+        return BUDGET if hit_budget else None
 
-    out = search(query)
+    out = UntanglingWitness(query, ()) if is_acyclic(query) else expand(query, imgs)
     if isinstance(out, UntanglingWitness):
         assert validate_untangling_witness(query, out)
         return "yes", out
@@ -720,12 +718,13 @@ def validate_mirror_witness(query: Query, witness: MirrorWitness) -> bool:
     return mapped == image_atoms
 
 
-def is_mirror(query: Query) -> Optional[MirrorWitness]:
+def is_mirror(query: Query, imgs: Optional[list] = None) -> Optional[MirrorWitness]:
     """First acyclic image whose complement is isomorphic to it, fixing the
-    shared variables; None when no decomposition exists."""
+    shared variables; None when no decomposition exists.  ``imgs``, when
+    given, are the query's images, already computed."""
     if not query.is_full:
         raise ValueError("mirror detection is defined for full queries")
-    for img in images(query):
+    for img in images(query) if imgs is None else imgs:
         rest = [a for a in query.atoms if a not in img.atoms]
         if not rest or len(rest) != len(img.atoms):
             continue
@@ -749,12 +748,13 @@ def is_mirror(query: Query) -> Optional[MirrorWitness]:
 # -- hardness transfer --------------------------------------------------------
 
 
-def hardness_transfer(query: Query):
+def hardness_transfer(query: Query, imgs: Optional[list] = None):
     """Image whose untangling has a cyclic core while every image of the query
-    contains none or all of the result's variables; None otherwise."""
+    contains none or all of the result's variables; None otherwise.  ``imgs``,
+    when given, are the query's images, already computed."""
     if not query.is_full:
         raise ValueError("hardness transfer is defined for full queries")
-    imgs = images(query)
+    imgs = images(query) if imgs is None else imgs
     for img in imgs:
         result = untangling_step(query, img.atoms)
         if not result.atoms:
@@ -774,13 +774,102 @@ def hardness_transfer(query: Query):
     return None
 
 
-def has_nested_images(query: Query) -> bool:
-    """Every pair of images comparable by atom-set containment."""
-    imgs = [img.atoms for img in images(query)]
-    for a, b in itertools.combinations(imgs, 2):
+def has_nested_images(imgs: list) -> bool:
+    """Every pair of the given images comparable by atom-set containment."""
+    for a, b in itertools.combinations([img.atoms for img in imgs], 2):
         if not (a <= b or b <= a):
             return False
     return True
+
+
+# -- per-query analysis -------------------------------------------------------
+
+
+class Analysis:
+    """The structural facts of one query, each worked out at most once.
+
+    Every fact is computed on first use and kept on the object.  Images and
+    the mirror, untangling and hardness witnesses are defined for full
+    queries within ``max_vars_limit()``; other queries get no images, no
+    witnesses and the untangling status "n/a".
+    """
+
+    def __init__(self, analyzed: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
+        self.analyzed = analyzed
+        self.untangle_budget = untangle_budget
+
+    @cached_property
+    def join_tree(self) -> Optional[JoinTree]:
+        return gyo_acyclic(self.analyzed)
+
+    @property
+    def acyclic(self) -> bool:
+        return self.join_tree is not None
+
+    @cached_property
+    def free_connex(self) -> bool:
+        q = self.analyzed
+        head = Atom(RelationSymbol(_FRESH_HEAD, len(q.free_vars)), tuple(q.free_vars))
+        return self.acyclic and is_acyclic(make_query(q.atoms + (head,), q.free_vars))
+
+    @cached_property
+    def core(self) -> Query:
+        return core(self.analyzed)
+
+    @cached_property
+    def core_acyclic(self) -> bool:
+        return is_acyclic(self.core)
+
+    @cached_property
+    def full_core(self) -> Optional[Query]:
+        if not self.analyzed.is_full:
+            return None
+        return make_query(self.core.atoms, self.core.all_vars)
+
+    @cached_property
+    def _has_images(self) -> bool:
+        q = self.analyzed
+        return q.is_full and len(q.all_vars) <= max_vars_limit()
+
+    @cached_property
+    def images(self) -> list:
+        return images(self.analyzed) if self._has_images else []
+
+    @cached_property
+    def mirror(self) -> Optional[MirrorWitness]:
+        return is_mirror(self.analyzed, self.images) if self._has_images else None
+
+    @cached_property
+    def untangling(self) -> tuple:
+        """(status, witness), the status being yes, no, unknown or n/a."""
+        if not self._has_images:
+            return "n/a", None
+        return is_untangleable(self.analyzed, self.untangle_budget, self.images)
+
+    @property
+    def untangleable(self) -> str:
+        return self.untangling[0]
+
+    @cached_property
+    def hardness_witness(self) -> Optional[tuple]:
+        if not self._has_images or self.untangleable == "yes":
+            return None
+        return hardness_transfer(self.analyzed, self.images)
+
+    @cached_property
+    def registry_entry(self) -> Optional[dict]:
+        """Individually settled verdicts for this query's shape, if any."""
+        return fixtures.classification_registry().get(canonical_key(self.analyzed))
+
+    @property
+    def fixture_name(self) -> Optional[str]:
+        return self.registry_entry["name"] if self.registry_entry else None
+
+    @property
+    def bespoke_strategy(self) -> Optional[str]:
+        """The bespoke enumeration strategy written for this query's shape."""
+        by_fixture = {name: s for s, name in fixtures.BESPOKE_STRATEGIES.items()}
+        return by_fixture.get(self.fixture_name)
 
 
 # -- classification -----------------------------------------------------------
@@ -814,29 +903,108 @@ class Verdict:
         }
 
 
-@dataclass
-class ClassificationReport:
-    query: Query
-    minimized: bool
-    analyzed: Query
-    is_full: bool
-    is_boolean: bool
-    is_unary: bool
-    is_binary: bool
-    acyclic: bool
-    join_tree: Optional[JoinTree]
-    free_connex: bool
-    minimal: bool
-    core: Query
-    core_acyclic: bool
-    full_core: Optional[Query]
-    images: list
-    mirror: Optional[MirrorWitness]
-    untangleable: str  # yes | no | unknown | n/a
-    untangling_witness: Optional[UntanglingWitness]
-    hardness_witness: Optional[tuple]
-    fixture_name: Optional[str]
-    verdicts: list = field(default_factory=list)
+class ClassificationReport(Analysis):
+    """The analysis of a query's minimal form, with its verdict table.
+
+    ``query`` is the input as given; ``analyzed`` is its minimal form, which
+    the facts and the verdicts are about.  The table is built on
+    construction, so the facts it rests on are worked out by then.
+    """
+
+    minimal = True  # a minimal form is minimal by construction
+
+    def __init__(self, query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
+        super().__init__(minimal_form(query), untangle_budget)
+        self.query = query
+        self.minimized = self.analyzed != query
+        self.is_full = self.analyzed.is_full
+        self.is_boolean = self.analyzed.is_boolean
+        self.is_unary = self.analyzed.arity == 1
+        self.is_binary = self.analyzed.arity == 2
+        self.verdicts = self._verdict_table()
+
+    def _verdict_table(self) -> list:
+        """The four verdicts, each fixed by the first rule that applies."""
+        q = self.analyzed
+        verdicts: dict = {}
+
+        def put(problem: str, verdict: str, assumption: str, citation: str) -> None:
+            if problem not in verdicts:
+                verdicts[problem] = Verdict(problem, verdict, assumption, citation)
+
+        # (1) cyclic core: not even one solution in linear time.
+        if not self.core_acyclic:
+            put(PROBLEM_FIRST, V_COND_HARD, "sHyperclique", "Thm 3.5")
+            put(PROBLEM_EVAL, V_COND_HARD, "sHyperclique", "Thm 3.5")
+            put(PROBLEM_CONST, V_COND_HARD, "sHyperclique", "Thm 3.5")
+            put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Thm 3.5")
+
+        # (2) Boolean/unary minimal: linear-time evaluation iff acyclic.
+        if q.is_boolean or q.arity == 1:
+            if self.acyclic:
+                put(PROBLEM_EVAL, V_LINEAR_TIME, "none", "Thm 3.2")
+                put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 3.2")
+                put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
+                put(PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "Thm 2.2")
+            else:
+                put(PROBLEM_EVAL, V_COND_HARD, "sHyperclique", "Thm 3.2")
+
+        # (3) binary minimal: constant delay iff acyclic free-connex.
+        if q.arity == 2:
+            if self.free_connex:
+                put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
+            else:
+                put(PROBLEM_CONST, V_COND_HARD, "BMM+Hyperclique", "Thm 3.4")
+
+        # (4) acyclic free-connex: constant delay.
+        if self.free_connex:
+            put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
+        if self.acyclic:
+            put(PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "Thm 2.2")
+            put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 2.2")
+            if self.free_connex:
+                put(PROBLEM_EVAL, V_LINEAR_IO, "none", "Thm 2.2")
+
+        # (5) mirrors: constant delay.
+        if self.mirror is not None:
+            put(PROBLEM_CONST, V_CONSTANT, "none", "Prop 5.2")
+
+        # Registry entries settled individually (bespoke algorithms, encodings)
+        # land between the general upper-bound rules and the untangling rules.
+        if self.registry_entry:
+            for problem, verdict, assumption, citation in self.registry_entry.get("verdicts", []):
+                put(problem, verdict, assumption, citation)
+
+        # (6) untangleable full queries: linear delay.
+        if self.untangleable == "yes":
+            put(PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "Prop 4.3")
+            put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Prop 4.3")
+
+        # (7) nested images without untangling: conditionally hard.
+        if self.untangleable == "no" and has_nested_images(self.images):
+            put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Thm 4.8")
+
+        # (8) hardness transfer witness.
+        if self.hardness_witness is not None:
+            put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Prop 4.7")
+
+        # Derived fills: constant delay implies linear delay implies first solution.
+        got_const = verdicts.get(PROBLEM_CONST)
+        if got_const and got_const.verdict == V_CONSTANT:
+            put(PROBLEM_LINEAR, V_LINEAR_DELAY, got_const.assumption, got_const.citation)
+            put(PROBLEM_EVAL, V_LINEAR_IO, got_const.assumption, got_const.citation)
+        got_lin = verdicts.get(PROBLEM_LINEAR)
+        if got_lin and got_lin.verdict == V_LINEAR_DELAY:
+            put(PROBLEM_FIRST, V_LINEAR_TIME, got_lin.assumption, got_lin.citation)
+        if self.core_acyclic and q.is_full:
+            put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 2.2")
+
+        # (10) everything else stays open.
+        for problem in (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR):
+            put(problem, V_UNKNOWN, "none", "open")
+
+        return [verdicts[p] for p in
+                (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR)]
 
     def verdict_for(self, problem: str) -> Optional[Verdict]:
         for v in self.verdicts:
@@ -871,144 +1039,10 @@ class ClassificationReport:
         }
 
 
-def _registry():
-    """Canonical-form registry of individually settled query shapes."""
-    from . import fixtures
-
-    return fixtures.classification_registry()
-
-
 def classify(query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET) -> ClassificationReport:
     """Structural facts plus the verdict table, in priority order.
 
     Non-minimal inputs are minimised first and the verdicts apply to the
     minimal form.
     """
-    analyzed, _ = minimal_form_with_retraction(query)
-    minimized = analyzed != query
-
-    q = analyzed
-    tree = gyo_acyclic(q)
-    acyclic = tree is not None
-    fc = is_free_connex(q) if acyclic else False
-    qcore = core(q)
-    core_acyclic = is_acyclic(qcore)
-    fcore = make_query(qcore.atoms, qcore.all_vars) if q.is_full else None
-
-    imgs = []
-    mirror = None
-    unt_status, unt_witness = "n/a", None
-    hardness = None
-    if q.is_full and len(q.all_vars) <= max_vars_limit():
-        imgs = images(q)
-        mirror = is_mirror(q)
-        unt_status, unt_witness = is_untangleable(q, budget=untangle_budget)
-        if unt_status != "yes":
-            hardness = hardness_transfer(q)
-
-    registry = _registry()
-    entry = registry.get(canonical_key(q))
-    fixture_name = entry["name"] if entry else None
-
-    verdicts: dict = {}
-
-    def put(problem: str, verdict: str, assumption: str, citation: str) -> None:
-        if problem not in verdicts:
-            verdicts[problem] = Verdict(problem, verdict, assumption, citation)
-
-    # (1) cyclic core: not even one solution in linear time.
-    if not core_acyclic:
-        put(PROBLEM_FIRST, V_COND_HARD, "sHyperclique", "Thm 3.5")
-        put(PROBLEM_EVAL, V_COND_HARD, "sHyperclique", "Thm 3.5")
-        put(PROBLEM_CONST, V_COND_HARD, "sHyperclique", "Thm 3.5")
-        put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Thm 3.5")
-
-    # (2) Boolean/unary minimal: linear-time evaluation iff acyclic.
-    if q.is_boolean or q.arity == 1:
-        if acyclic:
-            put(PROBLEM_EVAL, V_LINEAR_TIME, "none", "Thm 3.2")
-            put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 3.2")
-            put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
-            put(PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "Thm 2.2")
-        else:
-            put(PROBLEM_EVAL, V_COND_HARD, "sHyperclique", "Thm 3.2")
-
-    # (3) binary minimal: constant delay iff acyclic free-connex.
-    if q.arity == 2:
-        if acyclic and fc:
-            put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
-        else:
-            put(PROBLEM_CONST, V_COND_HARD, "BMM+Hyperclique", "Thm 3.4")
-
-    # (4) acyclic free-connex: constant delay.
-    if acyclic and fc:
-        put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
-    if acyclic:
-        put(PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "Thm 2.2")
-        put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 2.2")
-        if fc:
-            put(PROBLEM_EVAL, V_LINEAR_IO, "none", "Thm 2.2")
-
-    # (5) mirrors: constant delay.
-    if mirror is not None:
-        put(PROBLEM_CONST, V_CONSTANT, "none", "Prop 5.2")
-
-    # Registry entries settled individually (bespoke algorithms, encodings)
-    # land between the general upper-bound rules and the untangling rules.
-    if entry:
-        for problem, verdict, assumption, citation in entry.get("verdicts", []):
-            put(problem, verdict, assumption, citation)
-
-    # (6) untangleable full queries: linear delay.
-    if unt_status == "yes":
-        put(PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "Prop 4.3")
-        put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Prop 4.3")
-
-    # (7) nested images without untangling: conditionally hard.
-    if q.is_full and unt_status == "no" and imgs and has_nested_images(q):
-        put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Thm 4.8")
-
-    # (8) hardness transfer witness.
-    if hardness is not None:
-        put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Prop 4.7")
-
-    # Derived fills: constant delay implies linear delay implies first solution.
-    got_const = verdicts.get(PROBLEM_CONST)
-    if got_const and got_const.verdict == V_CONSTANT:
-        put(PROBLEM_LINEAR, V_LINEAR_DELAY, got_const.assumption, got_const.citation)
-        put(PROBLEM_EVAL, V_LINEAR_IO, got_const.assumption, got_const.citation)
-    got_lin = verdicts.get(PROBLEM_LINEAR)
-    if got_lin and got_lin.verdict == V_LINEAR_DELAY:
-        put(PROBLEM_FIRST, V_LINEAR_TIME, got_lin.assumption, got_lin.citation)
-    if core_acyclic and q.is_full:
-        put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 2.2")
-
-    # (10) everything else stays open.
-    for problem in (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR):
-        put(problem, V_UNKNOWN, "none", "open")
-
-    ordered = [verdicts[p] for p in
-               (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR)]
-    return ClassificationReport(
-        query=query,
-        minimized=minimized,
-        analyzed=q,
-        is_full=q.is_full,
-        is_boolean=q.is_boolean,
-        is_unary=q.arity == 1,
-        is_binary=q.arity == 2,
-        acyclic=acyclic,
-        join_tree=tree,
-        free_connex=fc,
-        minimal=is_minimal(q),
-        core=qcore,
-        core_acyclic=core_acyclic,
-        full_core=fcore,
-        images=imgs,
-        mirror=mirror,
-        untangleable=unt_status,
-        untangling_witness=unt_witness,
-        hardness_witness=hardness,
-        fixture_name=fixture_name,
-        verdicts=ordered,
-    )
+    return ClassificationReport(query, untangle_budget)

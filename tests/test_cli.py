@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cqsj import cli, fixtures as fx, reductions as rd
-from cqsj.qmodel import serialize_database, serialize_query
+from cqsj import cli, fixtures as fx, reductions as rd, structure as st
+from cqsj.qmodel import parse_query, serialize_database, serialize_query
 
 
 @pytest.fixture
@@ -181,6 +182,104 @@ def test_gadget_utd_without_parts_exit_2(workdir, capsys):
     gf = write("g.graph", "a b\n")
     code, _, _ = run_cli(["gadget", "utd-spike-q4", gf, str(tmp / "o.facts")], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_invalid_max_vars_exit_2(workdir, capsys, monkeypatch, value):
+    _, write = workdir
+    qf = write("q.cq", serialize_query(fx.fixture("path2_full")))
+    monkeypatch.setenv("CQSJ_MAX_VARS", value)
+    code, _, err = run_cli(["classify", qf], capsys)
+    assert code == 2
+    assert "CQSJ_MAX_VARS" in err
+
+
+@pytest.mark.parametrize("bad", ["query", "facts", "graph"])
+def test_non_utf8_input_exit_2(workdir, capsys, bad):
+    tmp, write = workdir
+    paths = {"query": write("q.cq", "Q(x,y) :- R(x,y)."),
+             "facts": write("d.facts", "R(a,b)."),
+             "graph": write("g.graph", "a b\n")}
+    Path(paths[bad]).write_bytes(b"R(a,\xff).\n")
+    if bad == "graph":
+        argv = ["gadget", "triangle-untangle2", paths["graph"], str(tmp / "o.facts")]
+    else:
+        argv = ["verify", paths["query"], paths["facts"]]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "error" in err
+
+
+def test_verify_failure_lists_mixed_answers(workdir, capsys, monkeypatch):
+    _, write = workdir
+    qf = write("q.cq", "Q(x,y) :- R(x,y).")
+    df = write("d.facts", "R(a,b). R(pair(a,x),b).")
+    select = cli.select_engine
+
+    def emit_nothing(query, engine):
+        name, _ = select(query, engine)
+        return name, lambda db: iter(())
+
+    monkeypatch.setattr(cli, "select_engine", emit_nothing)
+    code, out, _ = run_cli(["verify", qf, df], capsys)
+    assert code == 1
+    assert "  missing: a, b\n" in out
+    assert "  missing: pair(a,x), b\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-delay", "{q}", "--engine", "acyclic", "--sizes", "0"],
+    ["bench-delay", "{q}", "--engine", "acyclic", "--sizes", "200", "-1"],
+    ["classify", "{q}", "--budget", "-5"],
+])
+def test_out_of_range_option_exit_2(workdir, capsys, argv):
+    _, write = workdir
+    qf = write("q.cq", serialize_query(fx.fixture("path2_full")))
+    code, _, err = run_cli([a.format(q=qf) for a in argv], capsys)
+    assert code == 2
+    assert "error" in err
+
+
+# Engine --engine auto picks for each fixture.
+AUTO_ENGINE = {
+    "bowtie_chain": "untangle", "cycle20": "untangle",
+    "cyclic_triple": "oracle", "diamond": "mirror", "diamond_red": "untangle",
+    "diamond_reversed": "oracle", "double_kite": "oracle",
+    "path2_full": "acyclic", "path2_proj": "oracle", "ring8": "untangle",
+    "ring8_io": "bespoke:SPIKE_Q2", "ring8_spikes": "bespoke:SPIKE_Q3",
+    "ring8_spikes_flip": "untangle", "self_loop_boolean": "oracle",
+    "square_loops": "oracle", "triangle": "oracle",
+    "twin_loops": "bespoke:TWO_LOOPS", "twin_triangles": "bespoke:TWO_TRIANGLES",
+    "unary_path": "oracle", "windmill": "oracle", "windmill_tail": "untangle",
+}
+CONSTANT_DELAY_ENGINES = {"acyclic", "mirror", "bespoke:SPIKE_Q2", "bespoke:SPIKE_Q3"}
+LINEAR_DELAY_ENGINES = {"untangle", "bespoke:TWO_LOOPS", "bespoke:TWO_TRIANGLES"}
+
+
+@pytest.mark.parametrize("name", fx.fixture_names())
+def test_auto_engine_per_fixture_agrees_with_classify(name):
+    engine, _ = cli.select_engine(fx.fixture(name), "auto")
+    assert engine == AUTO_ENGINE[name]
+    report = st.classify(fx.fixture(name))
+    if engine in CONSTANT_DELAY_ENGINES:
+        assert report.verdict_for(st.PROBLEM_CONST).verdict == st.V_CONSTANT
+    if engine in LINEAR_DELAY_ENGINES:
+        assert report.verdict_for(st.PROBLEM_LINEAR).verdict == st.V_LINEAR_DELAY
+
+
+@pytest.mark.parametrize("name", ["diamond_red", "ring8_spikes_flip"])
+def test_auto_selection_runs_each_search_once(monkeypatch, name):
+    fx.classification_registry()  # keys the fixtures; built before counting
+    query = parse_query(serialize_query(fx.fixture(name)))
+    calls = {"is_untangleable": [], "canonical_key": []}
+    for fn_name, seen in calls.items():
+        fn = getattr(st, fn_name)
+        monkeypatch.setattr(st, fn_name,
+                            lambda q, *a, fn=fn, seen=seen: seen.append(q) or fn(q, *a))
+    engine, _ = cli.select_engine(query, "auto")
+    assert engine == "untangle"
+    assert len(calls["is_untangleable"]) == 1
+    assert calls["canonical_key"].count(query) == 1
 
 
 def test_cross_process_determinism(tmp_path):

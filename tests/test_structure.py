@@ -347,3 +347,11 @@ def test_classify_verdicts_never_contradict():
             assert linear.verdict == st.V_LINEAR_DELAY, name
         if linear.verdict == st.V_COND_HARD:
             assert const.verdict != st.V_CONSTANT, name
+
+
+def test_classify_computes_images_of_the_analysed_query_once(monkeypatch):
+    calls = []
+    images = st.images
+    monkeypatch.setattr(st, "images", lambda q: calls.append(q) or images(q))
+    report = st.classify(fx.fixture("ring8_spikes"))
+    assert calls.count(report.analyzed) == 1
