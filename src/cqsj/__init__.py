@@ -8,7 +8,6 @@ from .qmodel import (
     RelationSymbol,
     parse_database,
     parse_query,
-    serialize_answers,
     serialize_database,
     serialize_query,
 )

@@ -1,7 +1,8 @@
 """cqsj command line: classify | enumerate | verify | bench-delay | gadget.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 inapplicable
-engine.  All commands are deterministic for fixed inputs and --seed.
+engine.  Every command is deterministic for fixed inputs; bench-delay draws
+its databases from --seed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .qmodel import (
     parse_database,
     parse_query,
     serialize_answer,
+    serialize_database,
     serialize_query,
 )
 
@@ -142,6 +144,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InputError("--limit must not be negative")
     query = _load_query(args.query)
     db = _load_database(args.db)
     name, factory = select_engine(query, args.engine)
@@ -289,9 +293,10 @@ def cmd_gadget(args) -> int:
             raise InputError(str(exc)) from exc
     else:
         raise InputError(f"unknown gadget kind {kind}")
-    from .qmodel import serialize_database
-
-    out_path.write_text(serialize_database(db))
+    try:
+        out_path.write_text(serialize_database(db))
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc}") from exc
     print(f"{db.size} facts written to {out_path}")
     return EXIT_OK
 
@@ -319,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="auto")
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--limit", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

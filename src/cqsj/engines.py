@@ -570,8 +570,6 @@ BESPOKE_DUPLICATION = {
     "SPIKE_Q3": 3,
 }
 
-_RED_STRATEGIES = {"SPIKE_Q2", "SPIKE_Q3"}
-
 
 def bespoke_query(strategy: str) -> Query:
     from . import fixtures

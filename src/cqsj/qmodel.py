@@ -17,11 +17,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 DEFAULT_MAX_VARS = 32
 DEFAULT_MAX_ATOMS = 32
 
-RELATION_NAME_RE = re.compile(r"[A-Z][A-Za-z0-9_]*$")
-VARIABLE_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
-VALUE_TOKEN_RE = re.compile(r"[a-z0-9_#]+$")
-
-
 class QueryModelError(Exception):
     """Base class for model-level errors."""
 
@@ -248,74 +243,63 @@ AnswerTuple = tuple  # tuple[Value, ...] aligned with a query's free_vars
 # -- parsing ---------------------------------------------------------------
 
 
+_SKIP = re.compile(r"(?:\s+|%[^\n]*)*")  # whitespace and % comments
+_RELATION = re.compile(r"[A-Z][A-Za-z0-9_]*")
+_VARIABLE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_VALUE = re.compile(r"[a-z0-9_#]+")
+
+
 class _Scanner:
-    """Character scanner with line/column tracking and % comments."""
+    """Cursor over the text that skips whitespace and ``%`` comments before
+    every token; line and column are worked out only for an error."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "%":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif ch.isspace():
-                self._advance()
-            else:
-                return
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def expect(self, literal: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise self.error(f"expected {literal!r}")
-        self._advance(len(literal))
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after whitespace and comments, or ''."""
+        self.pos = _SKIP.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
-    def token(self, pattern: str, what: str) -> str:
-        self.skip_ws()
-        m = re.match(pattern, self.text[self.pos:])
+    def error(self, message: str) -> ParseError:
+        line = self.text.count("\n", 0, self.pos) + 1
+        return ParseError(message, line, self.pos - self.text.rfind("\n", 0, self.pos))
+
+    def accept(self, literal: str) -> bool:
+        self.peek()
+        if not self.text.startswith(literal, self.pos):
+            return False
+        self.pos += len(literal)
+        return True
+
+    def expect(self, literal: str) -> None:
+        if not self.accept(literal):
+            raise self.error(f"expected {literal!r}")
+
+    def token(self, pattern: re.Pattern, what: str) -> str:
+        self.peek()
+        m = pattern.match(self.text, self.pos)
         if not m:
             raise self.error(f"expected {what}")
-        self._advance(len(m.group(0)))
-        return m.group(0)
+        self.pos = m.end()
+        return m.group()
 
 
-def _parse_name_list(sc: _Scanner, what: str, pattern: str) -> list:
-    names = []
+def _bracketed(sc: _Scanner, item) -> list:
+    """``(item, ..., item)``, possibly empty; ``item`` parses one element."""
     sc.expect("(")
-    if sc.peek() == ")":
+    items = []
+    if not sc.accept(")"):
+        items.append(item(sc))
+        while sc.accept(","):
+            items.append(item(sc))
         sc.expect(")")
-        return names
-    while True:
-        names.append(sc.token(pattern, what))
-        if sc.peek() == ",":
-            sc.expect(",")
-            continue
-        sc.expect(")")
-        return names
+    return items
+
+
+def _variable(sc: _Scanner) -> str:
+    return sc.token(_VARIABLE, "variable")
 
 
 def parse_query(text: str) -> Query:
@@ -325,26 +309,24 @@ def parse_query(text: str) -> Query:
     error, as is reusing a relation name with two different arities.
     """
     sc = _Scanner(text)
-    sc.token(r"[A-Z][A-Za-z0-9_]*", "head relation name")
-    free = _parse_name_list(sc, "variable", r"[a-z][A-Za-z0-9_]*")
+    sc.token(_RELATION, "head relation name")
+    free = _bracketed(sc, _variable)
     if len(set(free)) != len(free):
         raise sc.error("duplicate head variable")
     sc.expect(":-")
     atoms = []
     arities: dict = {}
     while True:
-        name = sc.token(r"[A-Z][A-Za-z0-9_]*", "relation name")
-        args = _parse_name_list(sc, "variable", r"[a-z][A-Za-z0-9_]*")
+        name = sc.token(_RELATION, "relation name")
+        args = _bracketed(sc, _variable)
         prev = arities.setdefault(name, len(args))
         if prev != len(args):
             raise sc.error(f"symbol {name} reappears with arity {len(args)} (was {prev})")
         atoms.append(Atom(RelationSymbol(name, len(args)), tuple(args)))
-        if sc.peek() == ",":
-            sc.expect(",")
-            continue
-        sc.expect(".")
-        break
-    if not sc.eof():
+        if not sc.accept(","):
+            break
+    sc.expect(".")
+    if sc.peek():
         raise sc.error("trailing input after query")
     body_vars = set()
     for a in atoms:
@@ -361,38 +343,27 @@ def parse_query(text: str) -> Query:
 
 
 def _parse_value(sc: _Scanner) -> Value:
-    sc.skip_ws()
-    if sc.text.startswith("pair(", sc.pos):
-        sc.expect("pair(")
+    if sc.accept("pair("):
         data = _parse_value(sc)
         sc.expect(",")
-        var = sc.token(r"[a-z][A-Za-z0-9_]*", "variable tag")
+        var = sc.token(_VARIABLE, "variable tag")
         sc.expect(")")
         return Pair(data, var)
-    return sc.token(r"[a-z0-9_#]+", "value token")
+    return sc.token(_VALUE, "value token")
 
 
 def parse_database(text: str) -> Database:
     """Parse fact lines ``R(v1,...,vk).`` into a Database."""
     sc = _Scanner(text)
     db = Database()
-    while not sc.eof():
-        name = sc.token(r"[A-Z][A-Za-z0-9_]*", "relation name")
-        values = []
-        sc.expect("(")
-        if sc.peek() != ")":
-            while True:
-                values.append(_parse_value(sc))
-                if sc.peek() == ",":
-                    sc.expect(",")
-                    continue
-                break
-        sc.expect(")")
+    while sc.peek():
+        name = sc.token(_RELATION, "relation name")
+        values = _bracketed(sc, _parse_value)
         sc.expect(".")
         try:
             db.add_fact(name, values)
         except ArityMismatchError as exc:
-            raise ParseError(str(exc), sc.line, sc.col) from exc
+            raise sc.error(str(exc)) from exc
     return db
 
 
@@ -416,7 +387,3 @@ def serialize_database(db: Database) -> str:
 
 def serialize_answer(answer: AnswerTuple) -> str:
     return ", ".join(serialize_value(v) for v in answer)
-
-
-def serialize_answers(answers: Iterable[AnswerTuple]) -> str:
-    return "".join(serialize_answer(a) + "\n" for a in answers)

@@ -220,13 +220,6 @@ def _tags(answer) -> set:
     return {v.var for v in answer if isinstance(v, Pair)}
 
 
-def _value_by_tag(answer, tag: str):
-    for v in answer:
-        if isinstance(v, Pair) and v.var == tag:
-            return v
-    return None
-
-
 def _decode_mirrorfig1(query: Query, answer: tuple):
     # free order (x, y, z, u); the u slot separates the two families
     vu = answer[3]

@@ -5,9 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as hst
 
 from cqsj.qmodel import Database
 from cqsj import fixtures as fx
+
+# Parser fuzz input: arbitrary characters mixed with the text formats' own
+# tokens, so that some examples get deep into a query or a list of facts.
+FUZZ_TEXT = hst.lists(
+    hst.one_of(hst.sampled_from(("Q", "R", "S", "x", "y", "a", "0", "#", "(", ")", ",",
+                                 ".", ":-", "%", " ", "\n", "pair(")),
+               hst.characters()),
+    max_size=60,
+).map("".join)
 
 
 def random_graph_db(n, m, seed, red_p=0.0, loops=0, s_facts=0, hubs=0) -> Database:

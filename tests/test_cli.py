@@ -1,13 +1,18 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import FUZZ_TEXT
 from cqsj import cli, fixtures as fx, reductions as rd, structure as st
 from cqsj.qmodel import parse_query, serialize_database, serialize_query
 
@@ -184,6 +189,15 @@ def test_gadget_utd_without_parts_exit_2(workdir, capsys):
     assert code == 2
 
 
+def test_gadget_unwritable_output_exit_2(workdir, capsys):
+    tmp, write = workdir
+    gf = write("g.graph", "a b\nb c\nc a\n")
+    out_path = str(tmp / "missing_dir" / "out.facts")
+    code, out, err = run_cli(["gadget", "triangle-untangle2", gf, out_path], capsys)
+    assert code == 2
+    assert "error" in err and "written" not in out
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_invalid_max_vars_exit_2(workdir, capsys, monkeypatch, value):
     _, write = workdir
@@ -231,13 +245,34 @@ def test_verify_failure_lists_mixed_answers(workdir, capsys, monkeypatch):
     ["bench-delay", "{q}", "--engine", "acyclic", "--sizes", "0"],
     ["bench-delay", "{q}", "--engine", "acyclic", "--sizes", "200", "-1"],
     ["classify", "{q}", "--budget", "-5"],
+    ["enumerate", "{q}", "{d}", "--limit", "-1"],
 ])
 def test_out_of_range_option_exit_2(workdir, capsys, argv):
     _, write = workdir
     qf = write("q.cq", serialize_query(fx.fixture("path2_full")))
-    code, _, err = run_cli([a.format(q=qf) for a in argv], capsys)
+    df = write("d.facts", "R(a,b). R(b,c).")
+    code, _, err = run_cli([a.format(q=qf, d=df) for a in argv], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("fuzzed", ["query", "facts"])
+@given(text=FUZZ_TEXT)
+@settings(deadline=None)
+def test_fuzzed_input_exit_0_or_2(fuzzed, text):
+    # the oracle engine needs no structural analysis, and the other file
+    # keeps its work small: an empty database, or a one-atom query
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"query": Path(tmp, "q.cq"), "facts": Path(tmp, "d.facts")}
+        files["query"].write_text("Q(x,y) :- R(x,y).")
+        files["facts"].write_text("")
+        files[fuzzed].write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["enumerate", str(files["query"]), str(files["facts"]),
+                             "--engine", "oracle"])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
 
 
 # Engine --engine auto picks for each fixture.

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FUZZ_TEXT
 from cqsj import fixtures as fx
 from cqsj.qmodel import (
     Database,
+    LimitExceededError,
     Pair,
     ParseError,
     hypergraph_of,
@@ -49,6 +51,35 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_query("Q(x) :- R(x,)")
     assert err.value.line >= 1 and err.value.column >= 1
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_query, "% head\nQ(x) :-\n  R(x,).", "expected variable (line 3, column 7)"),
+    (parse_database, "R(a,b).\n% c\nR(b,c). R(a).\n",
+     "fact R/1 conflicts with earlier arity 2 (line 3, column 14)"),
+], ids=["query", "facts"])
+def test_parse_error_exact_position(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert f"(line {err.value.line}, column {err.value.column})" in message
+
+
+@given(FUZZ_TEXT)
+@settings(deadline=None)
+def test_parse_arbitrary_text_fails_only_with_parse_errors(text):
+    try:
+        q = parse_query(text)
+    except (ParseError, LimitExceededError):
+        pass
+    else:
+        assert parse_query(serialize_query(q)) == q
+    try:
+        db = parse_database(text)
+    except ParseError:
+        pass
+    else:
+        assert parse_database(serialize_database(db)) == db
 
 
 def test_arity_mismatch_rejected():
@@ -149,8 +180,6 @@ def test_database_round_trip_random(facts):
 
 def test_size_limit(monkeypatch):
     monkeypatch.setenv("CQSJ_MAX_VARS", "3")
-    from cqsj.qmodel import LimitExceededError
-
     with pytest.raises(LimitExceededError):
         parse_query("Q(a,b,c,d) :- R(a,b), R(c,d).")
     monkeypatch.delenv("CQSJ_MAX_VARS")
