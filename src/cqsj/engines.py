@@ -323,6 +323,7 @@ def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
 
     indexes: dict = {}
     shared_with_parent: dict = {}
+    binds = {a: tuple(pos[a].items()) for a in preorder}  # (variable, first position)
     for a in preorder:
         p = tree.parent[a]
         if p is None:
@@ -351,12 +352,13 @@ def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
                 key = tuple(assignment[v] for v in shared_with_parent[a])
                 ticker.tick()  # index probe
                 candidates = indexes[a].get(key, ())
+            bind = binds[a]
             for row in candidates:
                 ticker.tick()
                 bound = []
-                for v in set(a.args):
+                for v, p in bind:
                     if v not in assignment:
-                        assignment[v] = row[pos[a][v]]
+                        assignment[v] = row[p]
                         bound.append(v)
                 yield from extend(i + 1)
                 for v in bound:
@@ -406,44 +408,73 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
 # -- untangling-based linear delay enumeration --------------------------------
 
 
-def _restricted_instance(step_query: Query, image_atoms: frozenset,
-                         assignment: dict, db: Database, ticker: Ticker):
-    """Build the rewritten query and database for one image answer.
+class _Restriction:
+    """How one untangling step restricts the rest of its query to an image
+    answer; built once per step, since none of it depends on the answer.
 
-    Relations are keyed per (symbol, dropped positions, shared variables at
-    those positions): atoms that agree on all three share one filtered copy,
-    atoms that differ get disambiguated symbols so their filters stay apart.
+    Removed-side atoms are grouped per (symbol, dropped positions, shared
+    variables at those positions): atoms that agree on all three share one
+    filtered copy, atoms that differ get disambiguated symbols so their
+    filters stay apart.  ``query`` is the rewritten rest of the step.
     """
-    pieces = structure._untangle_pieces(step_query, image_atoms)
-    groups: dict = {}
-    for piece in pieces:
-        a, positions, shared_at, kept, name = piece
-        groups.setdefault((a.symbol.name, positions, shared_at, name), []).append(piece)
 
-    taken: dict = {}
-    sym_for_group: dict = {}
-    for key in groups:
-        base_name = key[3]
-        n = taken.get(base_name, 0)
-        taken[base_name] = n + 1
-        sym_for_group[key] = base_name if n == 0 else f"{base_name}_f{n}"
+    def __init__(self, step: structure.UntanglingStep):
+        self.image_query = structure._induced_subquery(step.image_atoms)
+        groups: dict = {}
+        for a, positions, shared_at, kept, name in structure._untangle_pieces(
+                step.query, step.image_atoms):
+            groups.setdefault((a.symbol.name, positions, shared_at, name), []).append(kept)
+        taken: dict = {}
+        self.groups = []  # (source symbol, dropped positions, shared vars, symbol)
+        new_atoms = []
+        for (orig_name, positions, shared_at, base_name), kept_args in groups.items():
+            n = taken.get(base_name, 0)
+            taken[base_name] = n + 1
+            sym = base_name if n == 0 else f"{base_name}_f{n}"
+            self.groups.append((orig_name, positions, shared_at, sym))
+            rel = structure.RelationSymbol(sym, len(kept_args[0]))
+            new_atoms.extend(Atom(rel, args) for args in kept_args)
+        vs = sorted({v for a in new_atoms for v in a.args})
+        self.query = make_query(tuple(new_atoms), tuple(vs))
 
-    out = Database()
-    new_atoms = []
-    for key, members in groups.items():
-        orig_name, positions, shared_at, _ = key
-        sym = sym_for_group[key]
-        filter_values = tuple(assignment[v] for v in shared_at)
-        arity = len(members[0][3])
-        for row in db.facts(orig_name):
-            ticker.tick()
-            if all(row[p] == filter_values[j] for j, p in enumerate(positions)):
-                out.add_fact(sym, tuple(v for i, v in enumerate(row)
-                                        if i not in positions))
-        for piece in members:
-            new_atoms.append(Atom(structure.RelationSymbol(sym, arity), piece[3]))
-    vs = sorted({v for a in new_atoms for v in a.args})
-    return make_query(tuple(new_atoms), tuple(vs)), out
+    def restrict(self, assignment: dict, db: Database, index: dict,
+                 ticker: Ticker) -> Database:
+        """The database over ``query`` that one image answer leaves.
+
+        ``index`` belongs to ``db`` and is filled here on first use: per
+        (symbol, dropped positions), the kept columns of every row, in fact
+        order, bucketed by the values at the dropped positions.  The scan that
+        builds it also serves the answer that triggered it (one tick per row,
+        as a plain filtering scan); later answers pay one probe plus one tick
+        per row they copy.  Groups that drop nothing are copied by a plain
+        scan.
+        """
+        out = Database()
+        for orig_name, positions, shared_at, sym in self.groups:
+            if not positions:
+                for row in db.facts(orig_name):
+                    ticker.tick()
+                    out.add_fact(sym, row)
+                continue
+            values = tuple(assignment[v] for v in shared_at)
+            buckets = index.get((orig_name, positions))
+            if buckets is None:
+                buckets = index[(orig_name, positions)] = {}
+                kept_positions = [i for i in range(db.arity(orig_name) or 0)
+                                  if i not in positions]
+                for row in db.facts(orig_name):
+                    ticker.tick()
+                    at = tuple(row[p] for p in positions)
+                    kept = tuple(row[i] for i in kept_positions)
+                    buckets.setdefault(at, []).append(kept)
+                    if at == values:
+                        out.add_fact(sym, kept)
+                continue
+            ticker.tick()  # index probe
+            for kept in buckets.get(values, ()):
+                ticker.tick()
+                out.add_fact(sym, kept)
+        return out
 
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,
@@ -458,6 +489,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = ticker or Ticker()
+    restrictions = [_Restriction(step) for step in witness.steps]
 
     def make_stream(chain_idx: int, database: Database):
         """Restartable assignment stream for one chain element.
@@ -470,22 +502,22 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
             stream, _ = _acyclic_assignments(witness.base, database, ticker)
             return stream
         step = witness.steps[chain_idx - 1]
-        image_query = structure._induced_subquery(step.image_atoms)
+        restriction = restrictions[chain_idx - 1]
+        index: dict = {}
 
         if step.case == "image_is_previous":
             image_stream = make_stream(chain_idx - 1, database)
         else:
-            image_stream, _ = _acyclic_assignments(image_query, database, ticker)
+            image_stream, _ = _acyclic_assignments(restriction.image_query, database, ticker)
 
         def run():
             for img_assignment in image_stream():
-                rest_query, restricted = _restricted_instance(
-                    step.query, step.image_atoms, img_assignment, database, ticker)
+                restricted = restriction.restrict(img_assignment, database, index, ticker)
                 if step.case == "image_is_previous":
-                    rest_stream, _ = _acyclic_assignments(rest_query, restricted, ticker)
+                    rest_stream, _ = _acyclic_assignments(restriction.query, restricted, ticker)
                 else:
-                    # rest_query equals the witness's previous element here
-                    # (collision-free step), so the sub-witness applies to it.
+                    # restriction.query equals the witness's previous element
+                    # here (collision-free step), so the sub-witness applies to it.
                     rest_stream = make_stream(chain_idx - 1, restricted)
                 for rest_assignment in rest_stream():
                     merged = dict(img_assignment)

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_MAX_VARS = 32
 DEFAULT_MAX_ATOMS = 32
+MAX_PAIR_DEPTH = 64  # the reductions nest pair( one level deep
 
 class QueryModelError(Exception):
     """Base class for model-level errors."""
@@ -342,9 +343,13 @@ def parse_query(text: str) -> Query:
     return Query(tuple(atoms), tuple(free))
 
 
-def _parse_value(sc: _Scanner) -> Value:
+def _parse_value(sc: _Scanner, depth: int = 0) -> Value:
+    """One fact value; ``depth`` counts the ``pair(`` values around it."""
     if sc.accept("pair("):
-        data = _parse_value(sc)
+        if depth == MAX_PAIR_DEPTH:
+            sc.pos -= len("pair(")
+            raise sc.error(f"pair( nested deeper than {MAX_PAIR_DEPTH}")
+        data = _parse_value(sc, depth + 1)
         sc.expect(",")
         var = sc.token(_VARIABLE, "variable tag")
         sc.expect(")")

@@ -224,6 +224,16 @@ def test_non_utf8_input_exit_2(workdir, capsys, bad):
     assert "error" in err
 
 
+def test_deeply_nested_pair_exit_2(workdir, capsys):
+    _, write = workdir
+    qf = write("q.cq", "Q(x) :- R(x).")
+    df = write("d.facts", "R(" + "pair(" * 5000)
+    code, out, err = run_cli(["enumerate", qf, df], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_failure_lists_mixed_answers(workdir, capsys, monkeypatch):
     _, write = workdir
     qf = write("q.cq", "Q(x,y) :- R(x,y).")

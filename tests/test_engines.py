@@ -1,12 +1,15 @@
 """Engines: oracle, evaluation, enumeration, dedup wrapper, delay stats."""
 
+import random
+
 import pytest
 
 from conftest import random_graph_db
 from cqsj import engines as en
 from cqsj import fixtures as fx
 from cqsj import structure as st
-from cqsj.qmodel import Database, Pair, make_query, parse_database, parse_query
+from cqsj.qmodel import (Atom, Database, Pair, RelationSymbol, make_query, parse_database,
+                         parse_query)
 
 
 def section3_database() -> Database:
@@ -195,6 +198,97 @@ def test_enum_untangle_multi_step_chain():
         got = list(en.enum_untangle(q, witness, db))
         assert len(got) == len(set(got))
         assert set(got) == en.oracle_enumerate(q, db)
+
+
+def test_enum_untangle_result_is_previous_step():
+    # diamond_red's only step taken the other way round: its image is
+    # acyclic and the rewritten rest is the base, so the rest is enumerated
+    # through the sub-witness over each restricted database
+    q = fx.fixture("diamond_red")
+    _, found = st.is_untangleable(q)
+    step = found.steps[0]
+    witness = st.UntanglingWitness(
+        step.result, (st.UntanglingStep(q, step.image_atoms, step.result, "result_is_previous"),))
+    assert st.validate_untangling_witness(q, witness)
+    for seed in range(10):
+        db = random_graph_db(12, 26, seed, red_p=0.4)
+        got = list(en.enum_untangle(q, witness, db))
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(q, db)
+
+
+def _plain_restriction(step, assignment, db):
+    """Reference restriction: one filtering scan of the relation per group."""
+    groups: dict = {}
+    for a, positions, shared_at, kept, name in st._untangle_pieces(step.query, step.image_atoms):
+        groups.setdefault((a.symbol.name, positions, shared_at, name), []).append(kept)
+    taken: dict = {}
+    atoms, out = [], Database()
+    for (orig, positions, shared_at, name), kept_args in groups.items():
+        n = taken.get(name, 0)
+        taken[name] = n + 1
+        sym = name if n == 0 else f"{name}_f{n}"
+        values = [assignment[v] for v in shared_at]
+        for row in db.facts(orig):
+            if [row[p] for p in positions] == values:
+                out.add_fact(sym, [v for i, v in enumerate(row) if i not in positions])
+        atoms += [Atom(RelationSymbol(sym, len(args)), args) for args in kept_args]
+    vs = sorted({v for a in atoms for v in a.args})
+    return make_query(tuple(atoms), tuple(vs)), out
+
+
+def _ordered_facts(db):
+    return [(name, list(db.facts(name))) for name in db.symbols]
+
+
+@pytest.mark.parametrize("name", ["diamond_red", "ring8", "bowtie_chain", "windmill_tail"])
+def test_indexed_restriction_matches_plain_scan(name):
+    _, witness = st.is_untangleable(fx.fixture(name))
+    for k, step in enumerate(witness.steps):
+        restriction = en._Restriction(step)
+        image_vars = sorted({v for a in step.image_atoms for v in a.args})
+        symbols = {a.symbol for a in step.query.atoms}
+        for seed in range(4):
+            rng = random.Random(f"{name}:{k}:{seed}")
+            db = Database()
+            for sym in sorted(symbols):
+                for _ in range(30):
+                    db.add_fact(sym.name, [f"v{rng.randrange(5)}" for _ in range(sym.arity)])
+            index: dict = {}  # shared by every answer over this database
+            for _ in range(25):
+                assignment = {v: f"v{rng.randrange(6)}" for v in image_vars}
+                got = restriction.restrict(assignment, db, index, en.Ticker())
+                want_query, want = _plain_restriction(step, assignment, db)
+                assert restriction.query == want_query
+                assert _ordered_facts(got) == _ordered_facts(want)
+
+
+def _padded_diamond_red(padding: int) -> Database:
+    """Twenty disjoint marked diamonds plus R-facts outside every image answer."""
+    db = Database()
+    for i in range(20):
+        x, y, z, u = (f"{c}{i}" for c in "xyzu")
+        for edge in ((x, y), (y, z), (x, u), (u, z)):
+            db.add_fact("R", edge)
+        db.add_fact("P", (y,))
+    for j in range(padding):
+        db.add_fact("R", (f"p{j}", f"q{j}"))
+    return db
+
+
+def test_untangle_enumeration_ticks_linear_in_padding(diamond_red):
+    # A filtering scan per image answer costs answers x |R|; with the
+    # per-step index only the first answer scans R, later ones probe.
+    _, witness = st.is_untangleable(diamond_red)
+    enum_ticks = []
+    for padding in (500, 1000, 2000):
+        cursor = en.enum_untangle(diamond_red, witness, _padded_diamond_red(padding))
+        assert len(cursor.run()) == 40  # u is y or the diamond's fourth node
+        enum_ticks.append(cursor.ticker.count - cursor.preprocessing_ticks)
+    # the rest of diamond_red filters R twice (two groups), so doubling the
+    # padding adds about twice the padding again
+    for (a, b), padding in zip(zip(enum_ticks, enum_ticks[1:]), (500, 1000)):
+        assert b - a <= 3 * padding
 
 
 def test_enum_mirror_examples(diamond):

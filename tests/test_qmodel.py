@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import FUZZ_TEXT
 from cqsj import fixtures as fx
 from cqsj.qmodel import (
+    MAX_PAIR_DEPTH,
     Database,
     LimitExceededError,
     Pair,
@@ -120,6 +121,22 @@ def test_parse_pair_values_round_trip():
     ((sym, row),) = list(db.all_facts())
     assert row == (Pair("a", "x"), Pair("b", "u"))
     assert parse_database(serialize_database(db)) == db
+
+
+def test_parse_nested_pairs_round_trip():
+    db = parse_database("R(pair(pair(a,x),y), b).")
+    ((_, row),) = list(db.all_facts())
+    assert row == (Pair(Pair("a", "x"), "y"), "b")
+    assert parse_database(serialize_database(db)) == db
+
+
+def test_parse_pair_nesting_is_capped():
+    deepest = "R(" + "pair(" * MAX_PAIR_DEPTH + "a" + ",x)" * MAX_PAIR_DEPTH + ")."
+    assert parse_database(deepest).size == 1
+    with pytest.raises(ParseError) as err:
+        parse_database("R(" + "pair(" * 5000 + "a" + ",x)" * 5000 + ").")
+    # reported at the first pair( past the cap
+    assert (err.value.line, err.value.column) == (1, 3 + 5 * MAX_PAIR_DEPTH)
 
 
 def test_duplicate_facts_collapse():
