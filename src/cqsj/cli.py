@@ -56,12 +56,29 @@ def _load_database(path: str) -> Database:
 # -- engine selection -----------------------------------------------------------
 
 
+# Strongest guarantee first: the constant-delay engines, then linear delay.
+AUTO_ORDER = ("acyclic", "mirror", "bespoke:SPIKE_Q2", "bespoke:SPIKE_Q3",
+              "untangle", "bespoke:TWO_LOOPS", "bespoke:TWO_TRIANGLES")
+
+
 def select_engine(query: Query, engine: str):
     """Resolve an engine name to a cursor factory; every engine, auto
-    included, reads one structural analysis of the query."""
+    included, reads one structural analysis of the query.  Auto picks the
+    first engine of AUTO_ORDER whose explicit selection applies."""
     analysis = structure.Analysis(query)
-    if engine == "auto":
-        engine = _auto_engine(query, analysis)
+    if engine != "auto":
+        return _engine(query, analysis, engine)
+    for name in AUTO_ORDER:
+        try:
+            return _engine(query, analysis, name)
+        except InapplicableEngineError:
+            pass
+    print("warning: no specialised engine applies, falling back to the oracle",
+          file=sys.stderr)
+    return _engine(query, analysis, "oracle")
+
+
+def _engine(query: Query, analysis: structure.Analysis, engine: str):
     if engine == "oracle":
         return "oracle", lambda db: engines.oracle_cursor(query, db)
     if engine == "acyclic":
@@ -82,32 +99,13 @@ def select_engine(query: Query, engine: str):
         return "untangle", lambda db: engines.enum_untangle(query, witness, db)
     if engine.startswith("bespoke:"):
         strategy = engine.split(":", 1)[1]
-        if strategy not in engines.BESPOKE_DUPLICATION:
+        spec = engines.BESPOKE_STRATEGIES.get(strategy)
+        if spec is None:
             raise InputError(f"unknown bespoke strategy {strategy}")
-        if analysis.bespoke_strategy != strategy:
+        if analysis.fixture_name != spec.fixture:
             raise InapplicableEngineError(f"query is not the {strategy} pattern")
         return engine, lambda db: engines.enum_bespoke(strategy, db)
     raise InputError(f"unknown engine {engine}")
-
-
-def _auto_engine(query: Query, analysis: structure.Analysis) -> str:
-    """The strongest applicable guarantee: full-acyclic and mirror (constant
-    delay) over constant-delay bespokes, over untangling (linear delay), over
-    linear-delay bespokes, over the oracle."""
-    if query.is_full and analysis.acyclic:
-        return "acyclic"
-    if analysis.mirror is not None:
-        return "mirror"
-    strategy = analysis.bespoke_strategy
-    if strategy in ("SPIKE_Q2", "SPIKE_Q3"):
-        return f"bespoke:{strategy}"
-    if analysis.untangleable == "yes":
-        return "untangle"
-    if strategy is not None:
-        return f"bespoke:{strategy}"
-    print("warning: no specialised engine applies, falling back to the oracle",
-          file=sys.stderr)
-    return "oracle"
 
 
 # -- subcommands ------------------------------------------------------------------

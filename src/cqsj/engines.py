@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import structure
 from .qmodel import Atom, Database, Query, make_query, parse_query
@@ -595,19 +595,6 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
 
 # -- bespoke per-query strategies ----------------------------------------------
 
-BESPOKE_DUPLICATION = {
-    "TWO_LOOPS": 1,
-    "TWO_TRIANGLES": 1,
-    "SPIKE_Q2": 3,
-    "SPIKE_Q3": 3,
-}
-
-
-def bespoke_query(strategy: str) -> Query:
-    from . import fixtures
-
-    return fixtures.fixture(fixtures.BESPOKE_STRATEGIES[strategy])
-
 
 def _binary_adjacency(db: Database, ticker: Ticker, with_red: bool):
     allowed = {"R": 2}
@@ -831,27 +818,42 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
     return gen
 
 
+class BespokeStrategy(NamedTuple):
+    fixture: str      # the fixture whose query (up to renaming) it answers
+    duplication: int  # the raw stream emits each answer at most this often
+    factory: Callable  # (db, ticker) -> generator function; preprocesses eagerly
+
+
+BESPOKE_STRATEGIES = {
+    "TWO_LOOPS": BespokeStrategy("twin_loops", 1, _two_loops_factory),
+    "TWO_TRIANGLES": BespokeStrategy("twin_triangles", 1, _two_triangles_factory),
+    "SPIKE_Q2": BespokeStrategy("ring8_io", 3, _spike_q2_factory),
+    "SPIKE_Q3": BespokeStrategy("ring8_spikes", 3, _spike_q3_factory),
+}
+
+
+def bespoke_query(strategy: str) -> Query:
+    from . import fixtures
+
+    return fixtures.fixture(BESPOKE_STRATEGIES[strategy].fixture)
+
+
 def enum_bespoke(strategy: str, db: Database, ticker: Optional[Ticker] = None,
                  dedup: bool = True) -> EnumerationCursor:
-    """Run one of the registered per-query strategies over a {R,P} database.
+    """Run one of the BESPOKE_STRATEGIES over a database holding R (and P).
 
-    The raw stream emits each answer at most BESPOKE_DUPLICATION[strategy]
-    times; by default it is wrapped in cheater_dedup, which also checks that
-    bound online.
+    The raw stream emits each answer at most the strategy's duplication
+    bound times; by default it is wrapped in cheater_dedup, which also
+    checks that bound online.
     """
-    if strategy not in BESPOKE_DUPLICATION:
+    spec = BESPOKE_STRATEGIES.get(strategy)
+    if spec is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     ticker = ticker or Ticker()
-    factories = {
-        "TWO_LOOPS": _two_loops_factory,
-        "TWO_TRIANGLES": _two_triangles_factory,
-        "SPIKE_Q2": _spike_q2_factory,
-        "SPIKE_Q3": _spike_q3_factory,
-    }
-    gen_factory = factories[strategy](db, ticker)
+    gen_factory = spec.factory(db, ticker)
     raw = EnumerationCursor(ticker, ticker.count, gen_factory())
     if dedup:
-        return cheater_dedup(raw, BESPOKE_DUPLICATION[strategy])
+        return cheater_dedup(raw, spec.duplication)
     return raw
 
 

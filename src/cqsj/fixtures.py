@@ -109,15 +109,6 @@ def fixture_names() -> list:
     return sorted(_SOURCES)
 
 
-# Bespoke enumeration strategies: strategy id -> fixture carrying its query.
-BESPOKE_STRATEGIES = {
-    "TWO_LOOPS": "twin_loops",
-    "TWO_TRIANGLES": "twin_triangles",
-    "SPIKE_Q2": "ring8_io",
-    "SPIKE_Q3": "ring8_spikes",
-}
-
-
 @lru_cache(maxsize=None)
 def classification_registry() -> dict:
     """Canonical form -> individually settled verdicts and fixture label."""

@@ -865,12 +865,6 @@ class Analysis:
     def fixture_name(self) -> Optional[str]:
         return self.registry_entry["name"] if self.registry_entry else None
 
-    @property
-    def bespoke_strategy(self) -> Optional[str]:
-        """The bespoke enumeration strategy written for this query's shape."""
-        by_fixture = {name: s for s, name in fixtures.BESPOKE_STRATEGIES.items()}
-        return by_fixture.get(self.fixture_name)
-
 
 # -- classification -----------------------------------------------------------
 

@@ -340,7 +340,7 @@ def test_bespoke_matches_oracle(strategy, kwargs):
 
 def test_bespoke_raw_duplication_bound():
     for strategy in ("SPIKE_Q2", "SPIKE_Q3"):
-        bound = en.BESPOKE_DUPLICATION[strategy]
+        bound = en.BESPOKE_STRATEGIES[strategy].duplication
         for seed in range(6):
             db = random_graph_db(10, 16, seed, red_p=0.3)
             raw = list(en.enum_bespoke(strategy, db, dedup=False))
