@@ -108,6 +108,16 @@ def _engine(query: Query, analysis: structure.Analysis, engine: str):
     raise InputError(f"unknown engine {engine}")
 
 
+def _check_schema(query: Query, db: Database) -> None:
+    """Every relation the query reads has the query's arity in the database,
+    or is absent there, which makes it empty."""
+    for a in query.atoms:
+        arity = db.arity(a.symbol.name)
+        if arity not in (None, a.symbol.arity):
+            raise InputError(f"relation {a.symbol.name} has arity {arity} in the "
+                             f"database but {a.symbol.arity} in the query")
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -146,10 +156,9 @@ def cmd_enumerate(args) -> int:
         raise InputError("--limit must not be negative")
     query = _load_query(args.query)
     db = _load_database(args.db)
+    _check_schema(query, db)
     name, factory = select_engine(query, args.engine)
     cursor = factory(db)
-    if args.dedup:
-        cursor = engines.cheater_dedup(cursor, 4)
     emitted = 0
     while True:
         if args.limit is not None and emitted >= args.limit:
@@ -170,6 +179,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     query = _load_query(args.query)
     db = _load_database(args.db)
+    _check_schema(query, db)
     name, factory = select_engine(query, args.engine)
     got = list(factory(db))
     if args.corrupt_for_test and got:
@@ -239,6 +249,7 @@ def cmd_bench_delay(args) -> int:
     rows = []
     for size in args.sizes:
         db = _bench_db(gen, size, args.seed)
+        _check_schema(query, db)
         stats = engines.measure_delay(lambda: factory(db))
         rows.append({"size": db.size, **stats.to_json()})
     verdict = delay_verdict(rows)
@@ -320,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("db")
     p.add_argument("--engine", default="auto")
-    p.add_argument("--dedup", action="store_true")
     p.add_argument("--limit", type=int)
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_enumerate)

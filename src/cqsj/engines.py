@@ -597,14 +597,12 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
 
 
 def _binary_adjacency(db: Database, ticker: Ticker, with_red: bool):
-    allowed = {"R": 2}
-    if with_red:
-        allowed["P"] = 1
-    for name in db.symbols:
-        if name not in allowed or db.arity(name) != allowed[name]:
+    """Adjacency of R; relations the strategy does not read are ignored."""
+    read = {"R": 2, "P": 1} if with_red else {"R": 2}
+    for name, arity in read.items():
+        if db.arity(name) not in (None, arity):
             raise WrongSchemaError(
-                f"strategy expects {sorted(allowed)} only, found {name}/{db.arity(name)}"
-            )
+                f"strategy reads {name}/{arity}, found {name}/{db.arity(name)}")
     out: dict = {}
     in_: dict = {}
     edges = set()

@@ -2,8 +2,8 @@
 
 Each fixture is a plain parsed query.  The registry at the bottom records the
 individually settled verdicts (bespoke enumeration strategies and gadget
-encodings) keyed by canonical form, so classification recognises the patterns
-regardless of variable names.
+encodings) keyed by shape invariant and canonical form, so classification
+recognises the patterns regardless of variable names.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ def fixture_names() -> list:
 
 @lru_cache(maxsize=None)
 def classification_registry() -> dict:
-    """Canonical form -> individually settled verdicts and fixture label."""
+    """Shape invariant -> canonical form -> individually settled verdicts
+    and fixture label."""
     from .structure import (
         PROBLEM_CONST,
         PROBLEM_LINEAR,
@@ -119,6 +120,7 @@ def classification_registry() -> dict:
         V_CONSTANT,
         V_LINEAR_DELAY,
         canonical_key,
+        shape_invariant,
     )
 
     entries = {
@@ -154,9 +156,10 @@ def classification_registry() -> dict:
         "windmill_tail": [],
         "bowtie_chain": [],
     }
-    registry = {}
+    registry: dict = {}
     for name, verdicts in entries.items():
-        registry[canonical_key(fixture(name))] = {
+        q = fixture(name)
+        registry.setdefault(shape_invariant(q), {})[canonical_key(q)] = {
             "name": name,
             "verdicts": verdicts,
         }

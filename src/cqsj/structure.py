@@ -10,6 +10,7 @@ table.  Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -446,6 +447,14 @@ def canonical_key(query: Query):
     return canonical_form(query)[0]
 
 
+def shape_invariant(query: Query) -> tuple:
+    """Atoms per symbol, variable count and free-variable count: equal for
+    queries with equal canonical keys, and cheap to compute."""
+    per_symbol = Counter((a.symbol.name, a.symbol.arity) for a in query.atoms)
+    return (tuple(sorted(per_symbol.items())), len(query.all_vars),
+            len(query.free_vars))
+
+
 def queries_isomorphic(q1: Query, q2: Query) -> bool:
     return canonical_key(q1) == canonical_key(q2)
 
@@ -858,8 +867,14 @@ class Analysis:
 
     @cached_property
     def registry_entry(self) -> Optional[dict]:
-        """Individually settled verdicts for this query's shape, if any."""
-        return fixtures.classification_registry().get(canonical_key(self.analyzed))
+        """Individually settled verdicts for this query's shape, if any.
+
+        Only a query sharing its shape invariant with some registered fixture
+        is labelled canonically, so the lookup never refuses a query for
+        being too symmetric to label when nothing could match it anyway.
+        """
+        same_shape = fixtures.classification_registry().get(shape_invariant(self.analyzed))
+        return same_shape.get(canonical_key(self.analyzed)) if same_shape else None
 
     @property
     def fixture_name(self) -> Optional[str]:

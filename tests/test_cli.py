@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import FUZZ_TEXT
+from conftest import FUZZ_TEXT, random_query
 from cqsj import cli, fixtures as fx, reductions as rd, structure as st
 from cqsj.qmodel import parse_query, serialize_database, serialize_query
 
@@ -234,6 +235,23 @@ def test_deeply_nested_pair_exit_2(workdir, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,query,facts", [
+    (["enumerate", "{q}", "{d}"], "Q(x,y,z) :- R(x,y,z).", "R(a,b)."),
+    (["enumerate", "{q}", "{d}", "--engine", "oracle"], "Q(x,y,z) :- R(x,y,z).",
+     "R(a,b)."),
+    (["verify", "{q}", "{d}"], "Q(x,y,z) :- R(x,y,z).", "R(a,b)."),
+    (["bench-delay", "{q}", "--sizes", "20", "40"], "Q(x,y,z) :- R(x,y,z).", ""),
+    (["enumerate", "{q}", "{d}"], "Q(x,y) :- R(x,y).", "R(a,b,c)."),
+], ids=["enumerate", "enumerate-oracle", "verify", "bench-delay", "wider-facts"])
+def test_schema_mismatch_exit_2(workdir, capsys, argv, query, facts):
+    _, write = workdir
+    qf, df = write("q.cq", query), write("d.facts", facts)
+    code, out, err = run_cli([a.format(q=qf, d=df) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: relation R has arity ")
+
+
 def test_verify_failure_lists_mixed_answers(workdir, capsys, monkeypatch):
     _, write = workdir
     qf = write("q.cq", "Q(x,y) :- R(x,y).")
@@ -301,15 +319,48 @@ CONSTANT_DELAY_ENGINES = {"acyclic", "mirror", "bespoke:SPIKE_Q2", "bespoke:SPIK
 LINEAR_DELAY_ENGINES = {"untangle", "bespoke:TWO_LOOPS", "bespoke:TWO_TRIANGLES"}
 
 
-@pytest.mark.parametrize("name", fx.fixture_names())
-def test_auto_engine_per_fixture_agrees_with_classify(name):
-    engine, _ = cli.select_engine(fx.fixture(name), "auto")
-    assert engine == AUTO_ENGINE[name]
-    report = st.classify(fx.fixture(name))
+def _auto_engine_agreeing_with_classify(query) -> str:
+    engine, _ = cli.select_engine(query, "auto")
+    report = st.classify(query)
     if engine in CONSTANT_DELAY_ENGINES:
         assert report.verdict_for(st.PROBLEM_CONST).verdict == st.V_CONSTANT
     if engine in LINEAR_DELAY_ENGINES:
         assert report.verdict_for(st.PROBLEM_LINEAR).verdict == st.V_LINEAR_DELAY
+    return engine
+
+
+@pytest.mark.parametrize("name", fx.fixture_names())
+def test_auto_engine_per_fixture_agrees_with_classify(name):
+    assert _auto_engine_agreeing_with_classify(fx.fixture(name)) == AUTO_ENGINE[name]
+
+
+def test_auto_engine_on_random_queries_agrees_with_classify():
+    queries = (random_query(seed) for seed in itertools.count())
+    self_joins = (q for q in queries
+                  if len({a.symbol for a in q.atoms}) < len(q.atoms))
+    engines = [_auto_engine_agreeing_with_classify(q)
+               for q in itertools.islice(self_joins, 200)]
+    assert {"acyclic", "oracle"} <= set(engines)  # both sides of the fallback
+
+
+def test_symmetric_query_outside_registry(workdir, capsys):
+    # a directed 10-cycle is too symmetric for canonical labelling, and no
+    # registered fixture has its shape, so the registry is not consulted
+    _, write = workdir
+    head = ",".join(f"x{i}" for i in range(1, 11))
+    body = ", ".join(f"R(x{i},x{i % 10 + 1})" for i in range(1, 11))
+    qf = write("q.cq", f"Q({head}) :- {body}.")
+    df = write("d.facts", "R(a,b). R(b,a).")
+    code, out, _ = run_cli(["classify", qf], capsys)
+    assert code == 0
+    for problem in (st.PROBLEM_FIRST, st.PROBLEM_EVAL, st.PROBLEM_CONST,
+                    st.PROBLEM_LINEAR):
+        assert f"  {problem}: conditionally-hard (sHyperclique; Thm 3.5)" in out
+    code, out, err = run_cli(["enumerate", qf, df, "--stats"], capsys)
+    assert code == 0
+    assert sorted(out.splitlines()) == ["a, b, a, b, a, b, a, b, a, b",
+                                        "b, a, b, a, b, a, b, a, b, a"]
+    assert json.loads(err.splitlines()[-1])["engine"] == "oracle"
 
 
 @pytest.mark.parametrize("name", ["diamond_red", "ring8_spikes_flip"])

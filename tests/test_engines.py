@@ -351,12 +351,29 @@ def test_bespoke_raw_duplication_bound():
 
 
 def test_bespoke_rejects_wrong_schema():
-    db = parse_database("R(a,b). T(a,b).")
     with pytest.raises(en.WrongSchemaError):
-        en.enum_bespoke("TWO_LOOPS", db)
-    db = parse_database("R(a,b). P(a).")
+        en.enum_bespoke("TWO_LOOPS", parse_database("R(a,b,c)."))
     with pytest.raises(en.WrongSchemaError):
-        en.enum_bespoke("TWO_TRIANGLES", db)  # marked nodes not in this schema
+        en.enum_bespoke("SPIKE_Q2", parse_database("R(a,b). P(a,b)."))
+    # relations a strategy does not read are ignored, as the oracle ignores them
+    for strategy, extra in (("TWO_LOOPS", "T(a,b). S(x,y,z)."),
+                            ("TWO_TRIANGLES", "P(a). P(b)."),
+                            ("TWO_LOOPS", "P(a,b,c).")):
+        db = parse_database("R(a,a). R(a,b). R(b,a). R(b,b). " + extra)
+        got = list(en.enum_bespoke(strategy, db))
+        assert got and set(got) == en.oracle_enumerate(en.bespoke_query(strategy), db)
+
+
+@pytest.mark.parametrize("strategy,kwargs", [
+    ("TWO_LOOPS", dict(loops=4)),
+    ("TWO_TRIANGLES", dict(loops=4)),
+    ("SPIKE_Q2", dict(red_p=0.3)),
+    ("SPIKE_Q3", dict(red_p=0.2)),
+])
+def test_bespoke_preprocessing_ticks(strategy, kwargs):
+    ticker = en.Ticker()
+    cursor = en.enum_bespoke(strategy, random_graph_db(12, 20, 0, **kwargs), ticker)
+    assert cursor.preprocessing_ticks == ticker.count > 0
 
 
 def test_bespoke_unknown_strategy():
