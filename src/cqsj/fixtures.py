@@ -156,7 +156,7 @@ def classification_registry() -> dict:
         "windmill_tail": [],
         "bowtie_chain": [],
     }
-    registry: dict = {}
+    registry = {}
     for name, verdicts in entries.items():
         q = fixture(name)
         registry.setdefault(shape_invariant(q), {})[canonical_key(q)] = {

@@ -333,7 +333,10 @@ def test_bespoke_matches_oracle(strategy, kwargs):
     q = en.bespoke_query(strategy)
     for seed in range(20):
         db = random_graph_db(12, 20, seed, **kwargs)
-        got = list(en.enum_bespoke(strategy, db))
+        ticker = en.Ticker()
+        cursor = en.enum_bespoke(strategy, db, ticker)
+        assert cursor.preprocessing_ticks == ticker.count > 0  # before any next()
+        got = list(cursor)
         assert len(got) == len(set(got))
         assert set(got) == en.oracle_enumerate(q, db), (strategy, seed)
 
@@ -362,18 +365,6 @@ def test_bespoke_rejects_wrong_schema():
         db = parse_database("R(a,a). R(a,b). R(b,a). R(b,b). " + extra)
         got = list(en.enum_bespoke(strategy, db))
         assert got and set(got) == en.oracle_enumerate(en.bespoke_query(strategy), db)
-
-
-@pytest.mark.parametrize("strategy,kwargs", [
-    ("TWO_LOOPS", dict(loops=4)),
-    ("TWO_TRIANGLES", dict(loops=4)),
-    ("SPIKE_Q2", dict(red_p=0.3)),
-    ("SPIKE_Q3", dict(red_p=0.2)),
-])
-def test_bespoke_preprocessing_ticks(strategy, kwargs):
-    ticker = en.Ticker()
-    cursor = en.enum_bespoke(strategy, random_graph_db(12, 20, 0, **kwargs), ticker)
-    assert cursor.preprocessing_ticks == ticker.count > 0
 
 
 def test_bespoke_unknown_strategy():
