@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import structure
-from .qmodel import Atom, Database, Query, make_query, parse_query
+from .qmodel import Atom, Database, Query, parse_query
 from .structure import NotAcyclicError, gyo_acyclic
 
 
@@ -366,7 +366,7 @@ def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
 
         yield from extend(0)
 
-    return stream, empty
+    return stream
 
 
 def enum_full_acyclic(query: Query, db: Database, ticker: Optional[Ticker] = None) -> EnumerationCursor:
@@ -377,7 +377,7 @@ def enum_full_acyclic(query: Query, db: Database, ticker: Optional[Ticker] = Non
     if not query.is_full:
         raise ValueError("enum_full_acyclic expects a full query")
     ticker = ticker or Ticker()
-    stream, _ = _acyclic_assignments(query, db, ticker)
+    stream = _acyclic_assignments(query, db, ticker)
     prep = ticker.count
 
     def gen():
@@ -399,7 +399,7 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
     fcore, retraction = structure.full_core_with_retraction(query)
     if not structure.is_acyclic(fcore):
         raise CyclicCoreError("the query's core is cyclic")
-    stream, _ = _acyclic_assignments(fcore, db, ticker)
+    stream = _acyclic_assignments(fcore, db, ticker)
     for assignment in stream():
         return tuple(assignment[retraction[v]] for v in query.free_vars)
     return None
@@ -408,73 +408,44 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
 # -- untangling-based linear delay enumeration --------------------------------
 
 
-class _Restriction:
-    """How one untangling step restricts the rest of its query to an image
-    answer; built once per step, since none of it depends on the answer.
+def _restrict(groups: tuple, assignment: dict, db: Database, index: dict,
+              ticker: Ticker) -> Database:
+    """The database over an untangling step's ``rest`` that one image answer
+    leaves; ``groups`` are the step's ``structure.UntangledGroup``s.
 
-    Removed-side atoms are grouped per (symbol, dropped positions, shared
-    variables at those positions): atoms that agree on all three share one
-    filtered copy, atoms that differ get disambiguated symbols so their
-    filters stay apart.  ``query`` is the rewritten rest of the step.
+    ``index`` belongs to ``db`` and is filled here on first use: per
+    (symbol, dropped positions), the kept columns of every row, in fact
+    order, bucketed by the values at the dropped positions.  The scan that
+    builds it also serves the answer that triggered it (one tick per row,
+    as a plain filtering scan); later answers pay one probe plus one tick
+    per row they copy.  Groups that drop nothing are copied by a plain scan.
     """
-
-    def __init__(self, step: structure.UntanglingStep):
-        self.image_query = structure._induced_subquery(step.image_atoms)
-        groups: dict = {}
-        for a, positions, shared_at, kept, name in structure._untangle_pieces(
-                step.query, step.image_atoms):
-            groups.setdefault((a.symbol.name, positions, shared_at, name), []).append(kept)
-        taken: dict = {}
-        self.groups = []  # (source symbol, dropped positions, shared vars, symbol)
-        new_atoms = []
-        for (orig_name, positions, shared_at, base_name), kept_args in groups.items():
-            n = taken.get(base_name, 0)
-            taken[base_name] = n + 1
-            sym = base_name if n == 0 else f"{base_name}_f{n}"
-            self.groups.append((orig_name, positions, shared_at, sym))
-            rel = structure.RelationSymbol(sym, len(kept_args[0]))
-            new_atoms.extend(Atom(rel, args) for args in kept_args)
-        vs = sorted({v for a in new_atoms for v in a.args})
-        self.query = make_query(tuple(new_atoms), tuple(vs))
-
-    def restrict(self, assignment: dict, db: Database, index: dict,
-                 ticker: Ticker) -> Database:
-        """The database over ``query`` that one image answer leaves.
-
-        ``index`` belongs to ``db`` and is filled here on first use: per
-        (symbol, dropped positions), the kept columns of every row, in fact
-        order, bucketed by the values at the dropped positions.  The scan that
-        builds it also serves the answer that triggered it (one tick per row,
-        as a plain filtering scan); later answers pay one probe plus one tick
-        per row they copy.  Groups that drop nothing are copied by a plain
-        scan.
-        """
-        out = Database()
-        for orig_name, positions, shared_at, sym in self.groups:
-            if not positions:
-                for row in db.facts(orig_name):
-                    ticker.tick()
-                    out.add_fact(sym, row)
-                continue
-            values = tuple(assignment[v] for v in shared_at)
-            buckets = index.get((orig_name, positions))
-            if buckets is None:
-                buckets = index[(orig_name, positions)] = {}
-                kept_positions = [i for i in range(db.arity(orig_name) or 0)
-                                  if i not in positions]
-                for row in db.facts(orig_name):
-                    ticker.tick()
-                    at = tuple(row[p] for p in positions)
-                    kept = tuple(row[i] for i in kept_positions)
-                    buckets.setdefault(at, []).append(kept)
-                    if at == values:
-                        out.add_fact(sym, kept)
-                continue
-            ticker.tick()  # index probe
-            for kept in buckets.get(values, ()):
+    out = Database()
+    for g in groups:
+        if not g.positions:
+            for row in db.facts(g.source):
                 ticker.tick()
-                out.add_fact(sym, kept)
-        return out
+                out.add_fact(g.relation, row)
+            continue
+        values = tuple(assignment[v] for v in g.image_vars)
+        buckets = index.get((g.source, g.positions))
+        if buckets is None:
+            buckets = index[(g.source, g.positions)] = {}
+            kept_positions = [i for i in range(db.arity(g.source) or 0)
+                              if i not in g.positions]
+            for row in db.facts(g.source):
+                ticker.tick()
+                at = tuple(row[p] for p in g.positions)
+                kept = tuple(row[i] for i in kept_positions)
+                buckets.setdefault(at, []).append(kept)
+                if at == values:
+                    out.add_fact(g.relation, kept)
+            continue
+        ticker.tick()  # index probe
+        for kept in buckets.get(values, ()):
+            ticker.tick()
+            out.add_fact(g.relation, kept)
+    return out
 
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,
@@ -489,7 +460,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = ticker or Ticker()
-    restrictions = [_Restriction(step) for step in witness.steps]
+    untangled = [structure.untangle(step.query, step.image_atoms) for step in witness.steps]
 
     def make_stream(chain_idx: int, database: Database):
         """Restartable assignment stream for one chain element.
@@ -499,25 +470,24 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
         work and stay inside the returned stream.
         """
         if chain_idx == 0:
-            stream, _ = _acyclic_assignments(witness.base, database, ticker)
-            return stream
+            return _acyclic_assignments(witness.base, database, ticker)
         step = witness.steps[chain_idx - 1]
-        restriction = restrictions[chain_idx - 1]
+        rewrite = untangled[chain_idx - 1]
         index: dict = {}
 
         if step.case == "image_is_previous":
             image_stream = make_stream(chain_idx - 1, database)
         else:
-            image_stream, _ = _acyclic_assignments(restriction.image_query, database, ticker)
+            image_stream = _acyclic_assignments(step.image_query, database, ticker)
 
         def run():
             for img_assignment in image_stream():
-                restricted = restriction.restrict(img_assignment, database, index, ticker)
+                restricted = _restrict(rewrite.groups, img_assignment, database, index, ticker)
                 if step.case == "image_is_previous":
-                    rest_stream, _ = _acyclic_assignments(restriction.query, restricted, ticker)
+                    rest_stream = _acyclic_assignments(rewrite.rest, restricted, ticker)
                 else:
-                    # restriction.query equals the witness's previous element
-                    # here (collision-free step), so the sub-witness applies to it.
+                    # rest equals the witness's previous element here
+                    # (collision-free step), so the sub-witness applies to it.
                     rest_stream = make_stream(chain_idx - 1, restricted)
                 for rest_assignment in rest_stream():
                     merged = dict(img_assignment)
@@ -559,7 +529,7 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
     rest_private = [v for v in query.all_vars if v not in image_vars]
     slot = {v: image_private.index(witness.iso[v]) for v in rest_private}
 
-    stream, _ = _acyclic_assignments(image_query, db, ticker)
+    stream = _acyclic_assignments(image_query, db, ticker)
     prep = ticker.count
 
     def emit(key_assignment: dict, image_part, rest_part):
@@ -701,8 +671,8 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
     against the table and expands the two spikes per joined loop.
     """
     out, in_, _, _ = _binary_adjacency(db, ticker, with_red=True)
-    top_stream, _ = _acyclic_assignments(parse_query(_Q2_TOP), db, ticker)
-    left_stream, _ = _acyclic_assignments(parse_query(_Q2_LEFT), db, ticker)
+    top_stream = _acyclic_assignments(parse_query(_Q2_TOP), db, ticker)
+    left_stream = _acyclic_assignments(parse_query(_Q2_LEFT), db, ticker)
 
     def gen():
         table: dict = {}

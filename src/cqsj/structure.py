@@ -510,70 +510,85 @@ def images_up_to_renaming(query: Query) -> list:
 # -- untangling --------------------------------------------------------------
 
 
-def _untangle_pieces(query: Query, image_atoms: frozenset):
-    """Per-atom rewrite data for one untangling step.
+@dataclass(frozen=True)
+class UntangledGroup:
+    """Removed-side atoms that share one filtered copy of their symbol."""
 
-    Each removed-side atom yields (atom, positions_dropped, shared_vars_at_S,
-    kept_args, rewritten_symbol_name).
+    source: str        # symbol of the atoms
+    positions: tuple   # dropped positions, those holding image variables
+    image_vars: tuple  # the image variables at those positions
+    symbol: str        # paper symbol, one per (source, positions)
+    relation: str      # symbol, or <symbol>_f<n> for the n-th later group with it
+    kept: tuple        # argument tuples of the atoms without those positions
+
+
+@dataclass(frozen=True)
+class Untangled:
+    """One untangling step: the query without the image's atoms.
+
+    ``result`` holds the remaining atoms over paper symbols; ``rest`` holds
+    them over per-group relations, so groups that filter one symbol at
+    different image variables read separate relations at enumeration time.
     """
+
+    groups: tuple  # tuple[UntangledGroup, ...], in order of first atom
+    result: Query
+    rest: Query
+
+    @property
+    def collision_free(self) -> bool:
+        """Every paper symbol carries a single filter, so rest is result."""
+        return all(g.relation == g.symbol for g in self.groups)
+
+
+def untangle(query: Query, image_atoms: frozenset) -> Untangled:
+    """Drop the image's atoms; project the image variables out of the rest.
+
+    Positions holding image variables are removed and the symbol is renamed
+    per (original symbol, dropped positions).  Both queries are full over the
+    surviving variables, and empty when the image is the whole query.
+    """
+    image_atoms = frozenset(image_atoms)
     p_atoms = [a for a in query.atoms if a not in image_atoms]
     image_vars = {v for a in image_atoms for v in a.args}
-    p_vars = {v for a in p_atoms for v in a.args}
-    shared = p_vars & image_vars
-    kept_names = {a.symbol.name for a in p_atoms
-                  if not any(v in shared for v in a.args)}
+    shared = image_vars & {v for a in p_atoms for v in a.args}
+    kept_names = {a.symbol.name for a in p_atoms if not shared & a.var_set}
     names: dict = {}
-    pieces = []
+    kept_by_group: dict = {}
     for a in p_atoms:
         positions = tuple(i for i, v in enumerate(a.args) if v in shared)
-        kept = tuple(v for i, v in enumerate(a.args) if i not in positions)
+        name = a.symbol.name
         if positions:
-            key = (a.symbol.name, positions)
-            name = names.get(key)
+            name = names.get((name, positions))
             if name is None:
                 name = f"{a.symbol.name}__{''.join(str(i) for i in positions)}"
                 # A rewritten symbol must not capture a name that survives
                 # unrewritten (possible once a query is untangled twice).
                 while name in kept_names or name in names.values():
                     name += "x"
-                names[key] = name
-        else:
-            name = a.symbol.name
-        shared_at = tuple(a.args[i] for i in positions)
-        pieces.append((a, positions, shared_at, kept, name))
-    return pieces
+                names[(a.symbol.name, positions)] = name
+        key = (a.symbol.name, positions, tuple(a.args[i] for i in positions), name)
+        kept = tuple(v for i, v in enumerate(a.args) if i not in positions)
+        kept_by_group.setdefault(key, []).append(kept)
+    taken = Counter()
+    groups = []
+    for (source, positions, at, name), kept in kept_by_group.items():
+        n = taken[name]
+        taken[name] += 1
+        relation = name if n == 0 else f"{name}_f{n}"
+        groups.append(UntangledGroup(source, positions, at, name, relation, tuple(kept)))
+
+    def over(field: str) -> Query:
+        atoms = [Atom(RelationSymbol(getattr(g, field), len(args)), args)
+                 for g in groups for args in g.kept]
+        return make_query(atoms, sorted({v for a in atoms for v in a.args}))
+
+    return Untangled(tuple(groups), over("symbol"), over("relation"))
 
 
 def untangling_step(query: Query, image_atoms: frozenset) -> Query:
-    """Drop the image's atoms; project shared positions out of the rest.
-
-    Positions holding image variables are removed and the symbol is renamed
-    per (original symbol, dropped position set).  Result is full over the
-    surviving variables; empty when the image is the whole query.
-    """
-    pieces = _untangle_pieces(query, frozenset(image_atoms))
-    new_atoms = []
-    for _, positions, _, kept, name in pieces:
-        new_atoms.append(Atom(RelationSymbol(name, len(kept)), kept))
-    vs = sorted({v for a in new_atoms for v in a.args})
-    return make_query(tuple(new_atoms), tuple(vs))
-
-
-def untangling_collision_free(query: Query, image_atoms: frozenset) -> bool:
-    """True when every rewritten symbol carries a single filter context.
-
-    Two removed-side atoms that agree on (symbol, dropped positions) but
-    disagree on which shared variables sit at those positions cannot share
-    one restricted relation at enumeration time.
-    """
-    seen: dict = {}
-    for _, positions, shared_at, _, name in _untangle_pieces(query, frozenset(image_atoms)):
-        if not positions:
-            continue
-        prev = seen.setdefault(name, shared_at)
-        if prev != shared_at:
-            return False
-    return True
+    """The untangled query over paper symbols; see ``untangle``."""
+    return untangle(query, image_atoms).result
 
 
 @dataclass(frozen=True)
@@ -582,6 +597,10 @@ class UntanglingStep:
     image_atoms: frozenset
     result: Query
     case: str  # "image_is_previous" or "result_is_previous"
+
+    @property
+    def image_query(self) -> Query:
+        return _induced_subquery(self.image_atoms)
 
 
 @dataclass(frozen=True)
@@ -605,18 +624,18 @@ def validate_untangling_witness(query: Query, witness: UntanglingWitness) -> boo
     for step in witness.steps:
         if not step.image_atoms <= set(step.query.atoms):
             return False
-        if untangling_step(step.query, step.image_atoms) != step.result:
+        untangled = untangle(step.query, step.image_atoms)
+        if untangled.result != step.result:
             return False
         if has_endo_with_range(step.query, step.image_atoms) is None:
             return False
-        image_query = _induced_subquery(step.image_atoms)
         if step.case == "image_is_previous":
-            if image_query != prev or not is_acyclic(step.result):
+            if step.image_query != prev or not is_acyclic(step.result):
                 return False
         elif step.case == "result_is_previous":
-            if step.result != prev or not is_acyclic(image_query):
+            if step.result != prev or not is_acyclic(step.image_query):
                 return False
-            if not untangling_collision_free(step.query, step.image_atoms):
+            if not untangled.collision_free:
                 return False
         else:
             return False
@@ -665,7 +684,8 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
         for img in images(q) if q_images is None else q_images:
             if img.atoms == set(q.atoms):
                 continue  # trivial image: no progress
-            result = untangling_step(q, img.atoms)
+            untangled = untangle(q, img.atoms)
+            result = untangled.result
             if is_acyclic(result):
                 sub = visit(img.query)
                 if isinstance(sub, UntanglingWitness):
@@ -673,7 +693,7 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
                     return UntanglingWitness(sub.base, sub.steps + (step,))
                 if sub is BUDGET:
                     hit_budget = True
-            if is_acyclic(img.query) and untangling_collision_free(q, img.atoms):
+            if is_acyclic(img.query) and untangled.collision_free:
                 sub = visit(result)
                 if isinstance(sub, UntanglingWitness):
                     step = UntanglingStep(q, img.atoms, result, "result_is_previous")
@@ -765,7 +785,7 @@ def hardness_transfer(query: Query, imgs: Optional[list] = None):
         raise ValueError("hardness transfer is defined for full queries")
     imgs = images(query) if imgs is None else imgs
     for img in imgs:
-        result = untangling_step(query, img.atoms)
+        result = untangle(query, img.atoms).result
         if not result.atoms:
             continue
         rvars = set(result.all_vars)
