@@ -182,8 +182,6 @@ def cmd_verify(args) -> int:
     _check_schema(query, db)
     name, factory = select_engine(query, args.engine)
     got = list(factory(db))
-    if args.corrupt_for_test and got:
-        got = got[:-1]  # harness self-test hook: drop one answer
     want = engines.oracle_enumerate(query, db)
     dupes = len(got) - len(set(got))
     missing = want - set(got)
@@ -339,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("db")
     p.add_argument("--engine", default="auto")
-    p.add_argument("--corrupt-for-test", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench-delay", help="tick-based delay measurements")

@@ -394,8 +394,9 @@ GADGET_QUERIES = {
 # -- reproducible random inputs --------------------------------------------------
 
 
-def gen_random_graph(n: int, m: int, seed: int, allow_loops: bool = False) -> Graph:
-    """n vertices, up to m distinct random directed edges, seed-deterministic."""
+def gen_random_graph(n: int, m: int, seed: int) -> Graph:
+    """n vertices, up to m distinct random directed edges without self-loops,
+    seed-deterministic."""
     rng = random.Random(seed)
     vertices = tuple(f"n{i}" for i in range(n))
     edges = {}
@@ -404,7 +405,7 @@ def gen_random_graph(n: int, m: int, seed: int, allow_loops: bool = False) -> Gr
         attempts += 1
         u = vertices[rng.randrange(n)]
         v = vertices[rng.randrange(n)]
-        if u == v and not allow_loops:
+        if u == v:
             continue
         edges.setdefault((u, v))
     return Graph(vertices, tuple(edges))

@@ -293,15 +293,14 @@ def find_maps(
     yield from backtrack(0)
 
 
-def endomorphisms(query: Query, fix_free: bool = False) -> list:
+def endomorphisms(query: Query) -> list:
     """All atom-preserving variable self-maps, the identity included."""
     if len(query.all_vars) > max_vars_limit():
         raise LimitExceededError(
             f"{len(query.all_vars)} variables exceed the configured limit"
         )
-    pinned = {v: v for v in query.free_vars} if fix_free else None
     out = []
-    for m in find_maps(query.atoms, query.atoms, pinned=pinned):
+    for m in find_maps(query.atoms, query.atoms):
         out.append(m)
         if len(out) > MAX_HOM_RESULTS:
             raise LimitExceededError("endomorphism enumeration exceeded result cap")
@@ -317,9 +316,9 @@ def has_endo_with_range(query: Query, image_atoms: frozenset) -> Optional[dict]:
     return None
 
 
-def homomorphism_exists(src: Query, dst: Query, fix_free: bool = True) -> bool:
-    pinned = {v: v for v in src.free_vars} if fix_free else None
-    for _ in find_maps(src.atoms, dst.atoms, pinned=pinned):
+def homomorphism_exists(src: Query, dst: Query) -> bool:
+    """A homomorphism from src to dst fixing src's free variables."""
+    for _ in find_maps(src.atoms, dst.atoms, pinned={v: v for v in src.free_vars}):
         return True
     return False
 
@@ -468,10 +467,9 @@ class Image:
 
     atoms: frozenset
     query: Query
-    witnesses: tuple  # tuple of variable maps producing this range
 
     def __repr__(self) -> str:
-        return f"Image({serialize_query(self.query)}, {len(self.witnesses)} witnesses)"
+        return f"Image({serialize_query(self.query)})"
 
 
 def _induced_subquery(atoms: Iterable[Atom]) -> Query:
@@ -488,15 +486,9 @@ def images(query: Query) -> list:
     """
     if not query.is_full:
         raise ValueError("images are defined for full queries")
-    by_range: dict = {}
-    for m in endomorphisms(query):
-        ran = frozenset(a.rename(m) for a in query.atoms)
-        by_range.setdefault(ran, []).append(m)
-    out = []
-    for ran in sorted(by_range, key=lambda r: tuple(sorted(r))):
-        wit = by_range[ran]
-        out.append(Image(ran, _induced_subquery(ran), tuple(wit[:4])))
-    return out
+    ranges = {frozenset(a.rename(m) for a in query.atoms) for m in endomorphisms(query)}
+    return [Image(ran, _induced_subquery(ran))
+            for ran in sorted(ranges, key=lambda r: tuple(sorted(r)))]
 
 
 def images_up_to_renaming(query: Query) -> list:
@@ -664,7 +656,10 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
         # memoised up to renaming; steps shrink, so the input never recurs
         if is_acyclic(q):
             return UntanglingWitness(q, ())
-        key = canonical_key(q)
+        try:
+            key = canonical_key(q)
+        except LimitExceededError:
+            return expand(q)  # too symmetric to label: searched, not memoised
         if key in memo_no:
             return None
         if key in memo_unknown:
@@ -890,11 +885,17 @@ class Analysis:
         """Individually settled verdicts for this query's shape, if any.
 
         Only a query sharing its shape invariant with some registered fixture
-        is labelled canonically, so the lookup never refuses a query for
-        being too symmetric to label when nothing could match it anyway.
+        is labelled canonically.  A query too symmetric to label matches no
+        fixture: colour refinement is invariant under isomorphism and every
+        fixture labels, so every isomorph of one labels too.
         """
         same_shape = fixtures.classification_registry().get(shape_invariant(self.analyzed))
-        return same_shape.get(canonical_key(self.analyzed)) if same_shape else None
+        if not same_shape:
+            return None
+        try:
+            return same_shape.get(canonical_key(self.analyzed))
+        except LimitExceededError:
+            return None
 
     @property
     def fixture_name(self) -> Optional[str]:

@@ -122,15 +122,21 @@ def test_enumerate_stats_schema(workdir, capsys):
     assert {"engine", "answers", "preprocessing_ticks", "ticks"} <= set(stats)
 
 
-def test_verify_pass_and_corrupt(workdir, capsys):
+def test_verify_pass_and_corrupt(workdir, capsys, monkeypatch):
     _, write = workdir
     qf = write("q.cq", serialize_query(fx.fixture("diamond")))
     graph = rd.gen_random_graph(8, 16, 3)
     df = write("d.facts", serialize_database(rd.graph_to_db(graph)))
     code, out, _ = run_cli(["verify", qf, df, "--engine", "mirror"], capsys)
     assert code == 0 and out.startswith("PASS")
-    code, out, _ = run_cli(
-        ["verify", qf, df, "--engine", "mirror", "--corrupt-for-test"], capsys)
+    select = cli.select_engine
+
+    def drop_last_answer(query, engine):
+        name, factory = select(query, engine)
+        return name, lambda db: factory(db).run()[:-1]
+
+    monkeypatch.setattr(cli, "select_engine", drop_last_answer)
+    code, out, _ = run_cli(["verify", qf, df, "--engine", "mirror"], capsys)
     assert code == 1 and out.startswith("FAIL") and "missing" in out
 
 
@@ -344,23 +350,26 @@ def test_auto_engine_on_random_queries_agrees_with_classify():
 
 
 def test_symmetric_query_outside_registry(workdir, capsys):
-    # a directed 10-cycle is too symmetric for canonical labelling, and no
-    # registered fixture has its shape, so the registry is not consulted
+    # Directed cycles are too symmetric for canonical labelling.  No fixture
+    # has the 10-cycle's shape, so the registry is not consulted; the
+    # 20-cycle has cycle20's shape but labels as no fixture; with the pendant
+    # R(x1,y) it is an image that the untangling search visits.
     _, write = workdir
-    head = ",".join(f"x{i}" for i in range(1, 11))
-    body = ", ".join(f"R(x{i},x{i % 10 + 1})" for i in range(1, 11))
-    qf = write("q.cq", f"Q({head}) :- {body}.")
     df = write("d.facts", "R(a,b). R(b,a).")
-    code, out, _ = run_cli(["classify", qf], capsys)
-    assert code == 0
-    for problem in (st.PROBLEM_FIRST, st.PROBLEM_EVAL, st.PROBLEM_CONST,
-                    st.PROBLEM_LINEAR):
-        assert f"  {problem}: conditionally-hard (sHyperclique; Thm 3.5)" in out
-    code, out, err = run_cli(["enumerate", qf, df, "--stats"], capsys)
-    assert code == 0
-    assert sorted(out.splitlines()) == ["a, b, a, b, a, b, a, b, a, b",
-                                        "b, a, b, a, b, a, b, a, b, a"]
-    assert json.loads(err.splitlines()[-1])["engine"] == "oracle"
+    for n, pendant in ((10, False), (20, False), (20, True)):
+        head = [f"x{i}" for i in range(1, n + 1)] + ["y"] * pendant
+        body = [f"R(x{i},x{i % n + 1})" for i in range(1, n + 1)] + ["R(x1,y)"] * pendant
+        qf = write("q.cq", f"Q({','.join(head)}) :- {', '.join(body)}.")
+        code, out, _ = run_cli(["classify", qf], capsys)
+        assert code == 0, head
+        for problem in (st.PROBLEM_FIRST, st.PROBLEM_EVAL, st.PROBLEM_CONST,
+                        st.PROBLEM_LINEAR):
+            assert f"  {problem}: conditionally-hard (sHyperclique; Thm 3.5)" in out
+        code, out, err = run_cli(["enumerate", qf, df, "--stats"], capsys)
+        assert code == 0, head
+        assert sorted(out.splitlines()) == [", ".join(["a", "b"] * (n // 2) + ["b"] * pendant),
+                                            ", ".join(["b", "a"] * (n // 2) + ["a"] * pendant)]
+        assert json.loads(err.splitlines()[-1])["engine"] == "oracle"
 
 
 @pytest.mark.parametrize("name", ["diamond_red", "ring8_spikes_flip"])
@@ -384,19 +393,23 @@ def test_cross_process_determinism(tmp_path):
     df = tmp_path / "d.facts"
     graph = rd.gen_random_graph(10, 22, 4)
     df.write_text(serialize_database(rd.graph_to_db(graph)))
+    # images, the untangling search and the registry lookup all feed this
+    rf = tmp_path / "r.cq"
+    rf.write_text(serialize_query(fx.fixture("ring8_spikes_flip")))
     # The child imports the same cqsj package as this process, whether it
     # is installed or only on PYTHONPATH; nothing else leaks into its env.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    outputs = []
-    for seed in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cqsj.cli", "enumerate", str(qf), str(df),
-             "--engine", "mirror"],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": package_root},
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0], "enumerate printed no answers"
-    assert outputs[0] == outputs[1]
+    for argv in (["enumerate", str(qf), str(df), "--engine", "mirror"],
+                 ["classify", str(rf), "--json"]):
+        outputs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cqsj.cli", *argv],
+                capture_output=True, text=True, timeout=120,
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": package_root},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0], f"{argv[0]} printed nothing"
+        assert outputs[0] == outputs[1], argv[0]
