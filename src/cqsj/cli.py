@@ -141,9 +141,14 @@ def cmd_classify(args) -> int:
     print(f"core: {serialize_query(report.core)}  (acyclic: {report.core_acyclic})")
     if report.full_core is not None:
         print(f"full-core: {serialize_query(report.full_core)}")
-    if report.images:
-        print(f"images: {len(report.images)}")
-    print(f"mirror: {'yes' if report.mirror else 'no'}")
+    if not report.images_computed:
+        print(f"images: {structure.NOT_COMPUTED} (more than "
+              f"{structure.MAX_HOM_RESULTS} endomorphisms)")
+        print(f"mirror: {structure.NOT_COMPUTED}")
+    else:
+        if report.images:
+            print(f"images: {len(report.images)}")
+        print(f"mirror: {'yes' if report.mirror else 'no'}")
     print(f"untangleable: {report.untangleable}")
     for v in report.verdicts:
         qualifier = "" if v.assumption == "none" else f"{v.assumption}; "

@@ -197,28 +197,23 @@ def oracle_enumerate(query: Query, db: Database) -> set:
 # -- semi-join reduction and constant-delay enumeration -----------------------
 
 
-def _atom_rows(query: Query, db: Database, ticker: Ticker) -> dict:
-    """Atom -> facts matching the atom's repeated-variable pattern."""
+def _atom_rows(atoms, db: Database, ticker: Ticker) -> dict:
+    """Atom -> facts matching the atom's repeated-variable pattern.
+
+    An atom without a repeated variable matches every fact of its relation
+    and gets the relation's own read-only view, without a scan.
+    """
     rows = {}
-    for a in query.atoms:
-        matching = []
-        pattern_positions = {}
-        for i, v in enumerate(a.args):
-            pattern_positions.setdefault(v, []).append(i)
-        for row in db.facts(a.symbol.name):
-            ticker.tick()
-            ok = True
-            for positions in pattern_positions.values():
-                first = row[positions[0]]
-                for p in positions[1:]:
-                    if row[p] != first:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                matching.append(row)
-        rows[a] = matching
+    for a in atoms:
+        facts = db.facts(a.symbol.name)
+        if len(a.var_set) == len(a.args):
+            rows[a] = facts
+            continue
+        first = _first_positions(a)
+        checks = [(first[v], j) for j, v in enumerate(a.args) if first[v] != j]
+        ticker.tick(len(facts))
+        rows[a] = [row for row in facts
+                   if all(row[i] == row[j] for i, j in checks)]
     return rows
 
 
@@ -229,112 +224,99 @@ def _first_positions(a: Atom) -> dict:
     return pos
 
 
-def _project(row, atom_pos, vars_sorted):
-    return tuple(row[atom_pos[v]] for v in vars_sorted)
-
-
-def _reduce_forest(query: Query, db: Database, ticker: Ticker):
-    """Full semi-join reduction along the join forest (up then down).
-
-    Returns (tree, rows, preorder, pos): the join forest, each atom's reduced
-    rows, the atoms in preorder and each atom's first position per variable.
-    Raises NotAcyclicError when no join forest exists.
-    """
+def _join_tree(query: Query) -> structure.JoinTree:
     tree = gyo_acyclic(query)
     if tree is None:
         raise NotAcyclicError(f"query has no join tree: {query}")
-    rows = _atom_rows(query, db, ticker)
+    return tree
+
+
+def _reduce_forest(tree: structure.JoinTree, db: Database, ticker: Ticker):
+    """One leaves-to-root semi-join pass that also builds the enumeration
+    indexes (Yannakakis's upward pass).
+
+    Per join-tree edge, the child's rows are scanned once and bucketed by
+    the variables it shares with its parent, and the parent's rows are
+    scanned once, keeping those whose key has a bucket: two ticks per row per
+    edge.  Afterwards every root row extends to a match of its whole tree,
+    and every bucket that a row of the parent can reach holds exactly the
+    child rows that extend it, so no downward pass is needed.
+
+    Returns (rows, preorder, pos, index): each atom's remaining rows, the
+    atoms in preorder, each atom's first position per variable, and per
+    non-root atom the variables shared with its parent and its buckets.
+    """
+    rows = _atom_rows(tree.nodes, db, ticker)
     children: dict = {a: [] for a in tree.nodes}
     for a in tree.nodes:
         p = tree.parent[a]
         if p is not None:
             children[p].append(a)
-    roots = tree.roots
     preorder = []
-    post = []
-    for r in roots:
+    for r in tree.roots:
         stack = [r]
         while stack:
             cur = stack.pop()
             preorder.append(cur)
-            for ch in reversed(children[cur]):
-                stack.append(ch)
-    for a in reversed(preorder):
-        post.append(a)
+            stack.extend(reversed(children[cur]))
     pos = {a: _first_positions(a) for a in tree.nodes}
 
-    def semijoin(target: Atom, source: Atom) -> None:
-        shared = sorted(set(target.args) & set(source.args))
-        if not shared:
-            if not rows[source]:
-                rows[target] = []
-            return
-        keys = set()
-        for row in rows[source]:
-            ticker.tick()
-            keys.add(_project(row, pos[source], shared))
-        kept = []
-        for row in rows[target]:
-            ticker.tick()
-            if _project(row, pos[target], shared) in keys:
-                kept.append(row)
-        rows[target] = kept
-
-    for a in post:  # leaves towards roots
-        for ch in children[a]:
-            semijoin(a, ch)
-    for a in preorder:  # roots towards leaves
-        for ch in children[a]:
-            semijoin(ch, a)
-    return tree, rows, preorder, pos
+    index: dict = {}
+    for p in reversed(preorder):  # every child before its parent
+        for ch in children[p]:
+            shared = sorted(set(ch.args) & set(p.args))
+            at = [pos[ch][v] for v in shared]
+            buckets: dict = {}
+            ticker.tick(len(rows[ch]))
+            for row in rows[ch]:
+                buckets.setdefault(tuple([row[i] for i in at]), []).append(row)
+            index[ch] = (shared, buckets)
+            at = [pos[p][v] for v in shared]
+            ticker.tick(len(rows[p]))
+            rows[p] = [row for row in rows[p]
+                       if tuple([row[i] for i in at]) in buckets]
+    return rows, preorder, pos, index
 
 
 def eval_boolean(query: Query, db: Database, ticker: Optional[Ticker] = None) -> bool:
-    """Satisfiability of an acyclic query via semi-join reduction."""
-    _, rows, preorder, _ = _reduce_forest(query, db, ticker or Ticker())
-    return all(rows[a] for a in preorder)
+    """Satisfiability of an acyclic query: every root keeps a row."""
+    tree = _join_tree(query)
+    rows = _reduce_forest(tree, db, ticker or Ticker())[0]
+    return all(rows[r] for r in tree.roots)
 
 
 def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> set:
-    """Answer set of an acyclic unary query via full reduction + projection."""
+    """Answer set of an acyclic unary query: the free variable's values in
+    the rows that a root holding it keeps."""
     if query.arity != 1:
         raise ValueError("eval_unary expects exactly one free variable")
     ticker = ticker or Ticker()
-    _, rows, preorder, pos = _reduce_forest(query, db, ticker)
-    if any(not rows[a] for a in preorder):
-        return set()
     var = query.free_vars[0]
-    holder = next(a for a in preorder if var in a.args)
-    out = set()
-    for row in rows[holder]:
-        ticker.tick()
-        out.add(row[pos[holder][var]])
-    return out
+    holder = next(a for a in query.atoms if var in a.args)
+    tree = _join_tree(query).rerooted(holder)
+    rows, _, pos, _ = _reduce_forest(tree, db, ticker)
+    if not all(rows[r] for r in tree.roots):
+        return set()
+    ticker.tick(len(rows[holder]))
+    at = pos[holder][var]
+    return {row[at] for row in rows[holder]}
 
 
 def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
     """Preprocess a full acyclic query; return a restartable assignment stream.
 
-    After full reduction every partial match extends, so the stream walks the
-    join forest without dead ends: constant work between assignments.
+    The stream walks the join forest in preorder, taking a root's rows in
+    full and a child's rows from the bucket its parent's row selects.  Every
+    row it reaches extends, so there are no dead ends: constant work between
+    assignments.
     """
-    tree, rows, preorder, pos = _reduce_forest(query, db, ticker)
-    empty = any(not rows[a] for a in preorder)
-
-    indexes: dict = {}
-    shared_with_parent: dict = {}
-    binds = {a: tuple(pos[a].items()) for a in preorder}  # (variable, first position)
-    for a in preorder:
-        p = tree.parent[a]
-        if p is None:
-            continue
-        shared = sorted(set(a.args) & set(p.args))
-        shared_with_parent[a] = shared
-        bucket: dict = {}
-        for row in rows[a]:
-            ticker.tick()
-            bucket.setdefault(_project(row, pos[a], shared), []).append(row)
-        indexes[a] = bucket
+    tree = _join_tree(query)
+    rows, preorder, pos, index = _reduce_forest(tree, db, ticker)
+    empty = not all(rows[r] for r in tree.roots)
+    # per atom: its rows (roots) or (shared variables, buckets), and the
+    # (variable, first position) pairs it binds
+    steps = [(rows[a] if tree.parent[a] is None else None, index.get(a),
+              tuple(pos[a].items())) for a in preorder]
 
     def stream():
         if empty:
@@ -342,17 +324,14 @@ def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
         assignment: dict = {}
 
         def extend(i: int):
-            if i == len(preorder):
+            if i == len(steps):
                 yield assignment
                 return
-            a = preorder[i]
-            if tree.parent[a] is None:
-                candidates = rows[a]
-            else:
-                key = tuple(assignment[v] for v in shared_with_parent[a])
+            candidates, probe, bind = steps[i]
+            if candidates is None:
+                shared, buckets = probe
                 ticker.tick()  # index probe
-                candidates = indexes[a].get(key, ())
-            bind = binds[a]
+                candidates = buckets.get(tuple([assignment[v] for v in shared]), ())
             for row in candidates:
                 ticker.tick()
                 bound = []

@@ -51,6 +51,21 @@ class JoinTree:
     def satisfies_running_intersection(self) -> bool:
         return _forest_has_running_intersection(self.nodes, self.parent)
 
+    def rerooted(self, atom: Atom) -> "JoinTree":
+        """The same forest with ``atom`` as the root of its tree.
+
+        Only the edges on the path from ``atom`` to its old root change
+        direction, so the undirected forest, and with it running
+        intersection, stays as it was.
+        """
+        parent = dict(self.parent)
+        below, cur = None, atom
+        while cur is not None:
+            above = self.parent[cur]
+            parent[cur] = below
+            below, cur = cur, above
+        return JoinTree(self.nodes, parent)
+
 
 def _forest_has_running_intersection(nodes, parent) -> bool:
     adj = {a: [] for a in nodes}
@@ -293,18 +308,22 @@ def find_maps(
     yield from backtrack(0)
 
 
-def endomorphisms(query: Query) -> list:
-    """All atom-preserving variable self-maps, the identity included."""
+def _endomorphism_stream(query: Query) -> Iterator[dict]:
+    """The endomorphisms one at a time; raises LimitExceededError on the
+    first one beyond MAX_HOM_RESULTS."""
     if len(query.all_vars) > max_vars_limit():
         raise LimitExceededError(
             f"{len(query.all_vars)} variables exceed the configured limit"
         )
-    out = []
-    for m in find_maps(query.atoms, query.atoms):
-        out.append(m)
-        if len(out) > MAX_HOM_RESULTS:
+    for count, m in enumerate(find_maps(query.atoms, query.atoms), 1):
+        if count > MAX_HOM_RESULTS:
             raise LimitExceededError("endomorphism enumeration exceeded result cap")
-    return out
+        yield m
+
+
+def endomorphisms(query: Query) -> list:
+    """All atom-preserving variable self-maps, the identity included."""
+    return list(_endomorphism_stream(query))
 
 
 def has_endo_with_range(query: Query, image_atoms: frozenset) -> Optional[dict]:
@@ -486,7 +505,13 @@ def images(query: Query) -> list:
     """
     if not query.is_full:
         raise ValueError("images are defined for full queries")
-    ranges = {frozenset(a.rename(m) for a in query.atoms) for m in endomorphisms(query)}
+    # every endomorphism sends each atom onto an atom of the query; a range
+    # is kept as the (name, arguments) pairs of its atoms until the end
+    shapes = [(a.symbol.name, a.args) for a in query.atoms]
+    keys = {frozenset([(name, tuple([m[v] for v in args])) for name, args in shapes])
+            for m in _endomorphism_stream(query)}
+    atom_of = {(a.symbol.name, a.args): a for a in query.atoms}
+    ranges = {frozenset(atom_of[k] for k in key) for key in keys}
     return [Image(ran, _induced_subquery(ran))
             for ran in sorted(ranges, key=lambda r: tuple(sorted(r)))]
 
@@ -916,6 +941,8 @@ V_LINEAR_DELAY = "linear-delay"
 V_COND_HARD = "conditionally-hard"
 V_UNKNOWN = "unknown"
 
+NOT_COMPUTED = "not computed"
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -942,6 +969,9 @@ class ClassificationReport(Analysis):
     """
 
     minimal = True  # a minimal form is minimal by construction
+    # False when the images exceeded MAX_HOM_RESULTS and the verdict table
+    # did not need them; images, mirror and untangling are then not computed
+    images_computed = True
 
     def __init__(self, query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
         super().__init__(minimal_form(query), untangle_budget)
@@ -994,6 +1024,17 @@ class ClassificationReport(Analysis):
             put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 2.2")
             if self.free_connex:
                 put(PROBLEM_EVAL, V_LINEAR_IO, "none", "Thm 2.2")
+
+        # (5)-(8) rest on the images.  Once (1)-(4) settle all four problems
+        # they change no verdict, so a query with more endomorphisms than
+        # MAX_HOM_RESULTS keeps the verdicts above and goes without them.
+        if len(verdicts) == 4:
+            try:
+                self.images
+            except LimitExceededError:
+                self.images_computed = False
+                self.images = self.mirror = self.hardness_witness = None
+                self.untangling = NOT_COMPUTED, None
 
         # (5) mirrors: constant delay.
         if self.mirror is not None:
@@ -1057,8 +1098,10 @@ class ClassificationReport(Analysis):
             "core": serialize_query(self.core),
             "core_acyclic": self.core_acyclic,
             "full_core": serialize_query(self.full_core) if self.full_core else None,
-            "images": [serialize_query(i.query) for i in self.images],
+            "images": ([serialize_query(i.query) for i in self.images]
+                       if self.images_computed else NOT_COMPUTED),
             "mirror": (
+                NOT_COMPUTED if not self.images_computed else
                 {"image": serialize_query(self.mirror.image_query),
                  "iso": dict(sorted(self.mirror.iso.items()))}
                 if self.mirror else None

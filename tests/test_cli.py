@@ -62,6 +62,32 @@ def test_classify_open_square_loops_json(workdir, capsys):
                for v in payload["verdicts"])
 
 
+def test_classify_star_beyond_endomorphism_cap(workdir, capsys):
+    # the 7-leaf star has 7^7 endomorphisms, more than the cap; Thm 2.2
+    # settles all four problems, so classify reports the images as not
+    # computed instead of failing, and enumerate runs the acyclic engine
+    _, write = workdir
+    ys = [f"y{i}" for i in range(1, 8)]
+    qf = write("star.cq", f"Q(x,{','.join(ys)}) :- {', '.join(f'R(x,{y})' for y in ys)}.")
+    code, out, _ = run_cli(["classify", qf], capsys)
+    assert code == 0
+    assert (f"images: not computed (more than {st.MAX_HOM_RESULTS} endomorphisms)\n"
+            "mirror: not computed\nuntangleable: not computed\n") in out
+    assert out.endswith("  first-solution: linear-time (Thm 2.2)\n"
+                        "  evaluation: linear-input-output (Thm 2.2)\n"
+                        "  enumeration-constant-delay: constant-delay (Thm 2.2)\n"
+                        "  enumeration-linear-delay: linear-delay (Thm 2.2)\n")
+    code, out, _ = run_cli(["classify", qf, "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert {payload[k] for k in ("images", "mirror", "untangleable")} == {"not computed"}
+    df = write("d.facts", "R(a,b). R(a,c).")
+    code, out, err = run_cli(["enumerate", qf, df, "--stats"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 2 ** 7
+    assert json.loads(err)["engine"] == "acyclic"
+
+
 def test_classify_parse_error_exit_2(workdir, capsys):
     _, write = workdir
     qf = write("broken.cq", "Q(x :- R(x).")
@@ -295,12 +321,14 @@ def test_out_of_range_option_exit_2(workdir, capsys, argv):
 @settings(deadline=None)
 def test_fuzzed_input_exit_0_or_2(fuzzed, text):
     # the oracle engine needs no structural analysis, and the other file
-    # keeps its work small: an empty database, or a one-atom query
+    # keeps its work small: an empty database, or a one-atom query; a lone
+    # surrogate has no UTF-8 encoding, so it is written as the bytes
+    # surrogatepass gives it, which the command must refuse as non-UTF-8
     with tempfile.TemporaryDirectory() as tmp:
         files = {"query": Path(tmp, "q.cq"), "facts": Path(tmp, "d.facts")}
         files["query"].write_text("Q(x,y) :- R(x,y).")
         files["facts"].write_text("")
-        files[fuzzed].write_text(text, encoding="utf-8")
+        files[fuzzed].write_text(text, encoding="utf-8", errors="surrogatepass")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["enumerate", str(files["query"]), str(files["facts"]),

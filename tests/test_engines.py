@@ -1,10 +1,11 @@
 """Engines: oracle, evaluation, enumeration, dedup wrapper, delay stats."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import random_graph_db
+from conftest import random_graph_db, random_query
 from cqsj import engines as en
 from cqsj import fixtures as fx
 from cqsj import structure as st
@@ -161,6 +162,58 @@ def test_enum_full_acyclic_repeated_variable_atom():
     q = parse_query("Q(x,y) :- R(x,x), R(x,y).")
     db = parse_database("R(a,a). R(a,b). R(b,c).")
     assert set(en.enum_full_acyclic(q, db)) == {("a", "a"), ("a", "b")}
+
+
+def test_full_acyclic_preprocessing_is_one_pass():
+    # path2_full's join tree is one edge, R(x,y) under R(y,z), and neither
+    # atom repeats a variable: one bucketing scan of the child and one
+    # filtering scan of the parent.  A downward pass or a separate index
+    # scan would cost more.
+    q = fx.fixture("path2_full")
+    for n, seed in ((0, 0), (1, 1), (60, 2), (500, 3)):
+        db = random_graph_db(max(1, n // 2), n, seed)
+        assert db.symbols == (["R"] if n else [])
+        cursor = en.enum_full_acyclic(q, db)
+        assert cursor.preprocessing_ticks == 2 * db.size
+
+
+def _random_schema_db(seed: int, facts: int) -> Database:
+    """Facts over random_query's schema on a small domain, so joins hit."""
+    rng = random.Random(seed)
+    db = Database()
+    for name, arity in (("R", 2), ("S", 2), ("T", 3), ("P", 1)):
+        for _ in range(facts):
+            db.add_fact(name, tuple(f"d{rng.randrange(4)}" for _ in range(arity)))
+    return db
+
+
+def test_full_acyclic_enumeration_has_no_dead_ends():
+    # Without a downward pass every row the enumeration reaches must still
+    # extend to an answer: the answers match the oracle without repeats and
+    # no gap between emissions exceeds one probe and one row per atom.
+    queries = (random_query(seed) for seed in itertools.count())
+    full = (make_query(q.atoms, tuple(sorted(q.all_vars))) for q in queries)
+    joins = list(itertools.islice(
+        (q for q in full if len(q.atoms) > 1 and st.is_acyclic(q)), 80))
+    assert max(len(q.atoms) for q in joins) >= 5
+    answered = 0
+    for i, q in enumerate(joins):
+        for facts in (6, 14):
+            db = _random_schema_db(i * 7 + facts, facts)
+            cursor = en.enum_full_acyclic(q, db)
+            got, gaps, last = [], [], cursor.ticker.count
+            while True:
+                item = cursor.next()
+                gaps.append(cursor.ticker.count - last)
+                last = cursor.ticker.count
+                if item is None:
+                    break
+                got.append(item)
+            assert len(got) == len(set(got)), q
+            assert set(got) == en.oracle_enumerate(q, db), q
+            assert max(gaps) <= 2 * len(q.atoms), q
+            answered += bool(got)
+    assert answered >= 80
 
 
 # -- untangle / mirror enumeration -----------------------------------------------------

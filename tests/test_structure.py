@@ -1,9 +1,13 @@
 """Structural analysis: acyclicity, cores, images, untangling, mirrors."""
 
+import tracemalloc
+
+import pytest
+
 from conftest import random_query
 from cqsj import fixtures as fx
 from cqsj import structure as st
-from cqsj.qmodel import make_query, parse_query, serialize_query
+from cqsj.qmodel import LimitExceededError, make_query, parse_query, serialize_query
 
 
 # -- acyclicity ----------------------------------------------------------------
@@ -52,6 +56,20 @@ def test_returned_trees_satisfy_running_intersection():
         tree = st.gyo_acyclic(fx.fixture(name))
         if tree is not None:
             assert tree.satisfies_running_intersection(), name
+
+
+def test_rerooted_trees_keep_running_intersection():
+    for seed in range(60):
+        tree = st.gyo_acyclic(random_query(seed))
+        if tree is None:
+            continue
+        for atom in tree.nodes:
+            moved = tree.rerooted(atom)
+            assert moved.parent[atom] is None
+            assert len(moved.roots) == len(tree.roots)
+            assert moved.satisfies_running_intersection(), seed
+            edges = {frozenset((a, p)) for a, p in tree.parent.items() if p is not None}
+            assert edges == {frozenset((a, p)) for a, p in moved.parent.items() if p is not None}
 
 
 # -- free-connexity ---------------------------------------------------------------
@@ -191,6 +209,65 @@ def test_images_of_ring8_match_known_shapes():
 def test_single_atom_single_image():
     q = parse_query("Q(x,y) :- R(x,y).")
     assert len(st.images(q)) == 1
+
+
+def _star(leaves: int):
+    ys = [f"y{i}" for i in range(1, leaves + 1)]
+    return parse_query(f"Q(x,{','.join(ys)}) :- "
+                       f"{', '.join(f'R(x,{y})' for y in ys)}.")
+
+
+def test_images_are_the_endomorphism_ranges_within_the_cap(monkeypatch):
+    # the k-leaf star has k^k endomorphisms and 2^k - 1 images
+    q = _star(4)
+    ranges = {frozenset(a.rename(m) for a in q.atoms) for m in st.endomorphisms(q)}
+    assert len(st.endomorphisms(q)) == 256
+    assert {img.atoms for img in st.images(q)} == ranges
+    assert len(ranges) == 15
+    monkeypatch.setattr(st, "MAX_HOM_RESULTS", 256)
+    assert len(st.images(q)) == 15
+    monkeypatch.setattr(st, "MAX_HOM_RESULTS", 255)
+    for f in (st.images, st.endomorphisms):
+        with pytest.raises(LimitExceededError, match="exceeded result cap"):
+            f(q)
+
+
+def test_images_keep_only_ranges():
+    # 5^5 = 3,125 endomorphisms, 31 images.  Keeping every endomorphism as
+    # a dict would take several hundred bytes each; images() keeps ranges.
+    q = _star(5)
+    tracemalloc.start()
+    try:
+        imgs = st.images(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(imgs) == 31
+    assert peak < 64 * 5 ** 5
+
+
+def test_classify_without_images_when_thm_2_2_settles_everything():
+    # 7^7 endomorphisms exceed MAX_HOM_RESULTS; the star is acyclic and
+    # free-connex, so rules (1)-(4) settle all four problems
+    report = st.classify(_star(7))
+    assert not report.images_computed
+    assert [(v.verdict, v.citation) for v in report.verdicts] == [
+        (st.V_LINEAR_TIME, "Thm 2.2"), (st.V_LINEAR_IO, "Thm 2.2"),
+        (st.V_CONSTANT, "Thm 2.2"), (st.V_LINEAR_DELAY, "Thm 2.2")]
+    payload = report.to_json()
+    assert [payload[k] for k in ("images", "mirror", "untangleable")] == [st.NOT_COMPUTED] * 3
+
+
+def test_classify_needing_images_beyond_the_cap_raises(monkeypatch):
+    # a four-cycle with acyclic core next to a star: (1)-(4) settle only
+    # first-solution, so the images are needed
+    monkeypatch.setattr(st, "MAX_HOM_RESULTS", 1000)
+    q = parse_query("Q(a,b,c,d,x,y1,y2,y3,y4) :- R(a,b), R(c,b), R(c,d), R(a,d), "
+                    "R(x,y1), R(x,y2), R(x,y3), R(x,y4).")
+    with pytest.raises(LimitExceededError, match="exceeded result cap"):
+        st.classify(q)
+    assert st.classify(_star(5)).images_computed is False
+    assert st.classify(_star(4)).images_computed is True
 
 
 def test_every_image_is_an_endomorphism_range():
