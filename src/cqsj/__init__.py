@@ -16,16 +16,13 @@ from .structure import (
     classify,
     core,
     endomorphisms,
-    full_core,
     gyo_acyclic,
     hardness_transfer,
     images,
-    is_free_connex,
     is_minimal,
     is_mirror,
     is_untangleable,
     minimal_form,
-    untangling_step,
 )
 from .engines import (
     DelayStats,

@@ -203,20 +203,9 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL
 
 
-GENERATORS = ("digraph", "digraph-red", "digraph-loops")
-
-
 def _bench_db(gen: str, size: int, seed: int) -> Database:
     # edge count tracks the requested fact count; node count keeps the
     # instances sparse so answer sets stay near-linear
-    if gen == "digraph":
-        graph = reductions.gen_random_graph(max(4, size // 2), size, seed)
-        return reductions.graph_to_db(graph)
-    if gen == "digraph-red":
-        graph = reductions.gen_random_graph(max(4, size // 2), size, seed)
-        rng = random.Random(seed + 1)
-        red = [v for v in graph.vertices if rng.random() < 0.05]
-        return reductions.graph_to_db(graph, red=red)
     if gen == "digraph-loops":
         graph = reductions.gen_random_graph(max(4, size // 2), size - size // 50, seed)
         rng = random.Random(seed + 2)
@@ -225,7 +214,12 @@ def _bench_db(gen: str, size: int, seed: int) -> Database:
             v = graph.vertices[rng.randrange(len(graph.vertices))]
             db.add_fact("R", (v, v))
         return db
-    raise InputError(f"unknown generator {gen}")
+    graph = reductions.gen_random_graph(max(4, size // 2), size, seed)
+    if gen == "digraph":
+        return reductions.graph_to_db(graph)
+    rng = random.Random(seed + 1)
+    red = [v for v in graph.vertices if rng.random() < 0.05]
+    return reductions.graph_to_db(graph, red=red)
 
 
 def _default_generator(query: Query) -> str:
@@ -241,9 +235,7 @@ def cmd_bench_delay(args) -> int:
     if min(args.sizes) < 1:
         raise InputError("--sizes must be positive")
     query = _load_query(args.query)
-    gen = args.gen or _default_generator(query)
-    if gen not in GENERATORS:
-        raise InputError(f"unknown generator {gen}")
+    gen = _default_generator(query)
     needed = {a.symbol.name for a in query.atoms}
     provided = {"R", "P"} if gen != "digraph" else {"R"}
     if not needed <= provided:
@@ -349,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="auto")
     p.add_argument("--sizes", type=int, nargs="+",
                    default=[1000, 2000, 4000, 8000])
-    p.add_argument("--gen", choices=GENERATORS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench_delay)

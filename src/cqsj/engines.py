@@ -51,22 +51,18 @@ class EnumerationCursor:
     """Preprocess-then-next answer stream.
 
     The generator must emit answer tuples; the cursor adds one tick per
-    emission and tracks the phase.
+    emission.  Once the generator is exhausted, ``next`` keeps returning None.
     """
 
     def __init__(self, ticker: Ticker, preprocessing_ticks: int, gen: Iterator):
         self.ticker = ticker
         self.preprocessing_ticks = preprocessing_ticks
         self._gen = gen
-        self.phase = "enumerating"
 
     def next(self):
-        if self.phase == "done":
-            return None
         try:
             item = next(self._gen)
         except StopIteration:
-            self.phase = "done"
             return None
         self.ticker.tick()  # emission
         return item
@@ -77,9 +73,6 @@ class EnumerationCursor:
             if item is None:
                 return
             yield item
-
-    def run(self) -> list:
-        return list(self)
 
 
 @dataclass(frozen=True)
@@ -146,11 +139,10 @@ def _oracle_atom_order(query: Query) -> list:
     return order
 
 
-def oracle_cursor(query: Query, db: Database, ticker: Optional[Ticker] = None) -> EnumerationCursor:
+def oracle_cursor(query: Query, db: Database) -> EnumerationCursor:
     """Exhaustive valuation search with projection and online dedup."""
-    ticker = ticker or Ticker()
+    ticker = Ticker()
     order = _oracle_atom_order(query)
-    prep = ticker.count
 
     def gen():
         seen = set()
@@ -187,7 +179,7 @@ def oracle_cursor(query: Query, db: Database, ticker: Optional[Ticker] = None) -
             return
         yield from backtrack(0)
 
-    return EnumerationCursor(ticker, prep, gen())
+    return EnumerationCursor(ticker, 0, gen())
 
 
 def oracle_enumerate(query: Query, db: Database) -> set:
@@ -303,7 +295,8 @@ def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> s
 
 
 def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
-    """Preprocess a full acyclic query; return a restartable assignment stream.
+    """Preprocess a full acyclic query; return its assignment stream, a
+    generator.
 
     The stream walks the join forest in preorder, taking a root's rows in
     full and a child's rows from the bucket its parent's row selects.  Every
@@ -312,58 +305,48 @@ def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
     """
     tree = _join_tree(query)
     rows, preorder, pos, index = _reduce_forest(tree, db, ticker)
-    empty = not all(rows[r] for r in tree.roots)
+    if not all(rows[r] for r in tree.roots):
+        return iter(())
     # per atom: its rows (roots) or (shared variables, buckets), and the
     # (variable, first position) pairs it binds
     steps = [(rows[a] if tree.parent[a] is None else None, index.get(a),
               tuple(pos[a].items())) for a in preorder]
+    assignment: dict = {}
 
-    def stream():
-        if empty:
+    def extend(i: int):
+        if i == len(steps):
+            yield assignment
             return
-        assignment: dict = {}
+        candidates, probe, bind = steps[i]
+        if candidates is None:
+            shared, buckets = probe
+            ticker.tick()  # index probe
+            candidates = buckets.get(tuple([assignment[v] for v in shared]), ())
+        for row in candidates:
+            ticker.tick()
+            bound = []
+            for v, p in bind:
+                if v not in assignment:
+                    assignment[v] = row[p]
+                    bound.append(v)
+            yield from extend(i + 1)
+            for v in bound:
+                del assignment[v]
 
-        def extend(i: int):
-            if i == len(steps):
-                yield assignment
-                return
-            candidates, probe, bind = steps[i]
-            if candidates is None:
-                shared, buckets = probe
-                ticker.tick()  # index probe
-                candidates = buckets.get(tuple([assignment[v] for v in shared]), ())
-            for row in candidates:
-                ticker.tick()
-                bound = []
-                for v, p in bind:
-                    if v not in assignment:
-                        assignment[v] = row[p]
-                        bound.append(v)
-                yield from extend(i + 1)
-                for v in bound:
-                    del assignment[v]
-
-        yield from extend(0)
-
-    return stream
+    return extend(0)
 
 
-def enum_full_acyclic(query: Query, db: Database, ticker: Optional[Ticker] = None) -> EnumerationCursor:
+def enum_full_acyclic(query: Query, db: Database) -> EnumerationCursor:
     """Constant-delay enumeration of a full acyclic query.
 
     Linear preprocessing: semi-join reduction plus per-edge hash indexes.
     """
     if not query.is_full:
         raise ValueError("enum_full_acyclic expects a full query")
-    ticker = ticker or Ticker()
+    ticker = Ticker()
     stream = _acyclic_assignments(query, db, ticker)
-    prep = ticker.count
-
-    def gen():
-        for assignment in stream():
-            yield tuple(assignment[v] for v in query.free_vars)
-
-    return EnumerationCursor(ticker, prep, gen())
+    gen = (tuple(assignment[v] for v in query.free_vars) for assignment in stream)
+    return EnumerationCursor(ticker, ticker.count, gen)
 
 
 def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
@@ -378,8 +361,7 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
     fcore, retraction = structure.full_core_with_retraction(query)
     if not structure.is_acyclic(fcore):
         raise CyclicCoreError("the query's core is cyclic")
-    stream = _acyclic_assignments(fcore, db, ticker)
-    for assignment in stream():
+    for assignment in _acyclic_assignments(fcore, db, ticker):
         return tuple(assignment[retraction[v]] for v in query.free_vars)
     return None
 
@@ -428,7 +410,7 @@ def _restrict(groups: tuple, assignment: dict, db: Database, index: dict,
 
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,
-                  db: Database, ticker: Optional[Ticker] = None) -> EnumerationCursor:
+                  db: Database) -> EnumerationCursor:
     """Linear-delay enumeration driven by an untangling witness.
 
     Recursively enumerates the step's image; for each image answer builds the
@@ -438,11 +420,11 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     """
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
-    ticker = ticker or Ticker()
+    ticker = Ticker()
     untangled = [structure.untangle(step.query, step.image_atoms) for step in witness.steps]
 
     def make_stream(chain_idx: int, database: Database):
-        """Restartable assignment stream for one chain element.
+        """Assignment stream, a generator, for one chain element.
 
         Preprocessing along the image side of the chain happens here,
         eagerly; the per-image-answer restricted instances are enumeration
@@ -460,7 +442,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
             image_stream = _acyclic_assignments(step.image_query, database, ticker)
 
         def run():
-            for img_assignment in image_stream():
+            for img_assignment in image_stream:
                 restricted = _restrict(rewrite.groups, img_assignment, database, index, ticker)
                 if step.case == "image_is_previous":
                     rest_stream = _acyclic_assignments(rewrite.rest, restricted, ticker)
@@ -468,28 +450,23 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
                     # rest equals the witness's previous element here
                     # (collision-free step), so the sub-witness applies to it.
                     rest_stream = make_stream(chain_idx - 1, restricted)
-                for rest_assignment in rest_stream():
+                for rest_assignment in rest_stream:
                     merged = dict(img_assignment)
                     merged.update(rest_assignment)
                     yield merged
 
-        return run
+        return run()
 
     top = make_stream(len(witness.steps), db)
-    prep = ticker.count
-
-    def gen():
-        for assignment in top():
-            yield tuple(assignment[v] for v in query.free_vars)
-
-    return EnumerationCursor(ticker, prep, gen())
+    gen = (tuple(assignment[v] for v in query.free_vars) for assignment in top)
+    return EnumerationCursor(ticker, ticker.count, gen)
 
 
 # -- mirror constant-delay enumeration ----------------------------------------
 
 
 def enum_mirror(query: Query, witness: structure.MirrorWitness,
-                db: Database, ticker: Optional[Ticker] = None) -> EnumerationCursor:
+                db: Database) -> EnumerationCursor:
     """Constant-delay enumeration of a mirror query.
 
     Streams the acyclic image; a table keyed by the shared variables pairs
@@ -498,7 +475,7 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
     """
     if not structure.validate_mirror_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
-    ticker = ticker or Ticker()
+    ticker = Ticker()
     image_query = witness.image_query
     image_vars = set(image_query.all_vars)
     rest_vars = {x for a in query.atoms if a not in witness.image_atoms
@@ -509,7 +486,6 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
     slot = {v: image_private.index(witness.iso[v]) for v in rest_private}
 
     stream = _acyclic_assignments(image_query, db, ticker)
-    prep = ticker.count
 
     def emit(key_assignment: dict, image_part, rest_part):
         out = []
@@ -525,7 +501,7 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
 
     def gen():
         table: dict = {}
-        for assignment in stream():
+        for assignment in stream:
             key = tuple(assignment[v] for v in shared)
             part = tuple(assignment[v] for v in image_private)
             key_assignment = {v: assignment[v] for v in shared}
@@ -540,7 +516,7 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
             stored.append(part)
             ticker.tick()  # store
 
-    return EnumerationCursor(ticker, prep, gen())
+    return EnumerationCursor(ticker, ticker.count, gen())
 
 # -- bespoke per-query strategies ----------------------------------------------
 
@@ -599,7 +575,7 @@ def _two_loops_factory(db: Database, ticker: Ticker):
                     if u == v:
                         yield (a, u, u, a, u)
 
-    return gen
+    return gen()
 
 
 def _two_triangles_factory(db: Database, ticker: Ticker):
@@ -633,7 +609,7 @@ def _two_triangles_factory(db: Database, ticker: Ticker):
                 if tri and star:
                     yield (a, u, v, a)
 
-    return gen
+    return gen()
 
 
 _Q2_TOP = ("Q(x1,x2,x3,x6,x7,x8) :- R(x1,x2), R(x2,x3), R(x1,x8), "
@@ -655,13 +631,13 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
 
     def gen():
         table: dict = {}
-        for t in top_stream():
+        for t in top_stream:
             b, m, c = t["x1"], t["x2"], t["x3"]
             f, v7, v8 = t["x6"], t["x7"], t["x8"]
             yield (b, m, c, m, b, v8, v7, v8, f, v8)
             table.setdefault((c, m, b, f), []).append((v8, v7))
             ticker.tick()
-        for t in left_stream():
+        for t in left_stream:
             b, m, c = t["x1"], t["x2"], t["x3"]
             a, w, f = t["x4"], t["x5"], t["x6"]
             yield (b, m, c, a, w, a, c, m, m, f)
@@ -672,7 +648,7 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
                         ticker.tick()
                         yield (b, m, c, a, w, f, v7, v8, si, so)
 
-    return gen
+    return gen()
 
 
 def _spike_q3_factory(db: Database, ticker: Ticker):
@@ -762,13 +738,13 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
                 while keys and state[0] < len(pairs):
                     yield from run_tests(16)
 
-    return gen
+    return gen()
 
 
 class BespokeStrategy(NamedTuple):
     fixture: str      # the fixture whose query (up to renaming) it answers
     duplication: int  # the raw stream emits each answer at most this often
-    factory: Callable  # (db, ticker) -> generator function; preprocesses eagerly
+    factory: Callable  # (db, ticker) -> answer generator; preprocesses eagerly
 
 
 BESPOKE_STRATEGIES = {
@@ -779,14 +755,7 @@ BESPOKE_STRATEGIES = {
 }
 
 
-def bespoke_query(strategy: str) -> Query:
-    from . import fixtures
-
-    return fixtures.fixture(BESPOKE_STRATEGIES[strategy].fixture)
-
-
-def enum_bespoke(strategy: str, db: Database, ticker: Optional[Ticker] = None,
-                 dedup: bool = True) -> EnumerationCursor:
+def enum_bespoke(strategy: str, db: Database, dedup: bool = True) -> EnumerationCursor:
     """Run one of the BESPOKE_STRATEGIES over a database holding R (and P).
 
     The raw stream emits each answer at most the strategy's duplication
@@ -796,9 +765,9 @@ def enum_bespoke(strategy: str, db: Database, ticker: Optional[Ticker] = None,
     spec = BESPOKE_STRATEGIES.get(strategy)
     if spec is None:
         raise ValueError(f"unknown strategy {strategy!r}")
-    ticker = ticker or Ticker()
-    gen_factory = spec.factory(db, ticker)
-    raw = EnumerationCursor(ticker, ticker.count, gen_factory())
+    ticker = Ticker()
+    gen = spec.factory(db, ticker)
+    raw = EnumerationCursor(ticker, ticker.count, gen)
     if dedup:
         return cheater_dedup(raw, spec.duplication)
     return raw

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_MAX_VARS = 32
 DEFAULT_MAX_ATOMS = 32
@@ -96,10 +96,6 @@ class Atom:
         return f"{self.symbol.name}({','.join(self.args)})"
 
 
-def atom(name: str, *args: str) -> Atom:
-    return Atom(RelationSymbol(name, len(args)), tuple(args))
-
-
 @dataclass(frozen=True)
 class Query:
     """A conjunctive query.
@@ -147,9 +143,6 @@ class Query:
     def arity(self) -> int:
         return len(self.free_vars)
 
-    def atoms_of(self, symbol_name: str) -> list:
-        return [a for a in self.atoms if a.symbol.name == symbol_name]
-
     def rename(self, mapping: dict) -> "Query":
         return Query(
             tuple(a.rename(mapping) for a in self.atoms),
@@ -162,14 +155,6 @@ class Query:
 
 def make_query(atoms: Iterable[Atom], free_vars: Iterable[str]) -> Query:
     return Query(tuple(atoms), tuple(free_vars))
-
-
-def hypergraph_of(query: Query) -> set:
-    """One hyperedge per atom: the set of the atom's distinct variables.
-
-    Atoms with identical variable sets collapse into one edge.
-    """
-    return {a.var_set for a in query.atoms}
 
 
 class Database:
@@ -200,9 +185,6 @@ class Database:
         """The relation's facts in first-insertion order, as a read-only view."""
         return self._facts.get(name, {}).keys()
 
-    def has_fact(self, name: str, values: tuple) -> bool:
-        return values in self._facts.get(name, ())
-
     def arity(self, name: str) -> Optional[int]:
         return self._arities.get(name)
 
@@ -211,23 +193,8 @@ class Database:
         return sorted(self._arities)
 
     @property
-    def domain(self) -> list:
-        """All values appearing anywhere, in first-appearance order."""
-        seen = {}
-        for name in self._facts:
-            for row in self._facts[name]:
-                for v in row:
-                    seen.setdefault(v, None)
-        return list(seen)
-
-    @property
     def size(self) -> int:
         return sum(len(rows) for rows in self._facts.values())
-
-    def all_facts(self) -> Iterator:
-        for name in sorted(self._facts):
-            for row in self._facts[name]:
-                yield name, row
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Database):
@@ -375,10 +342,9 @@ def parse_database(text: str) -> Database:
 # -- serialization ---------------------------------------------------------
 
 
-def serialize_query(query: Query, head: str = "Q") -> str:
-    head_part = f"{head}({','.join(query.free_vars)})"
+def serialize_query(query: Query) -> str:
     body = ", ".join(str(a) for a in query.atoms)
-    return f"{head_part} :- {body}."
+    return f"Q({','.join(query.free_vars)}) :- {body}."
 
 
 def serialize_database(db: Database) -> str:

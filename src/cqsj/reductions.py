@@ -100,16 +100,6 @@ def parse_graph(text: str) -> Graph:
     return make_graph(edges, vertices, parts)
 
 
-def serialize_graph(graph: Graph) -> str:
-    lines = []
-    if graph.parts is not None:
-        chunks = " ".join(f"{k}:{','.join(graph.parts.get(k, ()))}" for k in ("U", "V", "W"))
-        lines.append(f"#parts {chunks}")
-    for u, v in graph.edges:
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def _reject_reserved(graph: Graph) -> None:
     for v in graph.vertices:
         if v == BOT or JOIN in v:

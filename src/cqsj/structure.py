@@ -211,14 +211,6 @@ def _all_rooted_trees(atoms) -> Iterator[dict]:
         yield par
 
 
-_FRESH_HEAD = "FCHEAD"
-
-
-def is_free_connex(query: Query) -> bool:
-    """Acyclic and still acyclic after adding a fresh head atom over free vars."""
-    return Analysis(query).free_connex
-
-
 # -- homomorphism / endomorphism search --------------------------------------
 
 
@@ -391,10 +383,6 @@ def full_core_with_retraction(query: Query):
     return make_query(c.atoms, c.all_vars), retraction
 
 
-def full_core(query: Query) -> Query:
-    return full_core_with_retraction(query)[0]
-
-
 # -- canonical forms ---------------------------------------------------------
 
 
@@ -473,10 +461,6 @@ def shape_invariant(query: Query) -> tuple:
             len(query.free_vars))
 
 
-def queries_isomorphic(q1: Query, q2: Query) -> bool:
-    return canonical_key(q1) == canonical_key(q2)
-
-
 # -- images ------------------------------------------------------------------
 
 
@@ -501,7 +485,7 @@ def images(query: Query) -> list:
     """All distinct endomorphism ranges of a full query, as subqueries.
 
     Contains the query itself (identity) and its full-core.  Distinctness is
-    by atom set; use images_up_to_renaming for the coarser count.
+    by atom set.
     """
     if not query.is_full:
         raise ValueError("images are defined for full queries")
@@ -514,14 +498,6 @@ def images(query: Query) -> list:
     ranges = {frozenset(atom_of[k] for k in key) for key in keys}
     return [Image(ran, _induced_subquery(ran))
             for ran in sorted(ranges, key=lambda r: tuple(sorted(r)))]
-
-
-def images_up_to_renaming(query: Query) -> list:
-    """One representative per variable-renaming class of image."""
-    seen = {}
-    for img in images(query):
-        seen.setdefault(canonical_key(img.query), img)
-    return list(seen.values())
 
 
 # -- untangling --------------------------------------------------------------
@@ -601,11 +577,6 @@ def untangle(query: Query, image_atoms: frozenset) -> Untangled:
         return make_query(atoms, sorted({v for a in atoms for v in a.args}))
 
     return Untangled(tuple(groups), over("symbol"), over("relation"))
-
-
-def untangling_step(query: Query, image_atoms: frozenset) -> Query:
-    """The untangled query over paper symbols; see ``untangle``."""
-    return untangle(query, image_atoms).result
 
 
 @dataclass(frozen=True)
@@ -832,6 +803,9 @@ def has_nested_images(imgs: list) -> bool:
 
 
 # -- per-query analysis -------------------------------------------------------
+
+
+_FRESH_HEAD = "FCHEAD"
 
 
 class Analysis:
@@ -1076,12 +1050,6 @@ class ClassificationReport(Analysis):
 
         return [verdicts[p] for p in
                 (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR)]
-
-    def verdict_for(self, problem: str) -> Optional[Verdict]:
-        for v in self.verdicts:
-            if v.problem == problem:
-                return v
-        return None
 
     def to_json(self) -> dict:
         return {

@@ -84,7 +84,7 @@ def test_criterion_1_fixture_classification():
         if expected.get("hardness") and report.hardness_witness is None:
             failures.append((name, "hardness", None))
         for problem, verdict in expected.get("verdicts", {}).items():
-            got = report.verdict_for(problem)
+            got = {v.problem: v for v in report.verdicts}.get(problem)
             if got is None or got.verdict != verdict:
                 failures.append((name, problem, got and got.verdict))
     assert not failures, failures
@@ -143,16 +143,16 @@ def _engine_matrix():
         ("enum_untangle/bowtie_chain", fx.fixture("bowtie_chain"),
          lambda s: random_graph_db(7, 16, s, hubs=3),
          lambda q, db: en.enum_untangle(q, wit["bowtie_chain"], db)),
-        ("bespoke/TWO_LOOPS", en.bespoke_query("TWO_LOOPS"),
+        ("bespoke/TWO_LOOPS", fx.fixture(en.BESPOKE_STRATEGIES["TWO_LOOPS"].fixture),
          lambda s: random_graph_db(10, 24, s, loops=4),
          lambda q, db: en.enum_bespoke("TWO_LOOPS", db)),
-        ("bespoke/TWO_TRIANGLES", en.bespoke_query("TWO_TRIANGLES"),
+        ("bespoke/TWO_TRIANGLES", fx.fixture(en.BESPOKE_STRATEGIES["TWO_TRIANGLES"].fixture),
          lambda s: random_graph_db(10, 24, s, loops=4),
          lambda q, db: en.enum_bespoke("TWO_TRIANGLES", db)),
-        ("bespoke/SPIKE_Q2", en.bespoke_query("SPIKE_Q2"),
+        ("bespoke/SPIKE_Q2", fx.fixture(en.BESPOKE_STRATEGIES["SPIKE_Q2"].fixture),
          lambda s: random_graph_db(16, 24, s, red_p=0.25),
          lambda q, db: en.enum_bespoke("SPIKE_Q2", db)),
-        ("bespoke/SPIKE_Q3", en.bespoke_query("SPIKE_Q3"),
+        ("bespoke/SPIKE_Q3", fx.fixture(en.BESPOKE_STRATEGIES["SPIKE_Q3"].fixture),
          lambda s: random_graph_db(20, 22, s, red_p=0.2),
          lambda q, db: en.enum_bespoke("SPIKE_Q3", db)),
     ]

@@ -12,7 +12,6 @@ from cqsj.qmodel import (
     LimitExceededError,
     Pair,
     ParseError,
-    hypergraph_of,
     parse_database,
     parse_query,
     serialize_answer,
@@ -106,7 +105,7 @@ def test_duplicate_atoms_collapse():
 def test_parse_database_basics():
     db = parse_database("R(a,b). R(b,c).")
     assert db.size == 2
-    assert sorted(db.domain) == ["a", "b", "c"]
+    assert list(db.facts("R")) == [("a", "b"), ("b", "c")]
 
 
 def test_parse_database_worked_colors():
@@ -118,14 +117,14 @@ def test_parse_database_worked_colors():
 def test_parse_pair_values_round_trip():
     db = parse_database("R(pair(a,x), pair(b,u)).")
     assert db.size == 1
-    ((sym, row),) = list(db.all_facts())
+    (row,) = db.facts("R")
     assert row == (Pair("a", "x"), Pair("b", "u"))
     assert parse_database(serialize_database(db)) == db
 
 
 def test_parse_nested_pairs_round_trip():
     db = parse_database("R(pair(pair(a,x),y), b).")
-    ((_, row),) = list(db.all_facts())
+    (row,) = db.facts("R")
     assert row == (Pair(Pair("a", "x"), "y"), "b")
     assert parse_database(serialize_database(db)) == db
 
@@ -148,24 +147,6 @@ def test_duplicate_facts_collapse():
 def test_fact_arity_mismatch():
     with pytest.raises(ParseError):
         parse_database("R(a,b). R(a).")
-
-
-def test_hypergraph_of_examples():
-    q = fx.fixture("path2_full")
-    assert hypergraph_of(q) == {frozenset({"x", "y"}), frozenset({"y", "z"})}
-    q = fx.fixture("diamond_red")
-    assert hypergraph_of(q) == {
-        frozenset({"x", "y"}), frozenset({"y", "z"}),
-        frozenset({"x", "u"}), frozenset({"u", "z"}), frozenset({"y"}),
-    }
-    q = parse_query("Q() :- R(x,x).")
-    assert hypergraph_of(q) == {frozenset({"x"})}
-
-
-def test_hypergraph_invariant_under_reordering():
-    q1 = parse_query("Q(x,y,z) :- R(x,y), R(y,z).")
-    q2 = parse_query("Q(x,y,z) :- R(y,z), R(x,y).")
-    assert hypergraph_of(q1) == hypergraph_of(q2)
 
 
 def test_query_round_trip_all_fixtures():
