@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
 
-from . import engines, reductions, structure
+from . import engines, fixtures, reductions, structure
 from .qmodel import (
     Database,
     Query,
@@ -79,6 +80,9 @@ def select_engine(query: Query, engine: str):
 
 
 def _engine(query: Query, analysis: structure.Analysis, engine: str):
+    if engine in ("mirror", "untangle") and not analysis.images_computed:
+        raise InapplicableEngineError(f"images not computed (more than "
+                                      f"{structure.MAX_HOM_RESULTS} endomorphisms)")
     if engine == "oracle":
         return "oracle", lambda db: engines.oracle_cursor(query, db)
     if engine == "acyclic":
@@ -104,8 +108,18 @@ def _engine(query: Query, analysis: structure.Analysis, engine: str):
             raise InputError(f"unknown bespoke strategy {strategy}")
         if analysis.fixture_name != spec.fixture:
             raise InapplicableEngineError(f"query is not the {strategy} pattern")
-        return engine, lambda db: engines.enum_bespoke(strategy, db)
+        positions = _head_positions(fixtures.fixture(spec.fixture), query)
+        return engine, lambda db: engines.reorder_answers(
+            engines.enum_bespoke(strategy, db), positions)
     raise InputError(f"unknown engine {engine}")
+
+
+def _head_positions(pattern: Query, query: Query) -> list:
+    """Where each of ``query``'s free variables sits in ``pattern``'s head,
+    through an isomorphism from the full query ``pattern`` onto ``query``."""
+    iso = next(structure.find_maps(pattern.atoms, query.atoms, injective=True))
+    at = {iso[v]: i for i, v in enumerate(pattern.free_vars)}
+    return [at[v] for v in query.free_vars]
 
 
 def _check_schema(query: Query, db: Database) -> None:
@@ -360,6 +374,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): it has all it wants.  Later
+        # writes, the flush at interpreter exit included, go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -773,6 +773,15 @@ def enum_bespoke(strategy: str, db: Database, dedup: bool = True) -> Enumeration
     return raw
 
 
+def reorder_answers(cursor: EnumerationCursor, positions: list) -> EnumerationCursor:
+    """Make ``cursor`` emit ``tuple(answer[i] for i in positions)`` for each
+    answer; the cursor is changed in place, so no emission tick is added, and
+    the identity permutation leaves it as it is."""
+    if positions != sorted(positions):
+        cursor._gen = (tuple([answer[i] for i in positions]) for answer in cursor._gen)
+    return cursor
+
+
 # -- duplicate elimination ------------------------------------------------------
 
 

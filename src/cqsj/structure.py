@@ -28,6 +28,7 @@ from .qmodel import (
 
 DEFAULT_UNTANGLE_BUDGET = 4000
 MAX_HOM_RESULTS = 200_000
+_HOM_CAP_EXCEEDED = "endomorphism enumeration exceeded result cap"
 
 
 class NotAcyclicError(Exception):
@@ -309,7 +310,7 @@ def _endomorphism_stream(query: Query) -> Iterator[dict]:
         )
     for count, m in enumerate(find_maps(query.atoms, query.atoms), 1):
         if count > MAX_HOM_RESULTS:
-            raise LimitExceededError("endomorphism enumeration exceeded result cap")
+            raise LimitExceededError(_HOM_CAP_EXCEEDED)
         yield m
 
 
@@ -814,7 +815,9 @@ class Analysis:
     Every fact is computed on first use and kept on the object.  Images and
     the mirror, untangling and hardness witnesses are defined for full
     queries within ``max_vars_limit()``; other queries get no images, no
-    witnesses and the untangling status "n/a".
+    witnesses and the untangling status "n/a".  When the endomorphisms
+    exceed MAX_HOM_RESULTS, ``images`` is None, there are no witnesses and
+    the untangling status is NOT_COMPUTED.
     """
 
     def __init__(self, analyzed: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
@@ -855,18 +858,31 @@ class Analysis:
         return q.is_full and len(q.all_vars) <= max_vars_limit()
 
     @cached_property
-    def images(self) -> list:
-        return images(self.analyzed) if self._has_images else []
+    def images(self) -> Optional[list]:
+        if not self._has_images:
+            return []
+        try:
+            return images(self.analyzed)
+        except LimitExceededError:
+            return None
+
+    @property
+    def images_computed(self) -> bool:
+        return self.images is not None
 
     @cached_property
     def mirror(self) -> Optional[MirrorWitness]:
-        return is_mirror(self.analyzed, self.images) if self._has_images else None
+        # a full query has at least one image, the query itself
+        return is_mirror(self.analyzed, self.images) if self.images else None
 
     @cached_property
     def untangling(self) -> tuple:
-        """(status, witness), the status being yes, no, unknown or n/a."""
+        """(status, witness), the status being yes, no, unknown, n/a or
+        NOT_COMPUTED."""
         if not self._has_images:
             return "n/a", None
+        if not self.images_computed:
+            return NOT_COMPUTED, None
         return is_untangleable(self.analyzed, self.untangle_budget, self.images)
 
     @property
@@ -875,7 +891,7 @@ class Analysis:
 
     @cached_property
     def hardness_witness(self) -> Optional[tuple]:
-        if not self._has_images or self.untangleable == "yes":
+        if not self.images or self.untangleable == "yes":
             return None
         return hardness_transfer(self.analyzed, self.images)
 
@@ -943,9 +959,6 @@ class ClassificationReport(Analysis):
     """
 
     minimal = True  # a minimal form is minimal by construction
-    # False when the images exceeded MAX_HOM_RESULTS and the verdict table
-    # did not need them; images, mirror and untangling are then not computed
-    images_computed = True
 
     def __init__(self, query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
         super().__init__(minimal_form(query), untangle_budget)
@@ -1002,13 +1015,8 @@ class ClassificationReport(Analysis):
         # (5)-(8) rest on the images.  Once (1)-(4) settle all four problems
         # they change no verdict, so a query with more endomorphisms than
         # MAX_HOM_RESULTS keeps the verdicts above and goes without them.
-        if len(verdicts) == 4:
-            try:
-                self.images
-            except LimitExceededError:
-                self.images_computed = False
-                self.images = self.mirror = self.hardness_witness = None
-                self.untangling = NOT_COMPUTED, None
+        if len(verdicts) < 4 and not self.images_computed:
+            raise LimitExceededError(_HOM_CAP_EXCEEDED)
 
         # (5) mirrors: constant delay.
         if self.mirror is not None:

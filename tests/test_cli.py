@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import FUZZ_TEXT, random_query
-from cqsj import cli, fixtures as fx, reductions as rd, structure as st
-from cqsj.qmodel import parse_query, serialize_database, serialize_query
+from conftest import FUZZ_TEXT, random_graph_db, random_query
+from cqsj import cli, engines as en, fixtures as fx, reductions as rd
+from cqsj import structure as st
+from cqsj.qmodel import make_query, parse_query, serialize_database, serialize_query
 
 
 @pytest.fixture
@@ -442,4 +443,74 @@ def test_cross_process_determinism(tmp_path):
             outputs.append(proc.stdout)
         assert outputs[0], f"{argv[0]} printed nothing"
         assert outputs[0] == outputs[1], argv[0]
+
+
+@pytest.mark.parametrize("strategy,kwargs", [
+    ("TWO_LOOPS", dict(loops=4)),
+    ("TWO_TRIANGLES", dict(loops=4)),
+    ("SPIKE_Q2", dict(red_p=0.3)),
+    ("SPIKE_Q3", dict(red_p=0.2)),
+])
+def test_bespoke_answers_follow_a_renamed_query_head(strategy, kwargs):
+    # the registry matches up to renaming and head order, so the strategy's
+    # answers are permuted into the head of the query as given
+    pattern = fx.fixture(en.BESPOKE_STRATEGIES[strategy].fixture)
+    renaming = {v: f"{v}_r" for v in pattern.all_vars}
+    query = make_query([a.rename(renaming) for a in pattern.atoms],
+                       [renaming[v] for v in reversed(pattern.free_vars)])
+    engine, factory = cli.select_engine(query, "auto")
+    assert engine == f"bespoke:{strategy}"
+    _, as_given = cli.select_engine(pattern, "auto")
+    for seed in range(20):
+        db = random_graph_db(12, 20, seed, **kwargs)
+        got = list(factory(db))
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(query, db), seed
+        # the pattern itself keeps the strategy's own tuples and order
+        assert list(as_given(db)) == list(en.enum_bespoke(strategy, db))
+
+
+def test_enumerate_into_a_closed_pipe_exits_0(tmp_path):
+    # 40,000 answers, about 600 KB, more than a pipe buffer holds
+    qf = tmp_path / "q.cq"
+    qf.write_text(serialize_query(fx.fixture("path2_full")))
+    df = tmp_path / "d.facts"
+    df.write_text("".join(f"R(s{i},m). R(m,t{i}).\n" for i in range(200)))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cqsj.cli", "enumerate", str(qf), str(df)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    assert proc.stdout.readline() == b"s0, m, t0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_images_beyond_the_cap_leave_auto_to_the_oracle(workdir, capsys, monkeypatch):
+    # a triangle with a 5-leaf star at x has 3 * 6^5 + 2 endomorphisms:
+    # Thm 3.5 settles classify without them, and the engines that need them
+    # are inapplicable, so auto falls back to the oracle
+    monkeypatch.setattr(st, "MAX_HOM_RESULTS", 1000)
+    _, write = workdir
+    ys = [f"y{i}" for i in range(1, 6)]
+    qf = write("q.cq", f"Q(x,y,z,{','.join(ys)}) :- R(x,y), R(y,z), R(z,x), "
+                       f"{', '.join(f'R(x,{y})' for y in ys)}.")
+    df = write("d.facts", "R(a,b). R(b,c). R(c,a). R(a,d).")
+    code, out, _ = run_cli(["classify", qf], capsys)
+    assert code == 0 and "images: not computed" in out
+    calls = []
+    images = st.images
+    monkeypatch.setattr(st, "images", lambda q: calls.append(q) or images(q))
+    code, out, err = run_cli(["enumerate", qf, df, "--stats"], capsys)
+    assert code == 0
+    assert len(calls) == 1  # the capped search runs once per selection
+    assert err.startswith("warning: no specialised engine applies")
+    assert json.loads(err.splitlines()[-1])["engine"] == "oracle"
+    assert len(out.splitlines()) == 2 ** 5 + 2  # x=a: each leaf is b or d
+    for engine in ("mirror", "untangle"):
+        code, out, err = run_cli(["enumerate", qf, df, "--engine", engine], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: images not computed (more than 1000 endomorphisms)\n"
 
