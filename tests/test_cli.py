@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import contextlib
+import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FUZZ_TEXT, random_graph_db, random_query
-from cqsj import cli, engines as en, fixtures as fx, reductions as rd
+from cqsj import cli, engines as en, fixtures as fx, qmodel as qm, reductions as rd
 from cqsj import structure as st
 from cqsj.qmodel import make_query, parse_query, serialize_database, serialize_query
 
@@ -514,3 +516,21 @@ def test_images_beyond_the_cap_leave_auto_to_the_oracle(workdir, capsys, monkeyp
         assert code == 3 and out == ""
         assert err == "error: images not computed (more than 1000 endomorphisms)\n"
 
+
+def test_benchmark_tracer_wraps_existing_names():
+    # the benchmark's tracer (perfbench/spans.py) replaces these attributes;
+    # a name it lists that the package no longer has breaks a traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {"cli": cli, "qmodel": qm, "structure": st, "engines": en,
+               "reductions": rd}
+    assert set(spans.SPANNED) == set(modules) == set(spans.LAYERS)
+    for layer, names in spans.SPANNED.items():
+        for name in names:
+            assert callable(getattr(modules[layer], name, None)), (layer, name)
+    assert set(spans.ENGINE_OF) <= set(spans.SPANNED["engines"])
+    assert callable(en.EnumerationCursor.next)
+    # the enum_bespoke wrapper reads the strategy from args[0] or kwargs
+    assert next(iter(inspect.signature(en.enum_bespoke).parameters)) == "strategy"
