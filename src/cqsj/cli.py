@@ -84,7 +84,7 @@ def _engine(query: Query, analysis: structure.Analysis, engine: str):
         raise InapplicableEngineError(f"images not computed (more than "
                                       f"{structure.MAX_HOM_RESULTS} endomorphisms)")
     if engine == "oracle":
-        return "oracle", lambda db: engines.oracle_cursor(query, db)
+        return "oracle", lambda db: engines.generic_join_cursor(query, db)
     if engine == "acyclic":
         if not (query.is_full and analysis.acyclic):
             raise InapplicableEngineError("query is not full acyclic")
@@ -217,23 +217,22 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL
 
 
-def _bench_db(gen: str, size: int, seed: int) -> Database:
+def _bench_db(gen: str, size: int, seed: int, marked: bool) -> Database:
     # edge count tracks the requested fact count; node count keeps the
-    # instances sparse so answer sets stay near-linear
-    if gen == "digraph-loops":
-        graph = reductions.gen_random_graph(max(4, size // 2), size - size // 50, seed)
-        rng = random.Random(seed + 2)
-        db = reductions.graph_to_db(graph)
-        for _ in range(size // 50):
-            v = graph.vertices[rng.randrange(len(graph.vertices))]
-            db.add_fact("R", (v, v))
-        return db
-    graph = reductions.gen_random_graph(max(4, size // 2), size, seed)
-    if gen == "digraph":
-        return reductions.graph_to_db(graph)
-    rng = random.Random(seed + 1)
-    red = [v for v in graph.vertices if rng.random() < 0.05]
-    return reductions.graph_to_db(graph, red=red)
+    # instances sparse so answer sets stay near-linear.  Marked nodes P are
+    # drawn whenever the query reads P, on the loops graph too.
+    loops = size // 50 if gen == "digraph-loops" else 0
+    graph = reductions.gen_random_graph(max(4, size // 2), size - loops, seed)
+    red = ()
+    if marked:
+        rng = random.Random(seed + 1)
+        red = [v for v in graph.vertices if rng.random() < 0.05]
+    db = reductions.graph_to_db(graph, red=red)
+    rng = random.Random(seed + 2)
+    for _ in range(loops):
+        v = graph.vertices[rng.randrange(len(graph.vertices))]
+        db.add_fact("R", (v, v))
+    return db
 
 
 def _default_generator(query: Query) -> str:
@@ -257,7 +256,7 @@ def cmd_bench_delay(args) -> int:
     name, factory = select_engine(query, args.engine)
     rows = []
     for size in args.sizes:
-        db = _bench_db(gen, size, args.seed)
+        db = _bench_db(gen, size, args.seed, "P" in needed)
         _check_schema(query, db)
         stats = engines.measure_delay(lambda: factory(db))
         rows.append({"size": db.size, **stats.to_json()})

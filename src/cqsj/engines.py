@@ -3,8 +3,9 @@
 Every engine counts elementary steps (fact scans, index probes, stores,
 emissions) on a shared tick counter; the delay guarantees asserted by the
 test suite are statements about these ticks, not about wall-clock time.
-Engines perform their whole preprocessing eagerly at construction and then
-stream answers through an EnumerationCursor.
+The specialised engines perform their whole preprocessing eagerly at
+construction; the generic join, the fallback, builds its indexes as its
+search reaches them.  All stream answers through an EnumerationCursor.
 """
 
 from __future__ import annotations
@@ -184,6 +185,133 @@ def oracle_cursor(query: Query, db: Database) -> EnumerationCursor:
 
 def oracle_enumerate(query: Query, db: Database) -> set:
     return set(oracle_cursor(query, db))
+
+
+# -- generic join over lazily expanded hash tries -----------------------------
+
+
+def _join_variable_order(query: Query) -> list:
+    """Global variable order of the generic join, fixed by the query text.
+
+    Greedy: next is the variable in most atoms that touch an already ordered
+    variable, then in most atoms, then the first to appear.  When the head
+    is projected, the free variables come first.
+    """
+    atoms = [a.var_set for a in query.atoms]
+    first: dict = {}
+    for a in query.atoms:
+        for v in a.args:
+            first.setdefault(v, len(first))
+    occurrences = {v: sum(v in a for a in atoms) for v in first}
+    free = set(query.free_vars)
+    order: list = []
+    for remaining in ([v for v in first if v in free],
+                      [v for v in first if v not in free]):
+        while remaining:
+            ordered = set(order)
+            best = max(remaining, key=lambda v: (
+                sum(v in a and not a.isdisjoint(ordered) for a in atoms),
+                occurrences[v], -first[v]))
+            order.append(best)
+            remaining.remove(best)
+    return order
+
+
+class _TrieNode:
+    """The rows of one atom that agree on a prefix of its variables; their
+    buckets by the next variable's value are built on first use."""
+
+    __slots__ = ("rows", "children")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.children = None
+
+
+def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
+    """Generic Join (Ngo, Ré & Rudra 2013) over one hash trie per atom.
+
+    Variables are bound one at a time in a global order; each atom's trie
+    follows that order over the atom's distinct variables.  A variable takes
+    the values of the smallest trie node among the atoms holding it, each
+    probed in the others' nodes, so the ticks stay within
+    O(|atoms| · |D|^rho*), the AGM bound times the number of atoms.  A trie
+    node is bucketed the first time the search reaches it, one tick per
+    row, so construction reads no facts.  Ticks: one per candidate value
+    and one per probe.  With a projected head, the search stops at one
+    witness per binding of the free variables, so answers are distinct
+    without a seen-set.  No delay bound.
+    """
+    ticker = Ticker()
+    order = _join_variable_order(query)
+    depth = {v: i for i, v in enumerate(order)}
+    nullary = [a.symbol.name for a in query.atoms if not a.args]
+    tries = [a for a in query.atoms if a.args]
+    # per depth, the atoms holding that variable: (atom, level, position,
+    # repeated-variable checks, which only the root expansion applies)
+    steps: list = [[] for _ in order]
+    for k, a in enumerate(tries):
+        pos = _first_positions(a)
+        checks = tuple((pos[v], j) for j, v in enumerate(a.args) if pos[v] != j)
+        for level, v in enumerate(sorted(pos, key=depth.get)):
+            steps[depth[v]].append((k, level, pos[v], checks if level == 0 else ()))
+    nfree = len(query.free_vars)  # the first nfree variables of the order
+    binding: dict = {}
+
+    def expand(node: _TrieNode, at: int, checks) -> dict:
+        ticker.tick(len(node.rows))
+        children: dict = {}
+        for row in node.rows:
+            if all(row[i] == row[j] for i, j in checks):
+                child = children.get(row[at])
+                if child is None:
+                    child = children[row[at]] = _TrieNode([])
+                child.rows.append(row)
+        node.children = children
+        return children
+
+    def search(i: int, stop: int, path: list):
+        """Extensions of the binding from depth ``i`` to ``stop``;
+        ``path[k][level]`` is the node atom ``k`` has reached."""
+        if i == stop:
+            yield True
+            return
+        nodes = []
+        for k, level, at, checks in steps[i]:
+            node = path[k][level]
+            nodes.append(node.children if node.children is not None
+                         else expand(node, at, checks))
+        lead = min(range(len(nodes)), key=lambda n: len(nodes[n]))
+        for value, lead_child in nodes[lead].items():
+            ticker.tick()  # candidate
+            reached = []
+            for n, children in enumerate(nodes):
+                if n == lead:
+                    reached.append(lead_child)
+                    continue
+                ticker.tick()  # probe
+                child = children.get(value)
+                if child is None:
+                    break
+                reached.append(child)
+            else:
+                binding[order[i]] = value
+                for (k, level, _, _), child in zip(steps[i], reached):
+                    path[k][level + 1] = child
+                yield from search(i + 1, stop, path)
+
+    def gen():
+        for name in nullary:
+            ticker.tick()  # emptiness probe
+            if not db.facts(name):
+                return
+        path = [[_TrieNode(db.facts(a.symbol.name))] + [None] * len(a.var_set)
+                for a in tries]
+        for _ in search(0, nfree, path):
+            if nfree == len(order) or next(search(nfree, len(order), path), False):
+                yield tuple(binding[v] for v in query.free_vars)
+
+    return EnumerationCursor(ticker, 0, gen())
 
 
 # -- semi-join reduction and constant-delay enumeration -----------------------

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import ast
 import contextlib
 import importlib.util
 import inspect
@@ -187,6 +188,18 @@ def test_bench_delay_small(workdir, capsys):
     payload = json.loads(out)
     assert payload["verdict"] in ("CONSTANT", "LINEAR", "UNBOUNDED")
     assert len(payload["rows"]) == 2
+
+
+def test_bench_delay_marks_nodes_on_the_loops_graph(workdir, capsys):
+    # a self-loop atom picks the loops graph; reading P, the query needs
+    # marked nodes there too, or every size measures an empty answer set
+    _, write = workdir
+    qf = write("q.cq", "Q(a,b) :- R(a,a), R(a,b), P(b).")
+    code, out, _ = run_cli(["bench-delay", qf, "--sizes", "200", "400", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["generator"] == "digraph-loops"
+    assert sum(row["answers"] for row in payload["rows"]) > 0
 
 
 def test_bench_generator_mismatch_exit_2(workdir, capsys):
@@ -428,11 +441,17 @@ def test_cross_process_determinism(tmp_path):
     # images, the untangling search and the registry lookup all feed this
     rf = tmp_path / "r.cq"
     rf.write_text(serialize_query(fx.fixture("ring8_spikes_flip")))
+    # the generic join's answer order over a windmill gadget
+    wf = tmp_path / "w.cq"
+    wf.write_text(serialize_query(fx.fixture("windmill")))
+    gf = tmp_path / "g.facts"
+    gf.write_text(serialize_database(rd.gadget_triangle_untangle2(graph)))
     # The child imports the same cqsj package as this process, whether it
     # is installed or only on PYTHONPATH; nothing else leaks into its env.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     for argv in (["enumerate", str(qf), str(df), "--engine", "mirror"],
-                 ["classify", str(rf), "--json"]):
+                 ["classify", str(rf), "--json"],
+                 ["enumerate", str(wf), str(gf), "--engine", "oracle"]):
         outputs = []
         for seed in ("1", "2"):
             proc = subprocess.run(
@@ -534,3 +553,18 @@ def test_benchmark_tracer_wraps_existing_names():
     assert callable(en.EnumerationCursor.next)
     # the enum_bespoke wrapper reads the strategy from args[0] or kwargs
     assert next(iter(inspect.signature(en.enum_bespoke).parameters)) == "strategy"
+
+
+def test_benchmark_knows_every_auto_engine_label():
+    # perfbench/run.py keys its per-engine gap table by ENGINES; a label that
+    # select_engine(q, "auto") returns outside it fails every traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    tree = ast.parse(path.read_text())
+    known = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["ENGINES"])
+    fallback, _ = cli.select_engine(fx.fixture("triangle"), "auto")
+    labels = (*cli.AUTO_ORDER, fallback)
+    assert set(AUTO_ENGINE.values()) <= set(labels)
+    for label in labels:
+        assert label.split(":")[-1] in known, label
