@@ -275,8 +275,11 @@ def cmd_bench_delay(args) -> int:
 
 
 def delay_verdict(rows) -> str:
-    """CONSTANT if max_gap barely moves across sizes, LINEAR if max_gap/size
+    """NO_ANSWERS if some size gave no answer, whose gaps say nothing;
+    CONSTANT if max_gap barely moves across sizes, LINEAR if max_gap/size
     stays flat, UNBOUNDED otherwise.  Finite-sample heuristic, ratio 2."""
+    if any(r["answers"] == 0 for r in rows):
+        return "NO_ANSWERS"
     if len(rows) < 2:
         return "CONSTANT"
     gaps = [max(1, r["max_gap"]) for r in rows]

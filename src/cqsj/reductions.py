@@ -1,17 +1,19 @@
-"""Executable hardness constructions and their decoders.
+"""Executable hardness constructions.
 
 Builds the tagged-pair databases that tie triangle detection to specific
-query patterns, decodes every answer back into a graph object (triangle,
-edge, node or sentinel family), and provides the reproducible random input
-generators used by the verification suites.
+query patterns, the pair encoding of a relabelled instance, and the seeded
+random graphs that ``bench-delay`` measures on.
 
 Reserved tokens: ``bot`` is the sentinel vertex and ``#`` joins the two
-components of a composite vertex; input graphs may use neither.
+components of a composite vertex; input graphs may use neither.  Every
+vertex must be a fact-format value token, so that the written database
+parses back.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -19,6 +21,7 @@ from .qmodel import Atom, Database, Pair, Query, RelationSymbol, make_query
 
 BOT = "bot"
 JOIN = "#"
+_VERTEX = re.compile(r"[a-z0-9_]+")
 
 
 class GadgetInputError(Exception):
@@ -26,10 +29,6 @@ class GadgetInputError(Exception):
 
 
 class SchemaMismatchError(Exception):
-    pass
-
-
-class NonPairValueError(Exception):
     pass
 
 
@@ -53,10 +52,6 @@ class Graph:
             labelled = [x for key in ("U", "V", "W") for x in self.parts.get(key, ())]
             if sorted(labelled) != sorted(self.vertices):
                 raise GadgetInputError("parts do not partition the vertex set")
-
-    @property
-    def edge_set(self) -> set:
-        return set(self.edges)
 
     def part_of(self, key: str) -> tuple:
         if self.parts is None:
@@ -102,8 +97,10 @@ def parse_graph(text: str) -> Graph:
 
 def _reject_reserved(graph: Graph) -> None:
     for v in graph.vertices:
-        if v == BOT or JOIN in v:
+        if v == BOT:
             raise GadgetInputError(f"vertex {v!r} clashes with a reserved token")
+        if not _VERTEX.fullmatch(v):  # rejects JOIN too
+            raise GadgetInputError(f"vertex {v!r} is not a value token [a-z0-9_]+")
 
 
 # -- relabelling and the pair encoding -----------------------------------------
@@ -113,7 +110,7 @@ def relabel_self_join_free(query: Query):
     """Give each atom occurrence its own relation symbol.
 
     Returns the rewritten query plus the occurrence map (new symbol name ->
-    original atom); the map drives both database transformations below.
+    original atom); the map drives the pair encoding below.
     """
     counters: dict = {}
     existing = {a.symbol.name for a in query.atoms}
@@ -127,15 +124,6 @@ def relabel_self_join_free(query: Query):
         occurrence[name] = a
         new_atoms.append(Atom(RelationSymbol(name, a.symbol.arity), a.args))
     return make_query(tuple(new_atoms), query.free_vars), occurrence
-
-
-def duplicate_db(occurrence: dict, db: Database) -> Database:
-    """One copy of each relation per occurrence of it in the query."""
-    out = Database()
-    for name, atom in occurrence.items():
-        for row in db.facts(atom.symbol.name):
-            out.add_fact(name, row)
-    return out
 
 
 def encoding_trick(query: Query, d_prime: Database, occurrence: dict) -> Database:
@@ -156,116 +144,6 @@ def encoding_trick(query: Query, d_prime: Database, occurrence: dict) -> Databas
             out.add_fact(atom.symbol.name,
                          tuple(Pair(value, var) for value, var in zip(row, atom.args)))
     return out
-
-
-# -- decoding -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecodedAnswer:
-    data_part: tuple
-    variable_part: Optional[dict]
-    endo_class: Optional[str]  # identity | automorphism | endomorphism
-    label: Optional[str] = None
-    payload: Optional[tuple] = None
-
-
-def decode_solution(query: Query, answer: tuple, scheme: Optional[str] = None) -> DecodedAnswer:
-    """Split an answer over tagged pairs into data and variable parts.
-
-    The variable part must be an endomorphism of the (full) query; it is
-    classified as the identity, another automorphism, or a proper
-    endomorphism.  With a scheme, the gadget-specific label and payload are
-    attached; sentinel-bearing answers keep their raw values and skip the
-    endomorphism classification (sentinels carry no variable tag).
-    """
-    if not query.is_full:
-        raise ValueError("decoding expects a full query")
-    if scheme is not None:
-        label, payload = GADGET_DECODERS[scheme](query, answer)
-    else:
-        label, payload = None, None
-    if any(not isinstance(v, Pair) for v in answer):
-        if label is None:
-            bad = next(v for v in answer if not isinstance(v, Pair))
-            raise NonPairValueError(f"value {bad!r} carries no variable tag")
-        data = tuple(v.data if isinstance(v, Pair) else v for v in answer)
-        return DecodedAnswer(data, None, None, label, payload)
-    variable_part = {var: val.var for var, val in zip(query.free_vars, answer)}
-    for a in query.atoms:
-        image = a.rename(variable_part)
-        if image not in query.atoms:
-            raise NonPairValueError(f"variable part is not an endomorphism at {a}")
-    if all(k == v for k, v in variable_part.items()):
-        endo_class = "identity"
-    elif len(set(variable_part.values())) == len(variable_part):
-        endo_class = "automorphism"
-    else:
-        endo_class = "endomorphism"
-    data = tuple(v.data for v in answer)
-    return DecodedAnswer(data, variable_part, endo_class, label, payload)
-
-
-def _tags(answer) -> set:
-    return {v.var for v in answer if isinstance(v, Pair)}
-
-
-def _decode_mirrorfig1(query: Query, answer: tuple):
-    # free order (x, y, z, u); the u slot separates the two families
-    vu = answer[3]
-    if not isinstance(vu, Pair):
-        raise NonPairValueError("expected tagged pairs")
-    if vu.var == "y":
-        return "EDGE", (answer[0].data, answer[1].data)
-    if vu.var == "u":
-        return "TRIANGLE", (answer[0].data, answer[1].data, vu.data)
-    raise NonPairValueError(f"unexpected tag {vu.var!r} in the u slot")
-
-
-def _decode_spike_q1(query: Query, answer: tuple):
-    tags = _tags(answer)
-    if tags <= {"x1", "x2", "x3", "x4", "x5"}:
-        return "NODE", (answer[0].data,)
-    if tags <= {"x1", "x2", "x3", "x7", "x8"}:
-        return "EDGE", (answer[0].data, answer[6].data)
-    return "TRIANGLE", (answer[0].data, answer[5].data, answer[6].data)
-
-
-def _decode_untangle2(query: Query, answer: tuple):
-    # free order (u, w1, w2, w3, v, x, y, z)
-    vx, vy, vz = answer[5], answer[6], answer[7]
-    if isinstance(vx, Pair) and vx.var == "x":
-        return "TRIANGLE", (vx.data, vy.data, vz.data)
-    return "BOT_FAMILY", None
-
-
-def _split_composite(token: str):
-    left, _, right = token.partition(JOIN)
-    return left, right
-
-
-def _decode_utd_q4(query: Query, answer: tuple):
-    # The label is a function of the tags at the eight ring slots; the
-    # construction only admits {x1..x3}, +{x4,x5}, +{x7,x8}, or all eight.
-    slot_tags = {answer[i].var for i in range(8)}
-    loop_tags = {f"x{i}" for i in range(1, 9)}
-    if loop_tags <= slot_tags:
-        return "TRIANGLE", (answer[0].data, answer[5].data, answer[6].data)
-    if "x8" in slot_tags:
-        w, u = _split_composite(answer[7].data)
-        return "EDGE_UW", (u, w)
-    if "x4" in slot_tags:
-        u_, v = _split_composite(answer[4].data)
-        return "EDGE_UV", (u_, v)
-    return "NODE", (answer[0].data,)
-
-
-GADGET_DECODERS = {
-    "triangle-mirrorfig1": _decode_mirrorfig1,
-    "triangle-spike-q1": _decode_spike_q1,
-    "triangle-untangle2": _decode_untangle2,
-    "utd-spike-q4": _decode_utd_q4,
-}
 
 
 # -- gadget databases -----------------------------------------------------------
@@ -399,33 +277,6 @@ def gen_random_graph(n: int, m: int, seed: int) -> Graph:
             continue
         edges.setdefault((u, v))
     return Graph(vertices, tuple(edges))
-
-
-def gen_tripartite(n_u: int, n_v: int, n_w: int, p: float, seed: int) -> Graph:
-    """Tripartite instance with U->V, V->W, W->U edges, each kept with prob p."""
-    rng = random.Random(seed)
-    us = tuple(f"u{i}" for i in range(n_u))
-    vs = tuple(f"v{i}" for i in range(n_v))
-    ws = tuple(f"w{i}" for i in range(n_w))
-    edges = []
-    for a_side, b_side in ((us, vs), (vs, ws), (ws, us)):
-        for a in a_side:
-            for b in b_side:
-                if rng.random() < p:
-                    edges.append((a, b))
-    return Graph(us + vs + ws, tuple(edges), {"U": us, "V": vs, "W": ws})
-
-
-def gen_random_db(schema: dict, n: int, m: int, seed: int) -> Database:
-    """m random facts per relation over an n-value domain; seed-deterministic."""
-    rng = random.Random(seed)
-    domain = [f"d{i}" for i in range(n)]
-    db = Database()
-    for name in sorted(schema):
-        arity = schema[name]
-        for _ in range(m):
-            db.add_fact(name, tuple(domain[rng.randrange(n)] for _ in range(arity)))
-    return db
 
 
 def graph_to_db(graph: Graph, red: Iterable = ()) -> Database:

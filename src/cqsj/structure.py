@@ -49,9 +49,6 @@ class JoinTree:
     def roots(self) -> list:
         return [a for a in self.nodes if self.parent[a] is None]
 
-    def satisfies_running_intersection(self) -> bool:
-        return _forest_has_running_intersection(self.nodes, self.parent)
-
     def rerooted(self, atom: Atom) -> "JoinTree":
         """The same forest with ``atom`` as the root of its tree.
 
@@ -66,31 +63,6 @@ class JoinTree:
             parent[cur] = below
             below, cur = cur, above
         return JoinTree(self.nodes, parent)
-
-
-def _forest_has_running_intersection(nodes, parent) -> bool:
-    adj = {a: [] for a in nodes}
-    for a in nodes:
-        p = parent[a]
-        if p is not None:
-            adj[a].append(p)
-            adj[p].append(a)
-    all_vars = set()
-    for a in nodes:
-        all_vars.update(a.args)
-    for v in sorted(all_vars):
-        holders = [a for a in nodes if v in a.args]
-        seen = {holders[0]}
-        stack = [holders[0]]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen and v in nxt.args:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(holders):
-            return False
-    return True
 
 
 def gyo_acyclic(query: Query) -> Optional[JoinTree]:
@@ -131,85 +103,6 @@ def gyo_acyclic(query: Query) -> Optional[JoinTree]:
 
 def is_acyclic(query: Query) -> bool:
     return gyo_acyclic(query) is not None
-
-
-def brute_force_acyclic(query: Query) -> bool:
-    """Independent oracle: search all labelled trees per sharing-component.
-
-    Only practical for queries with few atoms; used to cross-check the ear
-    removal implementation.
-    """
-    comps = _sharing_components(query.atoms)
-    for comp in comps:
-        if len(comp) == 1:
-            continue
-        if not any(
-            _forest_has_running_intersection(tuple(comp), par)
-            for par in _all_rooted_trees(comp)
-        ):
-            return False
-    return True
-
-
-def _sharing_components(atoms) -> list:
-    comps = []
-    pool = list(atoms)
-    while pool:
-        comp = [pool.pop(0)]
-        grown = True
-        while grown:
-            grown = False
-            for a in pool[:]:
-                if any(a.var_set & b.var_set for b in comp):
-                    comp.append(a)
-                    pool.remove(a)
-                    grown = True
-        comps.append(comp)
-    return comps
-
-
-def _all_rooted_trees(atoms) -> Iterator[dict]:
-    """All labelled trees on the atoms (Pruefer enumeration), rooted at [0]."""
-    import heapq
-
-    k = len(atoms)
-    if k == 1:
-        yield {atoms[0]: None}
-        return
-    if k == 2:
-        yield {atoms[0]: None, atoms[1]: atoms[0]}
-        return
-    for seq in itertools.product(range(k), repeat=k - 2):
-        deg = [1] * k
-        for s in seq:
-            deg[s] += 1
-        edges = []
-        heap = [i for i in range(k) if deg[i] == 1]
-        heapq.heapify(heap)
-        for s in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, s))
-            deg[leaf] -= 1
-            deg[s] -= 1
-            if deg[s] == 1:
-                heapq.heappush(heap, s)
-        last = [i for i in range(k) if deg[i] == 1]
-        edges.append((last[0], last[1]))
-        adj = {i: [] for i in range(k)}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        par = {atoms[0]: None}
-        stack = [0]
-        seen = {0}
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    par[atoms[nxt]] = atoms[cur]
-                    stack.append(nxt)
-        yield par
 
 
 # -- homomorphism / endomorphism search --------------------------------------
@@ -328,13 +221,6 @@ def has_endo_with_range(query: Query, image_atoms: frozenset) -> Optional[dict]:
     return None
 
 
-def homomorphism_exists(src: Query, dst: Query) -> bool:
-    """A homomorphism from src to dst fixing src's free variables."""
-    for _ in find_maps(src.atoms, dst.atoms, pinned={v: v for v in src.free_vars}):
-        return True
-    return False
-
-
 def _is_injective(mapping: dict) -> bool:
     return len(set(mapping.values())) == len(mapping)
 
@@ -346,11 +232,6 @@ def _folding_endomorphism(query: Query) -> Optional[dict]:
         if not _is_injective(m):
             return m
     return None
-
-
-def is_minimal(query: Query) -> bool:
-    """True iff every endomorphism fixing the free variables is injective."""
-    return _folding_endomorphism(query) is None
 
 
 def minimal_form_with_retraction(query: Query):

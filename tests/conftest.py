@@ -71,7 +71,7 @@ def random_query(seed, max_atoms=6, max_vars=6):
 def pattern_triangles(kind, graph) -> set:
     """Brute-force enumeration of the directed triple pattern each gadget
     detects; ground truth for soundness/completeness checks."""
-    edges = graph.edge_set
+    edges = set(graph.edges)
     out = set()
     if kind == "triangle-mirrorfig1":
         for a, b in edges:

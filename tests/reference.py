@@ -1,0 +1,279 @@
+"""Reference checks and inputs that only the test suite needs.
+
+Independent cross-checks of the structural analysis (a brute-force
+join-tree search, running intersection, minimality and homomorphisms), the
+gadget decoders that map every answer back to a graph object, and the
+copy and tripartite generators.  Import it like ``conftest``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from typing import Iterator, Optional
+
+from cqsj.qmodel import Database, Pair, Query
+from cqsj.reductions import JOIN, Graph
+from cqsj.structure import _folding_endomorphism, find_maps
+
+
+class NonPairValueError(Exception):
+    pass
+
+
+# -- structure ------------------------------------------------------------------
+
+
+def satisfies_running_intersection(tree) -> bool:
+    return _forest_has_running_intersection(tree.nodes, tree.parent)
+
+
+def _forest_has_running_intersection(nodes, parent) -> bool:
+    adj = {a: [] for a in nodes}
+    for a in nodes:
+        p = parent[a]
+        if p is not None:
+            adj[a].append(p)
+            adj[p].append(a)
+    all_vars = set()
+    for a in nodes:
+        all_vars.update(a.args)
+    for v in sorted(all_vars):
+        holders = [a for a in nodes if v in a.args]
+        seen = {holders[0]}
+        stack = [holders[0]]
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if nxt not in seen and v in nxt.args:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if len(seen) != len(holders):
+            return False
+    return True
+
+
+def brute_force_acyclic(query: Query) -> bool:
+    """Independent oracle: search all labelled trees per sharing-component.
+
+    Only practical for queries with few atoms; used to cross-check the ear
+    removal implementation.
+    """
+    comps = _sharing_components(query.atoms)
+    for comp in comps:
+        if len(comp) == 1:
+            continue
+        if not any(
+            _forest_has_running_intersection(tuple(comp), par)
+            for par in _all_rooted_trees(comp)
+        ):
+            return False
+    return True
+
+
+def _sharing_components(atoms) -> list:
+    comps = []
+    pool = list(atoms)
+    while pool:
+        comp = [pool.pop(0)]
+        grown = True
+        while grown:
+            grown = False
+            for a in pool[:]:
+                if any(a.var_set & b.var_set for b in comp):
+                    comp.append(a)
+                    pool.remove(a)
+                    grown = True
+        comps.append(comp)
+    return comps
+
+
+def _all_rooted_trees(atoms) -> Iterator[dict]:
+    """All labelled trees on the atoms (Pruefer enumeration), rooted at [0]."""
+    import heapq
+
+    k = len(atoms)
+    if k == 1:
+        yield {atoms[0]: None}
+        return
+    if k == 2:
+        yield {atoms[0]: None, atoms[1]: atoms[0]}
+        return
+    for seq in itertools.product(range(k), repeat=k - 2):
+        deg = [1] * k
+        for s in seq:
+            deg[s] += 1
+        edges = []
+        heap = [i for i in range(k) if deg[i] == 1]
+        heapq.heapify(heap)
+        for s in seq:
+            leaf = heapq.heappop(heap)
+            edges.append((leaf, s))
+            deg[leaf] -= 1
+            deg[s] -= 1
+            if deg[s] == 1:
+                heapq.heappush(heap, s)
+        last = [i for i in range(k) if deg[i] == 1]
+        edges.append((last[0], last[1]))
+        adj = {i: [] for i in range(k)}
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        par = {atoms[0]: None}
+        stack = [0]
+        seen = {0}
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    par[atoms[nxt]] = atoms[cur]
+                    stack.append(nxt)
+        yield par
+
+
+def homomorphism_exists(src: Query, dst: Query) -> bool:
+    """A homomorphism from src to dst fixing src's free variables."""
+    for _ in find_maps(src.atoms, dst.atoms, pinned={v: v for v in src.free_vars}):
+        return True
+    return False
+
+
+def is_minimal(query: Query) -> bool:
+    """True iff every endomorphism fixing the free variables is injective."""
+    return _folding_endomorphism(query) is None
+
+
+# -- reductions -----------------------------------------------------------------
+
+
+def duplicate_db(occurrence: dict, db: Database) -> Database:
+    """One copy of each relation per occurrence of it in the query."""
+    out = Database()
+    for name, atom in occurrence.items():
+        for row in db.facts(atom.symbol.name):
+            out.add_fact(name, row)
+    return out
+
+
+@dataclass(frozen=True)
+class DecodedAnswer:
+    data_part: tuple
+    variable_part: Optional[dict]
+    endo_class: Optional[str]  # identity | automorphism | endomorphism
+    label: Optional[str] = None
+    payload: Optional[tuple] = None
+
+
+def decode_solution(query: Query, answer: tuple, scheme: Optional[str] = None) -> DecodedAnswer:
+    """Split an answer over tagged pairs into data and variable parts.
+
+    The variable part must be an endomorphism of the (full) query; it is
+    classified as the identity, another automorphism, or a proper
+    endomorphism.  With a scheme, the gadget-specific label and payload are
+    attached; sentinel-bearing answers keep their raw values and skip the
+    endomorphism classification (sentinels carry no variable tag).
+    """
+    if not query.is_full:
+        raise ValueError("decoding expects a full query")
+    if scheme is not None:
+        label, payload = GADGET_DECODERS[scheme](query, answer)
+    else:
+        label, payload = None, None
+    if any(not isinstance(v, Pair) for v in answer):
+        if label is None:
+            bad = next(v for v in answer if not isinstance(v, Pair))
+            raise NonPairValueError(f"value {bad!r} carries no variable tag")
+        data = tuple(v.data if isinstance(v, Pair) else v for v in answer)
+        return DecodedAnswer(data, None, None, label, payload)
+    variable_part = {var: val.var for var, val in zip(query.free_vars, answer)}
+    for a in query.atoms:
+        image = a.rename(variable_part)
+        if image not in query.atoms:
+            raise NonPairValueError(f"variable part is not an endomorphism at {a}")
+    if all(k == v for k, v in variable_part.items()):
+        endo_class = "identity"
+    elif len(set(variable_part.values())) == len(variable_part):
+        endo_class = "automorphism"
+    else:
+        endo_class = "endomorphism"
+    data = tuple(v.data for v in answer)
+    return DecodedAnswer(data, variable_part, endo_class, label, payload)
+
+
+def _tags(answer) -> set:
+    return {v.var for v in answer if isinstance(v, Pair)}
+
+
+def _decode_mirrorfig1(query: Query, answer: tuple):
+    # free order (x, y, z, u); the u slot separates the two families
+    vu = answer[3]
+    if not isinstance(vu, Pair):
+        raise NonPairValueError("expected tagged pairs")
+    if vu.var == "y":
+        return "EDGE", (answer[0].data, answer[1].data)
+    if vu.var == "u":
+        return "TRIANGLE", (answer[0].data, answer[1].data, vu.data)
+    raise NonPairValueError(f"unexpected tag {vu.var!r} in the u slot")
+
+
+def _decode_spike_q1(query: Query, answer: tuple):
+    tags = _tags(answer)
+    if tags <= {"x1", "x2", "x3", "x4", "x5"}:
+        return "NODE", (answer[0].data,)
+    if tags <= {"x1", "x2", "x3", "x7", "x8"}:
+        return "EDGE", (answer[0].data, answer[6].data)
+    return "TRIANGLE", (answer[0].data, answer[5].data, answer[6].data)
+
+
+def _decode_untangle2(query: Query, answer: tuple):
+    # free order (u, w1, w2, w3, v, x, y, z)
+    vx, vy, vz = answer[5], answer[6], answer[7]
+    if isinstance(vx, Pair) and vx.var == "x":
+        return "TRIANGLE", (vx.data, vy.data, vz.data)
+    return "BOT_FAMILY", None
+
+
+def _split_composite(token: str):
+    left, _, right = token.partition(JOIN)
+    return left, right
+
+
+def _decode_utd_q4(query: Query, answer: tuple):
+    # The label is a function of the tags at the eight ring slots; the
+    # construction only admits {x1..x3}, +{x4,x5}, +{x7,x8}, or all eight.
+    slot_tags = {answer[i].var for i in range(8)}
+    loop_tags = {f"x{i}" for i in range(1, 9)}
+    if loop_tags <= slot_tags:
+        return "TRIANGLE", (answer[0].data, answer[5].data, answer[6].data)
+    if "x8" in slot_tags:
+        w, u = _split_composite(answer[7].data)
+        return "EDGE_UW", (u, w)
+    if "x4" in slot_tags:
+        u_, v = _split_composite(answer[4].data)
+        return "EDGE_UV", (u_, v)
+    return "NODE", (answer[0].data,)
+
+
+GADGET_DECODERS = {
+    "triangle-mirrorfig1": _decode_mirrorfig1,
+    "triangle-spike-q1": _decode_spike_q1,
+    "triangle-untangle2": _decode_untangle2,
+    "utd-spike-q4": _decode_utd_q4,
+}
+
+
+def gen_tripartite(n_u: int, n_v: int, n_w: int, p: float, seed: int) -> Graph:
+    """Tripartite instance with U->V, V->W, W->U edges, each kept with prob p."""
+    rng = random.Random(seed)
+    us = tuple(f"u{i}" for i in range(n_u))
+    vs = tuple(f"v{i}" for i in range(n_v))
+    ws = tuple(f"w{i}" for i in range(n_w))
+    edges = []
+    for a_side, b_side in ((us, vs), (vs, ws), (ws, us)):
+        for a in a_side:
+            for b in b_side:
+                if rng.random() < p:
+                    edges.append((a, b))
+    return Graph(us + vs + ws, tuple(edges), {"U": us, "V": vs, "W": ws})

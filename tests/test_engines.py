@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import reference as ref
 from conftest import random_graph_db, random_query
 from cqsj import engines as en
 from cqsj import fixtures as fx
@@ -256,7 +257,7 @@ def test_generic_join_matches_oracle_on_gadgets():
         answers = 0
         for seed in range(3):
             if kind == "utd-spike-q4":
-                graph = rd.gen_tripartite(6, 5, 5, 0.3, seed)
+                graph = ref.gen_tripartite(6, 5, 5, 0.3, seed)
             else:
                 graph = rd.gen_random_graph(8, 16, seed)
             answers += _join_matches_oracle(fx.fixture(name),

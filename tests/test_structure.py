@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import reference as ref
 from conftest import random_query
 from cqsj import fixtures as fx
 from cqsj import structure as st
@@ -16,7 +17,7 @@ from cqsj.qmodel import LimitExceededError, make_query, parse_query, serialize_q
 def test_gyo_path_is_acyclic():
     tree = st.gyo_acyclic(fx.fixture("path2_full"))
     assert tree is not None
-    assert tree.satisfies_running_intersection()
+    assert ref.satisfies_running_intersection(tree)
 
 
 def test_gyo_triangle_is_cyclic():
@@ -42,20 +43,20 @@ def test_gyo_matches_brute_force_on_fixtures():
     for name in fx.fixture_names():
         q = fx.fixture(name)
         if len(q.atoms) <= 6:
-            assert st.is_acyclic(q) == st.brute_force_acyclic(q), name
+            assert st.is_acyclic(q) == ref.brute_force_acyclic(q), name
 
 
 def test_gyo_matches_brute_force_random():
     for seed in range(60):
         q = random_query(seed)
-        assert st.is_acyclic(q) == st.brute_force_acyclic(q), serialize_query(q)
+        assert st.is_acyclic(q) == ref.brute_force_acyclic(q), serialize_query(q)
 
 
 def test_returned_trees_satisfy_running_intersection():
     for name in fx.fixture_names():
         tree = st.gyo_acyclic(fx.fixture(name))
         if tree is not None:
-            assert tree.satisfies_running_intersection(), name
+            assert ref.satisfies_running_intersection(tree), name
 
 
 def test_rerooted_trees_keep_running_intersection():
@@ -67,7 +68,7 @@ def test_rerooted_trees_keep_running_intersection():
             moved = tree.rerooted(atom)
             assert moved.parent[atom] is None
             assert len(moved.roots) == len(tree.roots)
-            assert moved.satisfies_running_intersection(), seed
+            assert ref.satisfies_running_intersection(moved), seed
             edges = {frozenset((a, p)) for a, p in tree.parent.items() if p is not None}
             assert edges == {frozenset((a, p)) for a, p in moved.parent.items() if p is not None}
 
@@ -112,23 +113,23 @@ def test_single_atom_only_identity():
 
 
 def test_self_join_free_is_minimal():
-    assert st.is_minimal(fx.fixture("path2_proj"))
-    assert st.is_minimal(fx.fixture("cyclic_triple"))
+    assert ref.is_minimal(fx.fixture("path2_proj"))
+    assert ref.is_minimal(fx.fixture("cyclic_triple"))
 
 
 def test_boolean_closure_of_marked_diamond_not_minimal():
     q = make_query(fx.fixture("diamond_red").atoms, ())
-    assert not st.is_minimal(q)
+    assert not ref.is_minimal(q)
 
 
 def test_full_queries_trivially_minimal():
-    assert st.is_minimal(fx.fixture("ring8"))
+    assert ref.is_minimal(fx.fixture("ring8"))
 
 
 def test_minimal_form_idempotent():
     q = make_query(fx.fixture("diamond_red").atoms, ())
     m1 = st.minimal_form(q)
-    assert st.is_minimal(m1)
+    assert ref.is_minimal(m1)
     assert st.canonical_key(m1) == st.canonical_key(st.minimal_form(m1))
 
 
@@ -136,8 +137,8 @@ def test_minimal_form_homomorphic_both_ways():
     for name in ("diamond", "diamond_red", "ring8", "twin_loops"):
         q = make_query(fx.fixture(name).atoms, ())
         m, _ = st.minimal_form_with_retraction(q)
-        assert st.homomorphism_exists(q, m)
-        assert st.homomorphism_exists(m, q)
+        assert ref.homomorphism_exists(q, m)
+        assert ref.homomorphism_exists(m, q)
 
 
 def test_marked_diamond_full_core_is_marked_path():
