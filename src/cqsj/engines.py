@@ -318,23 +318,22 @@ def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
 
 
 def _atom_rows(atoms, db: Database, ticker: Ticker) -> dict:
-    """Atom -> facts matching the atom's repeated-variable pattern.
+    """Atom -> the facts of its relation that match its pattern."""
+    return {a: _matching_rows(a, db.facts(a.symbol.name), ticker) for a in atoms}
 
-    An atom without a repeated variable matches every fact of its relation
-    and gets the relation's own read-only view, without a scan.
+
+def _matching_rows(a: Atom, facts, ticker: Ticker):
+    """The facts matching the atom's repeated-variable pattern.
+
+    An atom without a repeated variable matches every fact and gets
+    ``facts`` itself, without a scan.
     """
-    rows = {}
-    for a in atoms:
-        facts = db.facts(a.symbol.name)
-        if len(a.var_set) == len(a.args):
-            rows[a] = facts
-            continue
-        first = _first_positions(a)
-        checks = [(first[v], j) for j, v in enumerate(a.args) if first[v] != j]
-        ticker.tick(len(facts))
-        rows[a] = [row for row in facts
-                   if all(row[i] == row[j] for i, j in checks)]
-    return rows
+    if len(a.var_set) == len(a.args):
+        return facts
+    first = _first_positions(a)
+    checks = [(first[v], j) for j, v in enumerate(a.args) if first[v] != j]
+    ticker.tick(len(facts))
+    return [row for row in facts if all(row[i] == row[j] for i, j in checks)]
 
 
 def _first_positions(a: Atom) -> dict:
@@ -351,7 +350,42 @@ def _join_tree(query: Query) -> structure.JoinTree:
     return tree
 
 
-def _reduce_forest(tree: structure.JoinTree, db: Database, ticker: Ticker):
+class _Forest:
+    """What a join forest's passes read that depends on the query alone:
+    building it reads no fact and costs no tick."""
+
+    def __init__(self, tree: structure.JoinTree):
+        children: dict = {a: [] for a in tree.nodes}
+        for a in tree.nodes:
+            p = tree.parent[a]
+            if p is not None:
+                children[p].append(a)
+        self.roots = tree.roots
+        self.preorder = []
+        for r in self.roots:
+            stack = [r]
+            while stack:
+                cur = stack.pop()
+                self.preorder.append(cur)
+                stack.extend(reversed(children[cur]))
+        self.parent = tree.parent
+        self.pos = {a: _first_positions(a) for a in tree.nodes}
+        # (child, parent, shared variables) per edge, every child before its parent
+        self.edges = [(ch, p, sorted(set(ch.args) & set(p.args)))
+                      for p in reversed(self.preorder) for ch in children[p]]
+
+
+def _bucketed(rows, at: list, ticker: Ticker) -> dict:
+    """The rows grouped by their values at positions ``at``; one tick per row."""
+    ticker.tick(len(rows))
+    buckets: dict = {}
+    for row in rows:
+        buckets.setdefault(tuple([row[i] for i in at]), []).append(row)
+    return buckets
+
+
+def _reduce_forest(forest: _Forest, rows: dict, ticker: Ticker, edges=None,
+                   index: Optional[dict] = None, tables: Optional[dict] = None) -> dict:
     """One leaves-to-root semi-join pass that also builds the enumeration
     indexes (Yannakakis's upward pass).
 
@@ -362,47 +396,40 @@ def _reduce_forest(tree: structure.JoinTree, db: Database, ticker: Ticker):
     and every bucket that a row of the parent can reach holds exactly the
     child rows that extend it, so no downward pass is needed.
 
-    Returns (rows, preorder, pos, index): each atom's remaining rows, the
-    atoms in preorder, each atom's first position per variable, and per
-    non-root atom the variables shared with its parent and its buckets.
+    ``rows`` (atom -> rows) is reduced in place; the result is the index:
+    per non-root atom, the variables shared with its parent and its buckets.
+    A pass over part of the forest takes ``edges``, a sub-list of
+    ``forest.edges``, and may start from an ``index`` that already holds
+    some children, whose buckets it keeps.  A parent missing from ``rows``
+    takes its rows from ``tables[parent]``, its candidate rows bucketed by
+    the variables shared with this child, at the child's keys: one tick per
+    key and one per row fetched.
     """
-    rows = _atom_rows(tree.nodes, db, ticker)
-    children: dict = {a: [] for a in tree.nodes}
-    for a in tree.nodes:
-        p = tree.parent[a]
-        if p is not None:
-            children[p].append(a)
-    preorder = []
-    for r in tree.roots:
-        stack = [r]
-        while stack:
-            cur = stack.pop()
-            preorder.append(cur)
-            stack.extend(reversed(children[cur]))
-    pos = {a: _first_positions(a) for a in tree.nodes}
-
-    index: dict = {}
-    for p in reversed(preorder):  # every child before its parent
-        for ch in children[p]:
-            shared = sorted(set(ch.args) & set(p.args))
-            at = [pos[ch][v] for v in shared]
-            buckets: dict = {}
-            ticker.tick(len(rows[ch]))
-            for row in rows[ch]:
-                buckets.setdefault(tuple([row[i] for i in at]), []).append(row)
-            index[ch] = (shared, buckets)
-            at = [pos[p][v] for v in shared]
+    index = {} if index is None else index
+    for ch, p, shared in forest.edges if edges is None else edges:
+        if ch not in index:
+            index[ch] = (shared, _bucketed(rows[ch], [forest.pos[ch][v] for v in shared],
+                                           ticker))
+        buckets = index[ch][1]
+        if p in rows:
+            at = [forest.pos[p][v] for v in shared]
             ticker.tick(len(rows[p]))
-            rows[p] = [row for row in rows[p]
-                       if tuple([row[i] for i in at]) in buckets]
-    return rows, preorder, pos, index
+            rows[p] = [row for row in rows[p] if tuple([row[i] for i in at]) in buckets]
+        else:
+            table = tables[p]
+            ticker.tick(len(buckets))
+            rows[p] = [row for key in buckets for row in table.get(key, ())]
+            ticker.tick(len(rows[p]))
+    return index
 
 
 def eval_boolean(query: Query, db: Database, ticker: Optional[Ticker] = None) -> bool:
     """Satisfiability of an acyclic query: every root keeps a row."""
-    tree = _join_tree(query)
-    rows = _reduce_forest(tree, db, ticker or Ticker())[0]
-    return all(rows[r] for r in tree.roots)
+    ticker = ticker or Ticker()
+    forest = _Forest(_join_tree(query))
+    rows = _atom_rows(forest.preorder, db, ticker)
+    _reduce_forest(forest, rows, ticker)
+    return all(rows[r] for r in forest.roots)
 
 
 def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> set:
@@ -413,33 +440,44 @@ def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> s
     ticker = ticker or Ticker()
     var = query.free_vars[0]
     holder = next(a for a in query.atoms if var in a.args)
-    tree = _join_tree(query).rerooted(holder)
-    rows, _, pos, _ = _reduce_forest(tree, db, ticker)
-    if not all(rows[r] for r in tree.roots):
+    forest = _Forest(_join_tree(query).rerooted(holder))
+    rows = _atom_rows(forest.preorder, db, ticker)
+    _reduce_forest(forest, rows, ticker)
+    if not all(rows[r] for r in forest.roots):
         return set()
     ticker.tick(len(rows[holder]))
-    at = pos[holder][var]
+    at = forest.pos[holder][var]
     return {row[at] for row in rows[holder]}
 
 
-def _acyclic_assignments(query: Query, db: Database, ticker: Ticker):
+def _acyclic_assignments(query: Query, db: Database, ticker: Ticker,
+                         assignment: Optional[dict] = None):
     """Preprocess a full acyclic query; return its assignment stream, a
-    generator.
+    generator (see ``_forest_assignments``)."""
+    forest = _Forest(_join_tree(query))
+    rows = _atom_rows(forest.preorder, db, ticker)
+    index = _reduce_forest(forest, rows, ticker)
+    return _forest_assignments(forest, rows, index, ticker,
+                               {} if assignment is None else assignment)
+
+
+def _forest_assignments(forest: _Forest, rows: dict, index: dict, ticker: Ticker,
+                        assignment: dict):
+    """The assignment stream of a reduced forest, a generator.
 
     The stream walks the join forest in preorder, taking a root's rows in
     full and a child's rows from the bucket its parent's row selects.  Every
     row it reaches extends, so there are no dead ends: constant work between
-    assignments.
+    assignments.  The forest's variables are bound into ``assignment``, which
+    is yielded each time and left as it was when the stream ends; it may
+    already bind other variables.
     """
-    tree = _join_tree(query)
-    rows, preorder, pos, index = _reduce_forest(tree, db, ticker)
-    if not all(rows[r] for r in tree.roots):
+    if not all(rows[r] for r in forest.roots):
         return iter(())
     # per atom: its rows (roots) or (shared variables, buckets), and the
     # (variable, first position) pairs it binds
-    steps = [(rows[a] if tree.parent[a] is None else None, index.get(a),
-              tuple(pos[a].items())) for a in preorder]
-    assignment: dict = {}
+    steps = [(rows[a] if forest.parent[a] is None else None, index.get(a),
+              tuple(forest.pos[a].items())) for a in forest.preorder]
 
     def extend(i: int):
         if i == len(steps):
@@ -497,17 +535,32 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
 # -- untangling-based linear delay enumeration --------------------------------
 
 
+def _restriction_buckets(g: structure.UntangledGroup, db: Database, index: dict,
+                         ticker: Ticker) -> dict:
+    """The buckets of ``g``'s source in ``index``, which belongs to ``db``:
+    per (symbol, dropped positions), the kept columns of every row, in fact
+    order, bucketed by the values at the dropped positions.  Built on first
+    use with one tick per row."""
+    buckets = index.get((g.source, g.positions))
+    if buckets is None:
+        kept_positions = [i for i in range(db.arity(g.source) or 0)
+                          if i not in g.positions]
+        buckets = index[(g.source, g.positions)] = {}
+        ticker.tick(len(db.facts(g.source)))
+        for row in db.facts(g.source):
+            at = tuple(row[p] for p in g.positions)
+            buckets.setdefault(at, []).append(tuple(row[i] for i in kept_positions))
+    return buckets
+
+
 def _restrict(groups: tuple, assignment: dict, db: Database, index: dict,
               ticker: Ticker) -> Database:
     """The database over an untangling step's ``rest`` that one image answer
     leaves; ``groups`` are the step's ``structure.UntangledGroup``s.
 
-    ``index`` belongs to ``db`` and is filled here on first use: per
-    (symbol, dropped positions), the kept columns of every row, in fact
-    order, bucketed by the values at the dropped positions.  The scan that
-    builds it also serves the answer that triggered it (one tick per row,
-    as a plain filtering scan); later answers pay one probe plus one tick
-    per row they copy.  Groups that drop nothing are copied by a plain scan.
+    A group that drops positions costs one probe of its buckets in ``index``
+    (see ``_restriction_buckets``) plus one tick per row it copies; a group
+    that drops nothing is copied by a plain scan.
     """
     out = Database()
     for g in groups:
@@ -517,33 +570,102 @@ def _restrict(groups: tuple, assignment: dict, db: Database, index: dict,
                 out.add_fact(g.relation, row)
             continue
         values = tuple(assignment[v] for v in g.image_vars)
-        buckets = index.get((g.source, g.positions))
-        if buckets is None:
-            buckets = index[(g.source, g.positions)] = {}
-            kept_positions = [i for i in range(db.arity(g.source) or 0)
-                              if i not in g.positions]
-            for row in db.facts(g.source):
-                ticker.tick()
-                at = tuple(row[p] for p in g.positions)
-                kept = tuple(row[i] for i in kept_positions)
-                buckets.setdefault(at, []).append(kept)
-                if at == values:
-                    out.add_fact(g.relation, kept)
-            continue
         ticker.tick()  # index probe
-        for kept in buckets.get(values, ()):
+        for kept in _restriction_buckets(g, db, index, ticker).get(values, ()):
             ticker.tick()
             out.add_fact(g.relation, kept)
     return out
+
+
+class _RestJoin:
+    """The rest of an ``image_is_previous`` untangling step, joined once per
+    image answer without building the restricted database.
+
+    A rest atom is *restricted* when its group drops a position, so that its
+    rows depend on the image answer, and *fixed* when it reads its source
+    relation whole; it is *live* when its subtree holds a restricted atom.
+
+    - Here, without ticks: the rest's join forest and that split.
+    - At the first image answer, as enumeration work: the reduction of every
+      subtree without a live atom, with its buckets, and every live fixed
+      atom's rows, so reduced, bucketed by the variables it shares with its
+      first live child: its *table*.
+    - Per image answer: one probe per restricted group for the rows of its
+      atoms, then the semi-join pass over the edges whose child is live or
+      whose parent is restricted.  A live fixed atom takes its rows from
+      its table at its first live child's keys and is filtered by its other
+      live children.
+
+    So every semi-join costs at most the child's keys plus the parent's
+    rows, never more than the same pass over the restricted database would,
+    and every atom keeps the rows it would keep there, so enumeration makes
+    the same probes.  No fact is copied.
+    """
+
+    def __init__(self, rewrite: structure.Untangled, db: Database, ticker: Ticker):
+        self.forest = forest = _Forest(_join_tree(rewrite.rest))
+        relation = {g.relation: g for g in rewrite.groups}
+        self.group = {a: relation[a.symbol.name] for a in forest.preorder}
+        self.restricted = [a for a in forest.preorder if self.group[a].positions]
+        self.probes = [g for g in rewrite.groups if g.positions]
+        live = set(self.restricted)
+        for ch, p, _ in forest.edges:  # children before parents
+            if ch in live:
+                live.add(p)
+        self.live = live
+        self.fixed_edges = [e for e in forest.edges if e[0] not in live]
+        self.answer_edges = [e for e in forest.edges
+                             if e[0] in live or e[1] in self.restricted]
+        # live fixed atom -> the variables it shares with its first live child
+        self.table_keys: dict = {}
+        for ch, p, shared in self.answer_edges:
+            if ch in live and p not in self.restricted:
+                self.table_keys.setdefault(p, shared)
+        self.db = db
+        self.ticker = ticker
+        self.index: dict = {}  # per (symbol, dropped positions), see _restriction_buckets
+        self.prepared = None
+
+    def _prepare(self):
+        """(rows of the fixed roots, index of the fixed children, tables)."""
+        forest, ticker = self.forest, self.ticker
+        # restricted atoms hold no rows before an image answer selects them,
+        # so this pass only buckets their fixed children
+        rows = {a: () if a in self.restricted
+                else _matching_rows(a, self.db.facts(self.group[a].source), ticker)
+                for a in forest.preorder}
+        index = _reduce_forest(forest, rows, ticker, self.fixed_edges)
+        tables = {p: _bucketed(rows[p], [forest.pos[p][v] for v in shared], ticker)
+                  for p, shared in self.table_keys.items()}
+        return {r: rows[r] for r in forest.roots if r not in self.live}, index, tables
+
+    def assignments(self, assignment: dict):
+        """The rest's assignment stream under the image answer ``assignment``,
+        into which it binds the rest's variables."""
+        if self.prepared is None:
+            self.prepared = self._prepare()
+        fixed_rows, fixed_index, tables = self.prepared
+        ticker = self.ticker
+        selected = {}
+        for g in self.probes:
+            ticker.tick()  # index probe
+            buckets = _restriction_buckets(g, self.db, self.index, ticker)
+            selected[g] = buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
+        rows = dict(fixed_rows)
+        for a in self.restricted:
+            rows[a] = _matching_rows(a, selected[self.group[a]], ticker)
+        index = dict(fixed_index)
+        _reduce_forest(self.forest, rows, ticker, self.answer_edges, index, tables)
+        return _forest_assignments(self.forest, rows, index, ticker, assignment)
 
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,
                   db: Database) -> EnumerationCursor:
     """Linear-delay enumeration driven by an untangling witness.
 
-    Recursively enumerates the step's image; for each image answer builds the
-    restricted database over the rewritten schema and enumerates the rest.
-    Every image answer extends to at least one full answer, so the gap stays
+    Recursively enumerates the step's image; for each image answer joins the
+    rest over the relations that answer restricts and enumerates it.  Every
+    image answer extends to at least one full answer, so the gap stays
     linear in the database size; distinct image answers yield disjoint blocks.
     """
     if not structure.validate_untangling_witness(query, witness):
@@ -551,41 +673,43 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     ticker = Ticker()
     untangled = [structure.untangle(step.query, step.image_atoms) for step in witness.steps]
 
-    def make_stream(chain_idx: int, database: Database):
-        """Assignment stream, a generator, for one chain element.
+    def make_stream(chain_idx: int, database: Database, assignment: dict):
+        """Assignment stream, a generator, for one chain element; it binds
+        the element's variables into ``assignment`` and yields it.  Image and
+        rest variables are disjoint, so one dict serves the whole chain.
 
         Preprocessing along the image side of the chain happens here,
-        eagerly; the per-image-answer restricted instances are enumeration
-        work and stay inside the returned stream.
+        eagerly; the per-image-answer work on the rest is enumeration work
+        and stays inside the returned stream.
         """
         if chain_idx == 0:
-            return _acyclic_assignments(witness.base, database, ticker)
+            return _acyclic_assignments(witness.base, database, ticker, assignment)
         step = witness.steps[chain_idx - 1]
         rewrite = untangled[chain_idx - 1]
-        index: dict = {}
 
         if step.case == "image_is_previous":
-            image_stream = make_stream(chain_idx - 1, database)
-        else:
-            image_stream = _acyclic_assignments(step.image_query, database, ticker)
+            image_stream = make_stream(chain_idx - 1, database, assignment)
+            rest = _RestJoin(rewrite, database, ticker)
 
-        def run():
-            for img_assignment in image_stream:
-                restricted = _restrict(rewrite.groups, img_assignment, database, index, ticker)
-                if step.case == "image_is_previous":
-                    rest_stream = _acyclic_assignments(rewrite.rest, restricted, ticker)
-                else:
-                    # rest equals the witness's previous element here
-                    # (collision-free step), so the sub-witness applies to it.
-                    rest_stream = make_stream(chain_idx - 1, restricted)
-                for rest_assignment in rest_stream:
-                    merged = dict(img_assignment)
-                    merged.update(rest_assignment)
-                    yield merged
+            def run():
+                for _ in image_stream:
+                    yield from rest.assignments(assignment)
 
-        return run()
+            return run()
 
-    top = make_stream(len(witness.steps), db)
+        # rest equals the witness's previous element here (collision-free
+        # step), so the sub-witness applies to it over each restricted database.
+        image_stream = _acyclic_assignments(step.image_query, database, ticker, assignment)
+        index: dict = {}
+
+        def run_restricted():
+            for _ in image_stream:
+                restricted = _restrict(rewrite.groups, assignment, database, index, ticker)
+                yield from make_stream(chain_idx - 1, restricted, assignment)
+
+        return run_restricted()
+
+    top = make_stream(len(witness.steps), db, {})
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in top)
     return EnumerationCursor(ticker, ticker.count, gen)
 

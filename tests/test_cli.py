@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import reference as ref
 from conftest import FUZZ_TEXT, random_graph_db, random_query
 from cqsj import cli, engines as en, fixtures as fx, qmodel as qm, reductions as rd
 from cqsj import structure as st
@@ -505,12 +506,16 @@ def test_cross_process_determinism(tmp_path):
     wf.write_text(serialize_query(fx.fixture("windmill")))
     gf = tmp_path / "g.facts"
     gf.write_text(serialize_database(rd.gadget_triangle_untangle2(graph)))
+    # the rest of each untangling step joined per image answer
+    uf = tmp_path / "u.facts"
+    uf.write_text(serialize_database(rd.gadget_utd_spike_q4(ref.gen_tripartite(6, 5, 5, 0.3, 0))))
     # The child imports the same cqsj package as this process, whether it
     # is installed or only on PYTHONPATH; nothing else leaks into its env.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     for argv in (["enumerate", str(qf), str(df), "--engine", "mirror"],
                  ["classify", str(rf), "--json"],
-                 ["enumerate", str(wf), str(gf), "--engine", "oracle"]):
+                 ["enumerate", str(wf), str(gf), "--engine", "oracle"],
+                 ["enumerate", str(rf), str(uf), "--engine", "untangle"]):
         outputs = []
         for seed in ("1", "2"):
             proc = subprocess.run(

@@ -359,6 +359,36 @@ def test_enum_untangle_multi_step_chain():
         assert set(got) == en.oracle_enumerate(q, db)
 
 
+@pytest.mark.parametrize("name", ["ring8_io", "ring8_spikes", "ring8_spikes_flip"])
+def test_enum_untangle_matches_oracle_on_spiked_rings(name):
+    q = fx.fixture(name)
+    _, witness = st.is_untangleable(q)
+    answered = 0
+    for seed in range(8):
+        db = random_graph_db(12, 12, seed, red_p=0.4)
+        got = list(en.enum_untangle(q, witness, db))
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(q, db), seed
+        answered += bool(got)
+    assert answered >= 6
+
+
+@pytest.mark.parametrize("kind", ["triangle-spike-q1", "utd-spike-q4"])
+def test_enum_untangle_matches_oracle_on_gadgets(kind):
+    q = fx.fixture(rd.GADGET_QUERIES[kind])
+    _, witness = st.is_untangleable(q)
+    for seed in range(3):
+        if kind == "utd-spike-q4":
+            graph = ref.gen_tripartite(6, 5, 5, 0.3, seed)
+        else:
+            graph = rd.gen_random_graph(8, 16, seed)
+        db = rd.GADGET_BUILDERS[kind](graph)
+        got = list(en.enum_untangle(q, witness, db))
+        assert got
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(q, db), seed
+
+
 def test_enum_untangle_result_is_previous_step():
     # diamond_red's only step taken the other way round: its image is
     # acyclic and the rewritten rest is the base, so the rest is enumerated
@@ -425,6 +455,82 @@ def test_indexed_restriction_matches_plain_scan(name):
                 assert _ordered_facts(got) == _ordered_facts(want)
 
 
+def _rest_join_matches_restricted_database(untangled, db, image_answers) -> int:
+    """Per image answer, the rest joined over the restricted relations gives
+    the assignments of the rest over the restricted database, as a multiset,
+    without duplicates, leaving the image answer as it was; after the first
+    answer, which builds what the step reuses, it costs no more ticks.
+    Returns the number of rest assignments."""
+    rest_vars = untangled.rest.all_vars
+    ticker, plain_ticker = en.Ticker(), en.Ticker()
+    rest = en._RestJoin(untangled, db, ticker)
+    index: dict = {}  # the plain restriction's, shared by every answer
+    total = 0
+    for i, image_answer in enumerate(image_answers):
+        assignment = dict(image_answer)
+        start = ticker.count
+        got = [tuple(a[v] for v in rest_vars) for a in rest.assignments(assignment)]
+        cost = ticker.count - start
+        assert assignment == image_answer
+        start = plain_ticker.count
+        restricted = en._restrict(untangled.groups, assignment, db, index, plain_ticker)
+        want = [tuple(a[v] for v in rest_vars)
+                for a in en._acyclic_assignments(untangled.rest, restricted, plain_ticker)]
+        assert sorted(got) == sorted(want)
+        assert len(got) == len(set(got))
+        if i:
+            assert cost <= plain_ticker.count - start
+        total += len(got)
+    return total
+
+
+# values per fixture, few enough that the rest has answers and cycle20's
+# long rest path does not explode
+REST_JOIN_VALUES = {"ring8": 8, "ring8_io": 8, "ring8_spikes": 8, "ring8_spikes_flip": 15,
+                    "bowtie_chain": 6, "windmill_tail": 6, "cycle20": 45}
+
+
+@pytest.mark.parametrize("name", sorted(REST_JOIN_VALUES))
+def test_rest_join_matches_restricted_database(name):
+    _, witness = st.is_untangleable(fx.fixture(name))
+    total = 0
+    for k, step in enumerate(witness.steps):
+        assert step.case == "image_is_previous"
+        untangled = st.untangle(step.query, step.image_atoms)
+        image = step.image_query
+        for seed in range(3):
+            rng = random.Random(f"{name}:{k}:{seed}")
+            db = Database()
+            for sym in sorted({a.symbol for a in step.query.atoms}):
+                for _ in range(30):
+                    db.add_fact(sym.name, [f"v{rng.randrange(REST_JOIN_VALUES[name])}"
+                                           for _ in range(sym.arity)])
+            answers = itertools.islice(en.generic_join_cursor(image, db), 30)
+            total += _rest_join_matches_restricted_database(
+                untangled, db, [dict(zip(image.free_vars, a)) for a in answers])
+    assert total
+
+
+def test_rest_join_matches_restricted_database_on_random_steps():
+    # any atoms of a random query as the image, so that the rest has
+    # repeated variables, atoms that keep no position, restricted atoms with
+    # fixed children and fixed atoms with several restricted descendants
+    checked = 0
+    for seed in range(300):
+        query = random_query(seed)
+        rng = random.Random(seed)
+        image_atoms = frozenset(a for a in query.atoms if rng.random() < 0.5)
+        untangled = st.untangle(query, image_atoms)
+        if not image_atoms or st.gyo_acyclic(untangled.rest) is None:
+            continue
+        db = _random_schema_db(seed, 4)
+        image_vars = sorted({v for a in image_atoms for v in a.args})
+        answers = [{v: f"d{rng.randrange(4)}" for v in image_vars} for _ in range(8)]
+        _rest_join_matches_restricted_database(untangled, db, answers)
+        checked += 1
+    assert checked > 100
+
+
 def _padded_diamond_red(padding: int) -> Database:
     """Twenty disjoint marked diamonds plus R-facts outside every image answer."""
     db = Database()
@@ -451,6 +557,35 @@ def test_untangle_enumeration_ticks_linear_in_padding(diamond_red):
     # padding adds about twice the padding again
     for (a, b), padding in zip(zip(enum_ticks, enum_ticks[1:]), (500, 1000)):
         assert b - a <= 3 * padding
+
+
+def _padded_ring8(padding: int) -> Database:
+    """Ten disjoint marked 8-cycles plus R-facts outside every image answer."""
+    db = Database()
+    for i in range(10):
+        x = [f"x{k}_{i}" for k in range(1, 9)]
+        for a, b in ((0, 1), (1, 2), (3, 2), (4, 3), (4, 5), (5, 6), (7, 6), (0, 7)):
+            db.add_fact("R", (x[a], x[b]))
+        db.add_fact("P", (x[1],))
+    for j in range(padding):
+        db.add_fact("R", (f"p{j}", f"q{j}"))
+    return db
+
+
+def test_ring8_enumeration_ticks_linear_in_padding():
+    # The rest of ring8 reads R whole in two atoms.  Copying R and reducing
+    # the copy per image answer costs answers x |R|; with the rest's fixed
+    # part built once per step, only the first answer reads the padding.
+    q = fx.fixture("ring8")
+    _, witness = st.is_untangleable(q)
+    enum_ticks = []
+    want = en.oracle_enumerate(q, _padded_ring8(0))
+    for padding in (500, 1000, 2000):
+        cursor = en.enum_untangle(q, witness, _padded_ring8(padding))
+        assert set(cursor) == want
+        enum_ticks.append(cursor.ticker.count - cursor.preprocessing_ticks)
+    for (a, b), padding in zip(zip(enum_ticks, enum_ticks[1:]), (500, 1000)):
+        assert b - a <= 4 * padding
 
 
 def test_enum_mirror_examples(diamond):
