@@ -317,9 +317,10 @@ def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
 # -- semi-join reduction and constant-delay enumeration -----------------------
 
 
-def _atom_rows(atoms, db: Database, ticker: Ticker) -> dict:
-    """Atom -> the facts of its relation that match its pattern."""
-    return {a: _matching_rows(a, db.facts(a.symbol.name), ticker) for a in atoms}
+def _atom_rows(atoms, facts: Callable, ticker: Ticker) -> dict:
+    """Atom -> the rows of its relation (``facts``: name -> rows) that match
+    its pattern."""
+    return {a: _matching_rows(a, facts(a.symbol.name), ticker) for a in atoms}
 
 
 def _matching_rows(a: Atom, facts, ticker: Ticker):
@@ -427,7 +428,7 @@ def eval_boolean(query: Query, db: Database, ticker: Optional[Ticker] = None) ->
     """Satisfiability of an acyclic query: every root keeps a row."""
     ticker = ticker or Ticker()
     forest = _Forest(_join_tree(query))
-    rows = _atom_rows(forest.preorder, db, ticker)
+    rows = _atom_rows(forest.preorder, db.facts, ticker)
     _reduce_forest(forest, rows, ticker)
     return all(rows[r] for r in forest.roots)
 
@@ -441,7 +442,7 @@ def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> s
     var = query.free_vars[0]
     holder = next(a for a in query.atoms if var in a.args)
     forest = _Forest(_join_tree(query).rerooted(holder))
-    rows = _atom_rows(forest.preorder, db, ticker)
+    rows = _atom_rows(forest.preorder, db.facts, ticker)
     _reduce_forest(forest, rows, ticker)
     if not all(rows[r] for r in forest.roots):
         return set()
@@ -450,12 +451,13 @@ def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> s
     return {row[at] for row in rows[holder]}
 
 
-def _acyclic_assignments(query: Query, db: Database, ticker: Ticker,
+def _acyclic_assignments(query: Query, facts: Callable, ticker: Ticker,
                          assignment: Optional[dict] = None):
-    """Preprocess a full acyclic query; return its assignment stream, a
-    generator (see ``_forest_assignments``)."""
+    """Preprocess a full acyclic query over the relations ``facts`` (name ->
+    rows); return its assignment stream, a generator (see
+    ``_forest_assignments``)."""
     forest = _Forest(_join_tree(query))
-    rows = _atom_rows(forest.preorder, db, ticker)
+    rows = _atom_rows(forest.preorder, facts, ticker)
     index = _reduce_forest(forest, rows, ticker)
     return _forest_assignments(forest, rows, index, ticker,
                                {} if assignment is None else assignment)
@@ -510,7 +512,7 @@ def enum_full_acyclic(query: Query, db: Database) -> EnumerationCursor:
     if not query.is_full:
         raise ValueError("enum_full_acyclic expects a full query")
     ticker = Ticker()
-    stream = _acyclic_assignments(query, db, ticker)
+    stream = _acyclic_assignments(query, db.facts, ticker)
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in stream)
     return EnumerationCursor(ticker, ticker.count, gen)
 
@@ -527,7 +529,7 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
     fcore, retraction = structure.full_core_with_retraction(query)
     if not structure.is_acyclic(fcore):
         raise CyclicCoreError("the query's core is cyclic")
-    for assignment in _acyclic_assignments(fcore, db, ticker):
+    for assignment in _acyclic_assignments(fcore, db.facts, ticker):
         return tuple(assignment[retraction[v]] for v in query.free_vars)
     return None
 
@@ -535,51 +537,35 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
 # -- untangling-based linear delay enumeration --------------------------------
 
 
-def _restriction_buckets(g: structure.UntangledGroup, db: Database, index: dict,
-                         ticker: Ticker) -> dict:
-    """The buckets of ``g``'s source in ``index``, which belongs to ``db``:
-    per (symbol, dropped positions), the kept columns of every row, in fact
-    order, bucketed by the values at the dropped positions.  Built on first
-    use with one tick per row."""
+def _restricted_rows(g: structure.UntangledGroup, assignment: dict, facts: Callable,
+                     index: dict, ticker: Ticker):
+    """The rows of group ``g``'s relation that the image answer
+    ``assignment`` leaves, read in place from ``facts`` (name -> rows).
+
+    A group that drops no position gets its source relation as it is.  Any
+    other group gets its bucket in ``index``, which belongs to ``facts``: per
+    (symbol, dropped positions), the kept columns of every row, in fact
+    order, bucketed by the values at the dropped positions.  One probe, and
+    one tick per row when the probe builds the buckets.
+    """
+    if not g.positions:
+        return facts(g.source)
     buckets = index.get((g.source, g.positions))
     if buckets is None:
-        kept_positions = [i for i in range(db.arity(g.source) or 0)
-                          if i not in g.positions]
+        rows = facts(g.source)
+        ticker.tick(len(rows))
+        kept = [i for i in range(len(g.positions) + len(g.kept[0])) if i not in g.positions]
         buckets = index[(g.source, g.positions)] = {}
-        ticker.tick(len(db.facts(g.source)))
-        for row in db.facts(g.source):
-            at = tuple(row[p] for p in g.positions)
-            buckets.setdefault(at, []).append(tuple(row[i] for i in kept_positions))
-    return buckets
-
-
-def _restrict(groups: tuple, assignment: dict, db: Database, index: dict,
-              ticker: Ticker) -> Database:
-    """The database over an untangling step's ``rest`` that one image answer
-    leaves; ``groups`` are the step's ``structure.UntangledGroup``s.
-
-    A group that drops positions costs one probe of its buckets in ``index``
-    (see ``_restriction_buckets``) plus one tick per row it copies; a group
-    that drops nothing is copied by a plain scan.
-    """
-    out = Database()
-    for g in groups:
-        if not g.positions:
-            for row in db.facts(g.source):
-                ticker.tick()
-                out.add_fact(g.relation, row)
-            continue
-        values = tuple(assignment[v] for v in g.image_vars)
-        ticker.tick()  # index probe
-        for kept in _restriction_buckets(g, db, index, ticker).get(values, ()):
-            ticker.tick()
-            out.add_fact(g.relation, kept)
-    return out
+        for row in rows:
+            buckets.setdefault(tuple([row[i] for i in g.positions]), []).append(
+                tuple([row[i] for i in kept]))
+    ticker.tick()  # index probe
+    return buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
 
 
 class _RestJoin:
     """The rest of an ``image_is_previous`` untangling step, joined once per
-    image answer without building the restricted database.
+    image answer over the relations that answer restricts, read in place.
 
     A rest atom is *restricted* when its group drops a position, so that its
     rows depend on the image answer, and *fixed* when it reads its source
@@ -590,19 +576,20 @@ class _RestJoin:
       subtree without a live atom, with its buckets, and every live fixed
       atom's rows, so reduced, bucketed by the variables it shares with its
       first live child: its *table*.
-    - Per image answer: one probe per restricted group for the rows of its
-      atoms, then the semi-join pass over the edges whose child is live or
-      whose parent is restricted.  A live fixed atom takes its rows from
-      its table at its first live child's keys and is filtered by its other
-      live children.
+    - Per image answer: one probe per restricted group in ``index`` (see
+      ``_restricted_rows``) for the rows of its atoms, then the semi-join
+      pass over the edges whose child is live or whose parent is restricted.
+      A live fixed atom takes its rows from its table at its first live
+      child's keys and is filtered by its other live children.
 
     So every semi-join costs at most the child's keys plus the parent's
-    rows, never more than the same pass over the restricted database would,
-    and every atom keeps the rows it would keep there, so enumeration makes
-    the same probes.  No fact is copied.
+    rows, never more than the same pass over a copy of the restricted
+    relations would, and every atom keeps the rows it would keep there, so
+    enumeration makes the same probes.  No fact is copied.
     """
 
-    def __init__(self, rewrite: structure.Untangled, db: Database, ticker: Ticker):
+    def __init__(self, rewrite: structure.Untangled, facts: Callable, index: dict,
+                 ticker: Ticker):
         self.forest = forest = _Forest(_join_tree(rewrite.rest))
         relation = {g.relation: g for g in rewrite.groups}
         self.group = {a: relation[a.symbol.name] for a in forest.preorder}
@@ -621,10 +608,13 @@ class _RestJoin:
         for ch, p, shared in self.answer_edges:
             if ch in live and p not in self.restricted:
                 self.table_keys.setdefault(p, shared)
-        self.db = db
+        self.facts = facts
+        self.index = index
         self.ticker = ticker
-        self.index: dict = {}  # per (symbol, dropped positions), see _restriction_buckets
         self.prepared = None
+
+    def _rows(self, g: structure.UntangledGroup, assignment: dict):
+        return _restricted_rows(g, assignment, self.facts, self.index, self.ticker)
 
     def _prepare(self):
         """(rows of the fixed roots, index of the fixed children, tables)."""
@@ -632,7 +622,7 @@ class _RestJoin:
         # restricted atoms hold no rows before an image answer selects them,
         # so this pass only buckets their fixed children
         rows = {a: () if a in self.restricted
-                else _matching_rows(a, self.db.facts(self.group[a].source), ticker)
+                else _matching_rows(a, self._rows(self.group[a], {}), ticker)
                 for a in forest.preorder}
         index = _reduce_forest(forest, rows, ticker, self.fixed_edges)
         tables = {p: _bucketed(rows[p], [forest.pos[p][v] for v in shared], ticker)
@@ -645,18 +635,13 @@ class _RestJoin:
         if self.prepared is None:
             self.prepared = self._prepare()
         fixed_rows, fixed_index, tables = self.prepared
-        ticker = self.ticker
-        selected = {}
-        for g in self.probes:
-            ticker.tick()  # index probe
-            buckets = _restriction_buckets(g, self.db, self.index, ticker)
-            selected[g] = buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
+        selected = {g: self._rows(g, assignment) for g in self.probes}
         rows = dict(fixed_rows)
         for a in self.restricted:
-            rows[a] = _matching_rows(a, selected[self.group[a]], ticker)
+            rows[a] = _matching_rows(a, selected[self.group[a]], self.ticker)
         index = dict(fixed_index)
-        _reduce_forest(self.forest, rows, ticker, self.answer_edges, index, tables)
-        return _forest_assignments(self.forest, rows, index, ticker, assignment)
+        _reduce_forest(self.forest, rows, self.ticker, self.answer_edges, index, tables)
+        return _forest_assignments(self.forest, rows, index, self.ticker, assignment)
 
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,
@@ -667,29 +652,33 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     rest over the relations that answer restricts and enumerates it.  Every
     image answer extends to at least one full answer, so the gap stays
     linear in the database size; distinct image answers yield disjoint blocks.
+    Restricted relations are read in place (``_restricted_rows``); no
+    database is built.
     """
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = Ticker()
     untangled = [structure.untangle(step.query, step.image_atoms) for step in witness.steps]
 
-    def make_stream(chain_idx: int, database: Database, assignment: dict):
-        """Assignment stream, a generator, for one chain element; it binds
-        the element's variables into ``assignment`` and yields it.  Image and
-        rest variables are disjoint, so one dict serves the whole chain.
+    def make_stream(chain_idx: int, facts: Callable, index: dict, assignment: dict):
+        """Assignment stream, a generator, for one chain element over the
+        relations ``facts`` (name -> rows) and their restriction ``index``;
+        it binds the element's variables into ``assignment`` and yields it.
+        Image and rest variables are disjoint, so one dict serves the whole
+        chain.
 
         Preprocessing along the image side of the chain happens here,
         eagerly; the per-image-answer work on the rest is enumeration work
         and stays inside the returned stream.
         """
         if chain_idx == 0:
-            return _acyclic_assignments(witness.base, database, ticker, assignment)
+            return _acyclic_assignments(witness.base, facts, ticker, assignment)
         step = witness.steps[chain_idx - 1]
         rewrite = untangled[chain_idx - 1]
 
         if step.case == "image_is_previous":
-            image_stream = make_stream(chain_idx - 1, database, assignment)
-            rest = _RestJoin(rewrite, database, ticker)
+            image_stream = make_stream(chain_idx - 1, facts, index, assignment)
+            rest = _RestJoin(rewrite, facts, index, ticker)
 
             def run():
                 for _ in image_stream:
@@ -698,18 +687,19 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
             return run()
 
         # rest equals the witness's previous element here (collision-free
-        # step), so the sub-witness applies to it over each restricted database.
-        image_stream = _acyclic_assignments(step.image_query, database, ticker, assignment)
-        index: dict = {}
+        # step), so the sub-witness applies to it over the relations each
+        # image answer restricts, with an index of their own.
+        image_stream = _acyclic_assignments(step.image_query, facts, ticker, assignment)
 
         def run_restricted():
             for _ in image_stream:
-                restricted = _restrict(rewrite.groups, assignment, database, index, ticker)
-                yield from make_stream(chain_idx - 1, restricted, assignment)
+                restricted = {g.relation: _restricted_rows(g, assignment, facts, index, ticker)
+                              for g in rewrite.groups}
+                yield from make_stream(chain_idx - 1, restricted.__getitem__, {}, assignment)
 
         return run_restricted()
 
-    top = make_stream(len(witness.steps), db, {})
+    top = make_stream(len(witness.steps), db.facts, {}, {})
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in top)
     return EnumerationCursor(ticker, ticker.count, gen)
 
@@ -737,7 +727,7 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
     rest_private = [v for v in query.all_vars if v not in image_vars]
     slot = {v: image_private.index(witness.iso[v]) for v in rest_private}
 
-    stream = _acyclic_assignments(image_query, db, ticker)
+    stream = _acyclic_assignments(image_query, db.facts, ticker)
 
     def emit(key_assignment: dict, image_part, rest_part):
         out = []
@@ -878,8 +868,8 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
     against the table and expands the two spikes per joined loop.
     """
     out, in_, _, _ = _binary_adjacency(db, ticker, with_red=True)
-    top_stream = _acyclic_assignments(parse_query(_Q2_TOP), db, ticker)
-    left_stream = _acyclic_assignments(parse_query(_Q2_LEFT), db, ticker)
+    top_stream = _acyclic_assignments(parse_query(_Q2_TOP), db.facts, ticker)
+    left_stream = _acyclic_assignments(parse_query(_Q2_LEFT), db.facts, ticker)
 
     def gen():
         table: dict = {}

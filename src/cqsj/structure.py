@@ -22,7 +22,6 @@ from .qmodel import (
     Query,
     RelationSymbol,
     make_query,
-    max_vars_limit,
     serialize_query,
 )
 
@@ -197,10 +196,6 @@ def find_maps(
 def _endomorphism_stream(query: Query) -> Iterator[dict]:
     """The endomorphisms one at a time; raises LimitExceededError on the
     first one beyond MAX_HOM_RESULTS."""
-    if len(query.all_vars) > max_vars_limit():
-        raise LimitExceededError(
-            f"{len(query.all_vars)} variables exceed the configured limit"
-        )
     for count, m in enumerate(find_maps(query.atoms, query.atoms), 1):
         if count > MAX_HOM_RESULTS:
             raise LimitExceededError(_HOM_CAP_EXCEEDED)
@@ -290,8 +285,8 @@ def _refine_colors(query: Query) -> dict:
     return colors
 
 
-def canonical_form(query: Query):
-    """Minimal atom encoding over variable bijections; (key, renaming).
+def canonical_key(query: Query):
+    """Minimal atom encoding over variable bijections.
 
     The key is invariant under variable renaming (free variables compared as
     a set).  Colour refinement keeps the residual search tiny for every query
@@ -299,9 +294,8 @@ def canonical_form(query: Query):
     """
     vs = list(query.all_vars)
     if not vs:
-        key = (tuple((a.symbol.name, a.symbol.arity, ()) for a in query.atoms),
-               frozenset())
-        return key, {}
+        return (tuple((a.symbol.name, a.symbol.arity, ()) for a in query.atoms),
+                frozenset())
     colors = _refine_colors(query)
     classes: dict = {}
     for v in vs:
@@ -316,7 +310,6 @@ def canonical_form(query: Query):
 
     free = set(query.free_vars)
     best = None
-    best_map = None
     for perms in itertools.product(*[itertools.permutations(b) for b in blocks]):
         order = [v for block in perms for v in block]
         ren = {v: i for i, v in enumerate(order)}
@@ -327,12 +320,7 @@ def canonical_form(query: Query):
         key = (atoms_key, frozenset(ren[v] for v in free))
         if best is None or key < best:
             best = key
-            best_map = ren
-    return best, best_map
-
-
-def canonical_key(query: Query):
-    return canonical_form(query)[0]
+    return best
 
 
 def shape_invariant(query: Query) -> tuple:
@@ -695,10 +683,10 @@ class Analysis:
 
     Every fact is computed on first use and kept on the object.  Images and
     the mirror, untangling and hardness witnesses are defined for full
-    queries within ``max_vars_limit()``; other queries get no images, no
-    witnesses and the untangling status "n/a".  When the endomorphisms
-    exceed MAX_HOM_RESULTS, ``images`` is None, there are no witnesses and
-    the untangling status is NOT_COMPUTED.
+    queries; other queries get no images, no witnesses and the untangling
+    status "n/a".  When the endomorphisms exceed MAX_HOM_RESULTS, ``images``
+    is None, there are no witnesses and the untangling status is
+    NOT_COMPUTED.
     """
 
     def __init__(self, analyzed: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
@@ -734,13 +722,8 @@ class Analysis:
         return make_query(self.core.atoms, self.core.all_vars)
 
     @cached_property
-    def _has_images(self) -> bool:
-        q = self.analyzed
-        return q.is_full and len(q.all_vars) <= max_vars_limit()
-
-    @cached_property
     def images(self) -> Optional[list]:
-        if not self._has_images:
+        if not self.analyzed.is_full:
             return []
         try:
             return images(self.analyzed)
@@ -760,7 +743,7 @@ class Analysis:
     def untangling(self) -> tuple:
         """(status, witness), the status being yes, no, unknown, n/a or
         NOT_COMPUTED."""
-        if not self._has_images:
+        if not self.analyzed.is_full:
             return "n/a", None
         if not self.images_computed:
             return NOT_COMPUTED, None
@@ -867,22 +850,19 @@ class ClassificationReport(Analysis):
             put(PROBLEM_CONST, V_COND_HARD, "sHyperclique", "Thm 3.5")
             put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Thm 3.5")
 
-        # (2) Boolean/unary minimal: linear-time evaluation iff acyclic.
+        # (2) Boolean/unary minimal: linear-time evaluation iff acyclic.  An
+        # acyclic such query is free-connex, so (4) gives its delay verdicts.
         if q.is_boolean or q.arity == 1:
             if self.acyclic:
                 put(PROBLEM_EVAL, V_LINEAR_TIME, "none", "Thm 3.2")
                 put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 3.2")
-                put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
-                put(PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "Thm 2.2")
             else:
                 put(PROBLEM_EVAL, V_COND_HARD, "sHyperclique", "Thm 3.2")
 
-        # (3) binary minimal: constant delay iff acyclic free-connex.
-        if q.arity == 2:
-            if self.free_connex:
-                put(PROBLEM_CONST, V_CONSTANT, "none", "Thm 2.2")
-            else:
-                put(PROBLEM_CONST, V_COND_HARD, "BMM+Hyperclique", "Thm 3.4")
+        # (3) binary minimal: constant delay iff acyclic free-connex; (4)
+        # gives the free-connex side.
+        if q.arity == 2 and not self.free_connex:
+            put(PROBLEM_CONST, V_COND_HARD, "BMM+Hyperclique", "Thm 3.4")
 
         # (4) acyclic free-connex: constant delay.
         if self.free_connex:

@@ -2,8 +2,9 @@
 
 Independent cross-checks of the structural analysis (a brute-force
 join-tree search, running intersection, minimality and homomorphisms), the
-gadget decoders that map every answer back to a graph object, and the
-copy and tripartite generators.  Import it like ``conftest``.
+copying restriction that the untangling engine's in-place reads are checked
+against, the gadget decoders that map every answer back to a graph object,
+and the copy and tripartite generators.  Import it like ``conftest``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from cqsj.engines import Ticker
 from cqsj.qmodel import Database, Pair, Query
 from cqsj.reductions import JOIN, Graph
-from cqsj.structure import _folding_endomorphism, find_maps
+from cqsj.structure import UntangledGroup, _folding_endomorphism, find_maps
 
 
 class NonPairValueError(Exception):
@@ -143,6 +145,51 @@ def homomorphism_exists(src: Query, dst: Query) -> bool:
 def is_minimal(query: Query) -> bool:
     """True iff every endomorphism fixing the free variables is injective."""
     return _folding_endomorphism(query) is None
+
+
+# -- untangling -----------------------------------------------------------------
+
+
+def _restriction_buckets(g: UntangledGroup, db: Database, index: dict,
+                         ticker: Ticker) -> dict:
+    """The buckets of ``g``'s source in ``index``, which belongs to ``db``:
+    per (symbol, dropped positions), the kept columns of every row, in fact
+    order, bucketed by the values at the dropped positions.  Built on first
+    use with one tick per row."""
+    buckets = index.get((g.source, g.positions))
+    if buckets is None:
+        kept_positions = [i for i in range(db.arity(g.source) or 0)
+                          if i not in g.positions]
+        buckets = index[(g.source, g.positions)] = {}
+        ticker.tick(len(db.facts(g.source)))
+        for row in db.facts(g.source):
+            at = tuple(row[p] for p in g.positions)
+            buckets.setdefault(at, []).append(tuple(row[i] for i in kept_positions))
+    return buckets
+
+
+def restrict(groups: tuple, assignment: dict, db: Database, index: dict,
+             ticker: Ticker) -> Database:
+    """The database over an untangling step's ``rest`` that one image answer
+    leaves; ``groups`` are the step's ``structure.UntangledGroup``s.
+
+    A group that drops positions costs one probe of its buckets in ``index``
+    (see ``_restriction_buckets``) plus one tick per row it copies; a group
+    that drops nothing is copied by a plain scan.
+    """
+    out = Database()
+    for g in groups:
+        if not g.positions:
+            for row in db.facts(g.source):
+                ticker.tick()
+                out.add_fact(g.relation, row)
+            continue
+        values = tuple(assignment[v] for v in g.image_vars)
+        ticker.tick()  # index probe
+        for kept in _restriction_buckets(g, db, index, ticker).get(values, ()):
+            ticker.tick()
+            out.add_fact(g.relation, kept)
+    return out
 
 
 # -- reductions -----------------------------------------------------------------
