@@ -63,23 +63,26 @@ AUTO_ORDER = ("acyclic", "mirror", "bespoke:SPIKE_Q2", "bespoke:SPIKE_Q3",
 
 
 def select_engine(query: Query, engine: str):
-    """Resolve an engine name to a cursor factory; every engine, auto
-    included, reads one structural analysis of the query.  Auto picks the
-    first engine of AUTO_ORDER whose explicit selection applies."""
+    """Resolve an engine name to a cursor factory.  Every engine, auto
+    included, reads one structural analysis of the query's minimal form and
+    runs on that form, which has the query's answers in its head order.
+    Auto picks the first engine of AUTO_ORDER whose explicit selection
+    applies."""
     analysis = structure.Analysis(query)
     if engine != "auto":
-        return _engine(query, analysis, engine)
+        return _engine(analysis, engine)
     for name in AUTO_ORDER:
         try:
-            return _engine(query, analysis, name)
+            return _engine(analysis, name)
         except InapplicableEngineError:
             pass
     print("warning: no specialised engine applies, falling back to the oracle",
           file=sys.stderr)
-    return _engine(query, analysis, "oracle")
+    return _engine(analysis, "oracle")
 
 
-def _engine(query: Query, analysis: structure.Analysis, engine: str):
+def _engine(analysis: structure.Analysis, engine: str):
+    query = analysis.analyzed
     if engine in ("mirror", "untangle") and not analysis.images_computed:
         raise InapplicableEngineError(f"images not computed (more than "
                                       f"{structure.MAX_HOM_RESULTS} endomorphisms)")
@@ -143,15 +146,16 @@ def cmd_classify(args) -> int:
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         return EXIT_OK
-    print(f"query: {serialize_query(report.analyzed)}")
+    analyzed = report.analyzed
+    print(f"query: {serialize_query(analyzed)}")
     if report.minimized:
         print("note: input was not minimal; verdicts apply to the minimal form")
     if report.fixture_name:
         print(f"pattern: {report.fixture_name}")
-    print(f"full: {report.is_full}  boolean: {report.is_boolean}  "
-          f"unary: {report.is_unary}  binary: {report.is_binary}")
+    print(f"full: {analyzed.is_full}  boolean: {analyzed.is_boolean}  "
+          f"unary: {analyzed.arity == 1}  binary: {analyzed.arity == 2}")
     print(f"acyclic: {report.acyclic}  free-connex: {report.free_connex}  "
-          f"minimal: {report.minimal}")
+          "minimal: True")
     print(f"core: {serialize_query(report.core)}  (acyclic: {report.core_acyclic})")
     if report.full_core is not None:
         print(f"full-core: {serialize_query(report.full_core)}")

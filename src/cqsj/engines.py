@@ -190,33 +190,6 @@ def oracle_enumerate(query: Query, db: Database) -> set:
 # -- generic join over lazily expanded hash tries -----------------------------
 
 
-def _join_variable_order(query: Query) -> list:
-    """Global variable order of the generic join, fixed by the query text.
-
-    Greedy: next is the variable in most atoms that touch an already ordered
-    variable, then in most atoms, then the first to appear.  When the head
-    is projected, the free variables come first.
-    """
-    atoms = [a.var_set for a in query.atoms]
-    first: dict = {}
-    for a in query.atoms:
-        for v in a.args:
-            first.setdefault(v, len(first))
-    occurrences = {v: sum(v in a for a in atoms) for v in first}
-    free = set(query.free_vars)
-    order: list = []
-    for remaining in ([v for v in first if v in free],
-                      [v for v in first if v not in free]):
-        while remaining:
-            ordered = set(order)
-            best = max(remaining, key=lambda v: (
-                sum(v in a and not a.isdisjoint(ordered) for a in atoms),
-                occurrences[v], -first[v]))
-            order.append(best)
-            remaining.remove(best)
-    return order
-
-
 class _TrieNode:
     """The rows of one atom that agree on a prefix of its variables; their
     buckets by the next variable's value are built on first use."""
@@ -243,7 +216,7 @@ def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
     without a seen-set.  No delay bound.
     """
     ticker = Ticker()
-    order = _join_variable_order(query)
+    order = structure.join_variable_order(query.atoms, query.free_vars)
     depth = {v: i for i, v in enumerate(order)}
     nullary = [a.symbol.name for a in query.atoms if not a.args]
     tries = [a for a in query.atoms if a.args]

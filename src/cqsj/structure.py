@@ -107,6 +107,36 @@ def is_acyclic(query: Query) -> bool:
 # -- homomorphism / endomorphism search --------------------------------------
 
 
+def join_variable_order(atoms, first=()) -> list:
+    """Variable order of the generic join and the homomorphism search, fixed
+    by the atoms' text.
+
+    Greedy: next is the variable in most atoms that touch an already ordered
+    variable, then in most atoms, then the first to appear.  The variables
+    of ``first`` come before the others.
+    """
+    holding: dict = {}  # variable -> atoms holding it, by first appearance
+    for k, a in enumerate(atoms):
+        for v in a.args:
+            holding.setdefault(v, set()).add(k)
+    var_sets = [a.var_set for a in atoms]
+    touching = dict.fromkeys(holding, 0)  # atoms holding it that touch the order
+    touched: set = set()
+    order: list = []
+    for remaining in ([v for v in holding if v in first],
+                      [v for v in holding if v not in first]):
+        while remaining:
+            # max keeps the first of equal keys, the earliest to appear
+            best = max(remaining, key=lambda v: (touching[v], len(holding[v])))
+            order.append(best)
+            remaining.remove(best)
+            for k in holding[best] - touched:
+                touched.add(k)
+                for v in var_sets[k]:
+                    touching[v] += 1
+    return order
+
+
 def find_maps(
     src_atoms,
     dst_atoms,
@@ -115,29 +145,22 @@ def find_maps(
 ) -> Iterator[dict]:
     """Yield all variable maps sending every src atom onto some dst atom.
 
-    Deterministic order: variables are processed most-constrained-first with
-    name tie-break, candidate targets in sorted order.
+    Deterministic order: variables are bound in ``join_variable_order`` with
+    the pinned ones first, candidate targets in sorted order.
     """
     dst_by_sym: dict = {}
     dst_vars = set()
     for a in dst_atoms:
         dst_by_sym.setdefault((a.symbol.name, a.symbol.arity), []).append(a.args)
         dst_vars.update(a.args)
-    src_vars = set()
-    occurrence = {}
-    for a in src_atoms:
-        for v in a.args:
-            src_vars.add(v)
-            occurrence[v] = occurrence.get(v, 0) + 1
+    src_vars = {v for a in src_atoms for v in a.args}
 
     pinned = dict(pinned or {})
     for v, t in pinned.items():
         if v in src_vars and t not in dst_vars:
             return  # pinned target outside codomain: no maps
 
-    order = sorted((v for v in src_vars if v not in pinned),
-                   key=lambda v: (-occurrence[v], v))
-    candidates = sorted(dst_vars)
+    order = [v for v in join_variable_order(src_atoms, pinned) if v not in pinned]
     atoms_by_var: dict = {v: [] for v in src_vars}
     for a in src_atoms:
         opts = dst_by_sym.get((a.symbol.name, a.symbol.arity))
@@ -151,41 +174,41 @@ def find_maps(
     if injective and len(set(pinned.values())) != len(pinned):
         return
 
-    def consistent(a: Atom, opts) -> bool:
-        for target_args in opts:
-            ok = True
-            for sv, tv in zip(a.args, target_args):
-                got = mapping.get(sv)
-                if got is not None and got != tv:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    def all_atoms_ok() -> bool:
-        for a in src_atoms:
-            opts = dst_by_sym[(a.symbol.name, a.symbol.arity)]
-            if not consistent(a, opts):
-                return False
-        return True
-
-    if not all_atoms_ok():
+    # the pinned variables alone must leave every atom a target
+    if not all(any(all(mapping.get(sv, tv) == tv for sv, tv in zip(a.args, args))
+                   for args in dst_by_sym[(a.symbol.name, a.symbol.arity)])
+               for a in src_atoms):
         return
+
+    def targets(v: str) -> list:
+        """The values for ``v`` under which every atom holding it keeps a
+        consistent target, sorted."""
+        allowed = None
+        for a, opts in atoms_by_var[v]:
+            at = a.args.index(v)
+            fits = set()
+            for args in opts:
+                t = args[at]
+                for sv, tv in zip(a.args, args):
+                    if (t if sv == v else mapping.get(sv, tv)) != tv:
+                        break
+                else:
+                    fits.add(t)
+            allowed = fits if allowed is None else allowed & fits
+        return sorted(allowed)
 
     def backtrack(i: int) -> Iterator[dict]:
         if i == len(order):
             yield dict(mapping)
             return
         v = order[i]
-        for t in candidates:
+        for t in targets(v):
             if injective and t in used:
                 continue
             mapping[v] = t
             if injective:
                 used.add(t)
-            if all(consistent(a, opts) for a, opts in atoms_by_var[v]):
-                yield from backtrack(i + 1)
+            yield from backtrack(i + 1)
             if injective:
                 used.discard(t)
             del mapping[v]
@@ -230,10 +253,11 @@ def _folding_endomorphism(query: Query) -> Optional[dict]:
 
 
 def minimal_form_with_retraction(query: Query):
-    """Equivalent minimal retract plus the composed variable retraction."""
+    """Equivalent minimal retract plus the composed variable retraction.  The
+    search stops at a full query: its only endomorphism is the identity."""
     current = query
     retraction = {v: v for v in query.all_vars}
-    while (found := _folding_endomorphism(current)) is not None:
+    while not current.is_full and (found := _folding_endomorphism(current)) is not None:
         current = make_query(tuple(a.rename(found) for a in current.atoms),
                              current.free_vars)
         retraction = {v: found[t] for v, t in retraction.items()}
@@ -679,8 +703,11 @@ _FRESH_HEAD = "FCHEAD"
 
 
 class Analysis:
-    """The structural facts of one query, each worked out at most once.
+    """The structural facts and verdicts of a query's minimal form.
 
+    ``query`` is the input as given; ``analyzed`` is its minimal form, which
+    the facts, the verdicts and every engine are about.  It has the input's
+    answers in its head order, as the retraction fixes the free variables.
     Every fact is computed on first use and kept on the object.  Images and
     the mirror, untangling and hardness witnesses are defined for full
     queries; other queries get no images, no witnesses and the untangling
@@ -689,9 +716,14 @@ class Analysis:
     NOT_COMPUTED.
     """
 
-    def __init__(self, analyzed: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
-        self.analyzed = analyzed
+    def __init__(self, query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
+        self.query = query
+        self.analyzed = minimal_form(query)
         self.untangle_budget = untangle_budget
+
+    @property
+    def minimized(self) -> bool:
+        return self.analyzed != self.query
 
     @cached_property
     def join_tree(self) -> Optional[JoinTree]:
@@ -781,60 +813,8 @@ class Analysis:
         return self.registry_entry["name"] if self.registry_entry else None
 
 
-# -- classification -----------------------------------------------------------
-
-PROBLEM_FIRST = "first-solution"
-PROBLEM_EVAL = "evaluation"
-PROBLEM_CONST = "enumeration-constant-delay"
-PROBLEM_LINEAR = "enumeration-linear-delay"
-
-V_LINEAR_TIME = "linear-time"
-V_LINEAR_IO = "linear-input-output"
-V_CONSTANT = "constant-delay"
-V_LINEAR_DELAY = "linear-delay"
-V_COND_HARD = "conditionally-hard"
-V_UNKNOWN = "unknown"
-
-NOT_COMPUTED = "not computed"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    problem: str
-    verdict: str
-    assumption: str
-    citation: str
-
-    def to_json(self) -> dict:
-        return {
-            "problem": self.problem,
-            "verdict": self.verdict,
-            "assumption": self.assumption,
-            "citation": self.citation,
-        }
-
-
-class ClassificationReport(Analysis):
-    """The analysis of a query's minimal form, with its verdict table.
-
-    ``query`` is the input as given; ``analyzed`` is its minimal form, which
-    the facts and the verdicts are about.  The table is built on
-    construction, so the facts it rests on are worked out by then.
-    """
-
-    minimal = True  # a minimal form is minimal by construction
-
-    def __init__(self, query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET):
-        super().__init__(minimal_form(query), untangle_budget)
-        self.query = query
-        self.minimized = self.analyzed != query
-        self.is_full = self.analyzed.is_full
-        self.is_boolean = self.analyzed.is_boolean
-        self.is_unary = self.analyzed.arity == 1
-        self.is_binary = self.analyzed.arity == 2
-        self.verdicts = self._verdict_table()
-
-    def _verdict_table(self) -> list:
+    @cached_property
+    def verdicts(self) -> list:
         """The four verdicts, each fixed by the first rule that applies."""
         q = self.analyzed
         verdicts: dict = {}
@@ -925,13 +905,13 @@ class ClassificationReport(Analysis):
             "query": serialize_query(self.query),
             "minimized": self.minimized,
             "analyzed_query": serialize_query(self.analyzed),
-            "is_full": self.is_full,
-            "is_boolean": self.is_boolean,
-            "is_unary": self.is_unary,
-            "is_binary": self.is_binary,
+            "is_full": self.analyzed.is_full,
+            "is_boolean": self.analyzed.is_boolean,
+            "is_unary": self.analyzed.arity == 1,
+            "is_binary": self.analyzed.arity == 2,
             "acyclic": self.acyclic,
             "free_connex": self.free_connex,
-            "minimal": self.minimal,
+            "minimal": True,  # a minimal form is minimal by construction
             "core": serialize_query(self.core),
             "core_acyclic": self.core_acyclic,
             "full_core": serialize_query(self.full_core) if self.full_core else None,
@@ -949,10 +929,46 @@ class ClassificationReport(Analysis):
         }
 
 
-def classify(query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET) -> ClassificationReport:
+# -- classification -----------------------------------------------------------
+
+PROBLEM_FIRST = "first-solution"
+PROBLEM_EVAL = "evaluation"
+PROBLEM_CONST = "enumeration-constant-delay"
+PROBLEM_LINEAR = "enumeration-linear-delay"
+
+V_LINEAR_TIME = "linear-time"
+V_LINEAR_IO = "linear-input-output"
+V_CONSTANT = "constant-delay"
+V_LINEAR_DELAY = "linear-delay"
+V_COND_HARD = "conditionally-hard"
+V_UNKNOWN = "unknown"
+
+NOT_COMPUTED = "not computed"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    problem: str
+    verdict: str
+    assumption: str
+    citation: str
+
+    def to_json(self) -> dict:
+        return {
+            "problem": self.problem,
+            "verdict": self.verdict,
+            "assumption": self.assumption,
+            "citation": self.citation,
+        }
+
+
+def classify(query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET) -> Analysis:
     """Structural facts plus the verdict table, in priority order.
 
     Non-minimal inputs are minimised first and the verdicts apply to the
-    minimal form.
+    minimal form.  The table is built here, so a query whose verdicts need
+    more than MAX_HOM_RESULTS endomorphisms raises before any output.
     """
-    return ClassificationReport(query, untangle_budget)
+    analysis = Analysis(query, untangle_budget)
+    analysis.verdicts
+    return analysis

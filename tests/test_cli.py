@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,8 @@ import reference as ref
 from conftest import FUZZ_TEXT, random_graph_db, random_query
 from cqsj import cli, engines as en, fixtures as fx, qmodel as qm, reductions as rd
 from cqsj import structure as st
-from cqsj.qmodel import make_query, parse_query, serialize_database, serialize_query
+from cqsj.qmodel import (Database, make_query, parse_query, serialize_database,
+                         serialize_query)
 
 
 @pytest.fixture
@@ -397,8 +399,8 @@ def test_out_of_range_option_exit_2(workdir, capsys, argv):
 @given(text=FUZZ_TEXT)
 @settings(deadline=None)
 def test_fuzzed_input_exit_0_or_2(fuzzed, text):
-    # the oracle engine needs no structural analysis, and the other file
-    # keeps its work small: an empty database, or a one-atom query; a lone
+    # the oracle engine needs only the query's minimal form, and the other
+    # file keeps its work small: an empty database, or a one-atom query; a lone
     # surrogate has no UTF-8 encoding, so it is written as the bytes
     # surrogatepass gives it, which the command must refuse as non-UTF-8
     with tempfile.TemporaryDirectory() as tmp:
@@ -452,6 +454,68 @@ def test_auto_engine_on_random_queries_agrees_with_classify():
     engines = [_auto_engine_agreeing_with_classify(q)
                for q in itertools.islice(self_joins, 200)]
     assert {"acyclic", "oracle"} <= set(engines)  # both sides of the fallback
+    # the 200 random queries of the benchmark's classify_mix workload at seed 1
+    files, _ = _load_perfbench("run").build_classify_mix(1, Path("unwritten"))
+    texts = [text for path, text in sorted(files.items())
+             if Path(path).name.startswith("random") and path.endswith(".cq")]
+    assert len(texts) == 200
+    engines = [_auto_engine_agreeing_with_classify(parse_query(t)) for t in texts]
+    assert {"acyclic", "untangle", "oracle"} <= set(engines)
+
+
+# Non-minimal inputs whose minimal form is full acyclic: classify_mix seed-1
+# queries 085, 161, 181 and 183, then random_query seeds 16, 202, 221, 256.
+MINIMISED_TO_ACYCLIC = (
+    "Q(x2) :- R(x0,x0), R(x0,x1), R(x0,x2), R(x2,x2).",
+    "Q(x0,x1,x2,x3) :- R(x0,x0), R(x1,x2), R(x1,x4), R(x2,x1), R(x5,x2), "
+    "S(x1,x0,x0), S(x1,x2,x0), S(x3,x2,x3).",
+    "Q(x0,x1) :- P(x1), R(x0,x1), R(x1,x0), R(x1,x1), R(x1,x2), S(x1,x0,x0).",
+    "Q(x0) :- P(x0), R(x0,x0), R(x0,x1), S(x0,x0,x0).",
+    *(serialize_query(random_query(seed)) for seed in (16, 202, 221, 256)),
+)
+
+
+def _schema_db(query, seed: int) -> Database:
+    """Facts over the query's own relations on a three-value domain."""
+    rng = random.Random(seed)
+    db = Database()
+    for name, arity in sorted({(a.symbol.name, a.symbol.arity) for a in query.atoms}):
+        for _ in range(12):
+            db.add_fact(name, tuple(f"d{rng.randrange(3)}" for _ in range(arity)))
+    return db
+
+
+@pytest.mark.parametrize("text", MINIMISED_TO_ACYCLIC)
+def test_non_minimal_input_runs_its_minimal_forms_engine(text):
+    query = parse_query(text)
+    assert st.Analysis(query).minimized
+    engine, factory = cli.select_engine(query, "auto")
+    assert engine == "acyclic"
+    answered = 0
+    for seed in range(20):
+        db = _schema_db(query, seed)
+        got = list(factory(db))
+        assert len(got) == len(set(got)), seed
+        # the oracle reads the input as written, in its own head order
+        assert set(got) == en.oracle_enumerate(query, db), seed
+        answered += bool(got)
+    assert answered >= 5  # the check is not vacuous
+
+
+def test_non_minimal_cycle_with_a_loop_enumerates_acyclic(workdir, capsys):
+    # R(x,x) folds the 3-cycle through x onto x: the minimal form
+    # Q(x) :- R(x,x). is full acyclic, as classify reports
+    _, write = workdir
+    qf = write("q.cq", "Q(x) :- R(x,y), R(y,z), R(z,x), R(x,x).")
+    df = write("d.facts", "R(a,a). R(a,b). R(b,c). R(c,a). R(b,b). R(c,d).")
+    code, out, err = run_cli(["enumerate", qf, df, "--stats"], capsys)
+    assert code == 0
+    assert "warning" not in err
+    assert json.loads(err)["engine"] == "acyclic"
+    assert sorted(out.splitlines()) == ["a", "b"]
+    code, out, _ = run_cli(["verify", qf, df], capsys)
+    assert code == 0
+    assert out == "PASS acyclic: 2 answers match the oracle\n"
 
 
 def test_symmetric_query_outside_registry(workdir, capsys):
@@ -481,7 +545,7 @@ def test_symmetric_query_outside_registry(workdir, capsys):
 def test_auto_selection_runs_each_search_once(monkeypatch, name):
     fx.classification_registry()  # keys the fixtures; built before counting
     query = parse_query(serialize_query(fx.fixture(name)))
-    calls = {"is_untangleable": [], "canonical_key": []}
+    calls = {"is_untangleable": [], "canonical_key": [], "minimal_form": []}
     for fn_name, seen in calls.items():
         fn = getattr(st, fn_name)
         monkeypatch.setattr(st, fn_name,
@@ -490,6 +554,7 @@ def test_auto_selection_runs_each_search_once(monkeypatch, name):
     assert engine == "untangle"
     assert len(calls["is_untangleable"]) == 1
     assert calls["canonical_key"].count(query) == 1
+    assert calls["minimal_form"] == [query]
 
 
 def test_cross_process_determinism(tmp_path):
@@ -600,18 +665,18 @@ def test_images_beyond_the_cap_leave_auto_to_the_oracle(workdir, capsys, monkeyp
         assert err == "error: images not computed (more than 1000 endomorphisms)\n"
 
 
-def _load_spans():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _load_perfbench(name: str):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_tracer_wraps_existing_names():
     # the benchmark's tracer (perfbench/spans.py) replaces these attributes;
     # a name it lists that the package no longer has breaks a traced run
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     modules = {"cli": cli, "qmodel": qm, "structure": st, "engines": en,
                "reductions": rd}
     assert set(spans.SPANNED) == set(modules) == set(spans.LAYERS)
@@ -639,7 +704,7 @@ def test_package_holds_only_called_code():
     # outside its own definition, in the package or in perfbench/*.py;
     # perfbench/spans.py also names the functions it wraps in SPANNED
     root = Path(__file__).resolve().parent.parent
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     used = collections.Counter(name for names in spans.SPANNED.values() for name in names)
     defined = []
     for path in [*sorted((root / "src" / "cqsj").glob("*.py")),
