@@ -631,7 +631,6 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = Ticker()
-    untangled = [structure.untangle(step.query, step.image_atoms) for step in witness.steps]
 
     def make_stream(chain_idx: int, facts: Callable, index: dict, assignment: dict):
         """Assignment stream, a generator, for one chain element over the
@@ -647,7 +646,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
         if chain_idx == 0:
             return _acyclic_assignments(witness.base, facts, ticker, assignment)
         step = witness.steps[chain_idx - 1]
-        rewrite = untangled[chain_idx - 1]
+        rewrite = step.rewrite
 
         if step.case == "image_is_previous":
             image_stream = make_stream(chain_idx - 1, facts, index, assignment)
@@ -662,7 +661,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
         # rest equals the witness's previous element here (collision-free
         # step), so the sub-witness applies to it over the relations each
         # image answer restricts, with an index of their own.
-        image_stream = _acyclic_assignments(step.image_query, facts, ticker, assignment)
+        image_stream = _acyclic_assignments(step.image.query, facts, ticker, assignment)
 
         def run_restricted():
             for _ in image_stream:
@@ -697,37 +696,28 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
                  for x in a.args}
     shared = sorted(image_vars & rest_vars)
     image_private = [v for v in image_query.all_vars if v not in shared]
-    rest_private = [v for v in query.all_vars if v not in image_vars]
-    slot = {v: image_private.index(witness.iso[v]) for v in rest_private}
+    # per free variable: (part, slot), the part being 0 for the shared key,
+    # 1 for the image's private part and 2 for the rest's
+    layout = [(0, shared.index(v)) if v in shared
+              else (1, image_private.index(v)) if v in image_vars
+              else (2, image_private.index(witness.iso[v]))
+              for v in query.free_vars]
 
     stream = _acyclic_assignments(image_query, db.facts, ticker)
-
-    def emit(key_assignment: dict, image_part, rest_part):
-        out = []
-        for v in query.free_vars:
-            if v in image_vars:
-                if v in key_assignment:
-                    out.append(key_assignment[v])
-                else:
-                    out.append(image_part[image_private.index(v)])
-            else:
-                out.append(rest_part[slot[v]])
-        return tuple(out)
 
     def gen():
         table: dict = {}
         for assignment in stream:
             key = tuple(assignment[v] for v in shared)
             part = tuple(assignment[v] for v in image_private)
-            key_assignment = {v: assignment[v] for v in shared}
-            yield emit(key_assignment, part, part)
+            yield tuple([(key, part, part)[s][i] for s, i in layout])
             ticker.tick()  # table probe
             stored = table.get(key)
             if stored is None:
                 stored = table[key] = []
             for other in stored:
-                yield emit(key_assignment, part, other)
-                yield emit(key_assignment, other, part)
+                yield tuple([(key, part, other)[s][i] for s, i in layout])
+                yield tuple([(key, other, part)[s][i] for s, i in layout])
             stored.append(part)
             ticker.tick()  # store
 

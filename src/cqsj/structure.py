@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -230,15 +230,6 @@ def endomorphisms(query: Query) -> list:
     return list(_endomorphism_stream(query))
 
 
-def has_endo_with_range(query: Query, image_atoms: frozenset) -> Optional[dict]:
-    """First endomorphism whose range atoms are exactly the given set."""
-    for m in find_maps(query.atoms, tuple(sorted(image_atoms))):
-        ran = frozenset(a.rename(m) for a in query.atoms)
-        if ran == image_atoms:
-            return m
-    return None
-
-
 def _is_injective(mapping: dict) -> bool:
     return len(set(mapping.values())) == len(mapping)
 
@@ -360,10 +351,12 @@ def shape_invariant(query: Query) -> tuple:
 
 @dataclass(frozen=True)
 class Image:
-    """Subquery induced by the range atoms of an endomorphism."""
+    """Subquery induced by the range atoms of an endomorphism, with the first
+    endomorphism found that reaches them."""
 
     atoms: frozenset
     query: Query
+    endo: dict = field(compare=False)
 
     def __repr__(self) -> str:
         return f"Image({serialize_query(self.query)})"
@@ -379,18 +372,20 @@ def images(query: Query) -> list:
     """All distinct endomorphism ranges of a full query, as subqueries.
 
     Contains the query itself (identity) and its full-core.  Distinctness is
-    by atom set.
+    by atom set; each image keeps the first endomorphism reaching it.
     """
     if not query.is_full:
         raise ValueError("images are defined for full queries")
     # every endomorphism sends each atom onto an atom of the query; a range
     # is kept as the (name, arguments) pairs of its atoms until the end
     shapes = [(a.symbol.name, a.args) for a in query.atoms]
-    keys = {frozenset([(name, tuple([m[v] for v in args])) for name, args in shapes])
-            for m in _endomorphism_stream(query)}
+    endo_of: dict = {}
+    for m in _endomorphism_stream(query):
+        key = frozenset([(name, tuple([m[v] for v in args])) for name, args in shapes])
+        endo_of.setdefault(key, m)
     atom_of = {(a.symbol.name, a.args): a for a in query.atoms}
-    ranges = {frozenset(atom_of[k] for k in key) for key in keys}
-    return [Image(ran, _induced_subquery(ran))
+    ranges = {frozenset(atom_of[k] for k in key): m for key, m in endo_of.items()}
+    return [Image(ran, _induced_subquery(ran), ranges[ran])
             for ran in sorted(ranges, key=lambda r: tuple(sorted(r)))]
 
 
@@ -475,14 +470,15 @@ def untangle(query: Query, image_atoms: frozenset) -> Untangled:
 
 @dataclass(frozen=True)
 class UntanglingStep:
+    """One chain element: ``query`` untangled at its ``image``."""
+
     query: Query
-    image_atoms: frozenset
-    result: Query
+    image: Image
     case: str  # "image_is_previous" or "result_is_previous"
 
-    @property
-    def image_query(self) -> Query:
-        return _induced_subquery(self.image_atoms)
+    @cached_property
+    def rewrite(self) -> Untangled:
+        return untangle(self.query, self.image.atoms)
 
 
 @dataclass(frozen=True)
@@ -498,26 +494,29 @@ class UntanglingWitness:
 
 
 def validate_untangling_witness(query: Query, witness: UntanglingWitness) -> bool:
+    """Check the chain against the maps it carries; no search.  Each step's
+    image must be the range of its endomorphism and induce its query."""
     if witness.target != query:
         return False
     if not is_acyclic(witness.base):
         return False
     prev = witness.base
     for step in witness.steps:
-        if not step.image_atoms <= set(step.query.atoms):
+        image = step.image
+        if not image.atoms <= set(step.query.atoms):
             return False
-        untangled = untangle(step.query, step.image_atoms)
-        if untangled.result != step.result:
+        if frozenset(a.rename(image.endo) for a in step.query.atoms) != image.atoms:
             return False
-        if has_endo_with_range(step.query, step.image_atoms) is None:
+        if image.query != _induced_subquery(image.atoms):
             return False
+        result = step.rewrite.result
         if step.case == "image_is_previous":
-            if step.image_query != prev or not is_acyclic(step.result):
+            if image.query != prev or not is_acyclic(result):
                 return False
         elif step.case == "result_is_previous":
-            if step.result != prev or not is_acyclic(step.image_query):
+            if result != prev or not is_acyclic(image.query):
                 return False
-            if not untangled.collision_free:
+            if not step.rewrite.collision_free:
                 return False
         else:
             return False
@@ -574,14 +573,14 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
             if is_acyclic(result):
                 sub = visit(img.query)
                 if isinstance(sub, UntanglingWitness):
-                    step = UntanglingStep(q, img.atoms, result, "image_is_previous")
+                    step = UntanglingStep(q, img, "image_is_previous")
                     return UntanglingWitness(sub.base, sub.steps + (step,))
                 if sub is BUDGET:
                     hit_budget = True
             if is_acyclic(img.query) and untangled.collision_free:
                 sub = visit(result)
                 if isinstance(sub, UntanglingWitness):
-                    step = UntanglingStep(q, img.atoms, result, "result_is_previous")
+                    step = UntanglingStep(q, img, "result_is_previous")
                     return UntanglingWitness(sub.base, sub.steps + (step,))
                 if sub is BUDGET:
                     hit_budget = True
@@ -651,10 +650,8 @@ def is_mirror(query: Query, imgs: Optional[list] = None) -> Optional[MirrorWitne
         pinned = {v: v for v in rest_vars & image_vars}
         for iso in find_maps(tuple(rest), tuple(sorted(img.atoms)),
                              pinned=pinned, injective=True):
-            mapped = frozenset(a.rename(iso) for a in rest)
-            if mapped == img.atoms:
-                witness = MirrorWitness(img.atoms, iso)
-                assert validate_mirror_witness(query, witness)
+            witness = MirrorWitness(img.atoms, iso)
+            if validate_mirror_witness(query, witness):
                 return witness
     return None
 
@@ -699,7 +696,8 @@ def has_nested_images(imgs: list) -> bool:
 # -- per-query analysis -------------------------------------------------------
 
 
-_FRESH_HEAD = "FCHEAD"
+# lower case, so no parsed relation name can take it
+_FRESH_HEAD = "head"
 
 
 class Analysis:

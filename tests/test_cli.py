@@ -125,6 +125,23 @@ def test_classify_pins_the_arity_two_audit_queries(workdir, capsys, query):
     assert out.endswith(ARITY_TWO_AUDIT[query])
 
 
+def test_classify_accepts_a_relation_named_like_the_free_connex_head(workdir, capsys):
+    # the free-connex check adds a head atom; its name must not clash with
+    # a relation of the query, whatever that relation's arity
+    _, write = workdir
+    qf = write("q.cq", "Q(x) :- FCHEAD(x,y), FCHEAD(y,z).")
+    rf = write("r.cq", "Q(x) :- R(x,y), R(y,z).")
+    code, out, err = run_cli(["classify", qf], capsys)
+    assert code == 0, err
+    _, want, _ = run_cli(["classify", rf], capsys)
+    assert [line for line in out.splitlines() if line.startswith("  ")] \
+        == [line for line in want.splitlines() if line.startswith("  ")]
+    code, out, err = run_cli(["classify", qf, "--json"], capsys)
+    assert code == 0, err
+    _, want, _ = run_cli(["classify", rf, "--json"], capsys)
+    assert json.loads(out)["verdicts"] == json.loads(want)["verdicts"]
+
+
 def test_classify_parse_error_exit_2(workdir, capsys):
     _, write = workdir
     qf = write("broken.cq", "Q(x :- R(x).")

@@ -1,5 +1,7 @@
 """Engines: oracle, evaluation, enumeration, dedup wrapper, delay stats."""
 
+import collections
+import dataclasses
 import itertools
 import random
 
@@ -397,7 +399,7 @@ def test_enum_untangle_result_is_previous_step():
     _, found = st.is_untangleable(q)
     step = found.steps[0]
     witness = st.UntanglingWitness(
-        step.result, (st.UntanglingStep(q, step.image_atoms, step.result, "result_is_previous"),))
+        step.rewrite.result, (st.UntanglingStep(q, step.image, "result_is_previous"),))
     assert st.validate_untangling_witness(q, witness)
     for seed in range(10):
         db = random_graph_db(12, 26, seed, red_p=0.4)
@@ -442,6 +444,91 @@ def test_enum_untangle_builds_no_database(monkeypatch):
     assert not built
 
 
+def _untangling_witnesses():
+    """Found witnesses for five queries, with diamond_red's step also taken
+    the other way round (a result_is_previous step)."""
+    found = [st.is_untangleable(q)[1] for q in (
+        fx.fixture("diamond_red"), fx.fixture("bowtie_chain"), fx.fixture("ring8"),
+        fx.fixture("ring8_spikes_flip"), parse_query(FOUND_RESULT_IS_PREVIOUS))]
+    step = found[0].steps[0]
+    flipped = st.UntanglingWitness(
+        step.rewrite.result, (st.UntanglingStep(step.query, step.image, "result_is_previous"),))
+    return found + [flipped]
+
+
+def _tampered_images(step):
+    """(kind, image) pairs: certificates of ``step`` that each break one
+    check of validation."""
+    image, q = step.image, step.query
+    yield "identity endo", dataclasses.replace(image, endo={v: v for v in q.all_vars})
+    for other in st.images(q):
+        if other.atoms not in (image.atoms, frozenset(q.atoms)):
+            yield "other image's endo", dataclasses.replace(image, endo=other.endo)
+            break
+    # a map leaving the query: its range is the image's atoms, one of them
+    # over a variable the query does not have
+    t0 = image.endo[q.all_vars[0]]
+    moved = {v: "stray" if t == t0 else t for v, t in image.endo.items()}
+    atoms = frozenset(a.rename(moved) for a in q.atoms)
+    yield "atom outside the query", st.Image(atoms, st._induced_subquery(atoms), moved)
+    yield "query not induced", dataclasses.replace(
+        image, query=make_query(image.query.atoms[:1], image.query.atoms[0].args))
+
+
+def test_tampered_untangling_certificates_are_rejected():
+    kinds = collections.Counter()
+    for witness in _untangling_witnesses():
+        target = witness.target
+        db = random_graph_db(8, 20, 0, red_p=0.5, loops=3)
+        for k, step in enumerate(witness.steps):
+            for kind, image in _tampered_images(step):
+                steps = list(witness.steps)
+                steps[k] = st.UntanglingStep(step.query, image, step.case)
+                tampered = st.UntanglingWitness(witness.base, tuple(steps))
+                assert not st.validate_untangling_witness(target, tampered), kind
+                with pytest.raises(en.InvalidWitnessError):
+                    en.enum_untangle(target, tampered, db)
+                kinds[kind] += 1
+    assert len(kinds) == 4, kinds
+
+
+def test_untangling_step_onto_atoms_outside_the_query_is_rejected():
+    # every other check holds: the map sends the path onto a loop that is
+    # not one of its atoms, the loop is the acyclic base and the rest is the
+    # path itself, so a cursor would join the path once per loop fact
+    q = parse_query("Q(x,y,z) :- R(x,y), R(y,z).")
+    endo = dict.fromkeys(q.all_vars, "w")
+    atoms = frozenset(a.rename(endo) for a in q.atoms)
+    image = st.Image(atoms, st._induced_subquery(atoms), endo)
+    witness = st.UntanglingWitness(image.query, (st.UntanglingStep(q, image, "image_is_previous"),))
+    assert not st.validate_untangling_witness(q, witness)
+    with pytest.raises(en.InvalidWitnessError):
+        en.enum_untangle(q, witness, random_graph_db(6, 12, 0))
+
+
+def test_enum_untangle_cursor_searches_for_nothing(monkeypatch):
+    # the cursor checks each step's carried endomorphism, and validation and
+    # enumeration share one rewrite per step
+    witnesses = [st.UntanglingWitness(w.base, tuple(st.UntanglingStep(s.query, s.image, s.case)
+                                                    for s in w.steps))
+                 for w in _untangling_witnesses()]
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(st, "find_maps", counting("find_maps", st.find_maps))
+    monkeypatch.setattr(st, "untangle", counting("untangle", st.untangle))
+    for witness in witnesses:
+        calls.clear()
+        en.enum_untangle(witness.target, witness, random_graph_db(8, 20, 1, red_p=0.5))
+        assert calls["find_maps"] == 0
+        assert calls["untangle"] <= len(witness.steps)
+
+
 def _plain_restriction(step, assignment, db):
     """Reference restriction: one filtering scan of the relation per group.
 
@@ -450,7 +537,7 @@ def _plain_restriction(step, assignment, db):
     """
     taken: dict = {}
     atoms, out = [], Database()
-    for g in st.untangle(step.query, step.image_atoms).groups:
+    for g in st.untangle(step.query, step.image.atoms).groups:
         n = taken.get(g.symbol, 0)
         taken[g.symbol] = n + 1
         sym = g.symbol if n == 0 else f"{g.symbol}_f{n}"
@@ -471,10 +558,10 @@ def _ordered_facts(db):
 def test_indexed_restriction_matches_plain_scan(name):
     _, witness = st.is_untangleable(fx.fixture(name))
     for k, step in enumerate(witness.steps):
-        untangled = st.untangle(step.query, step.image_atoms)
+        untangled = st.untangle(step.query, step.image.atoms)
         if k == 0 and name in ("ring8", "windmill_tail"):
             assert not untangled.collision_free  # so the renaming is exercised
-        image_vars = sorted({v for a in step.image_atoms for v in a.args})
+        image_vars = sorted({v for a in step.image.atoms for v in a.args})
         symbols = {a.symbol for a in step.query.atoms}
         for seed in range(4):
             rng = random.Random(f"{name}:{k}:{seed}")
@@ -536,8 +623,8 @@ def test_rest_join_matches_restricted_database(name):
     total = 0
     for k, step in enumerate(witness.steps):
         assert step.case == "image_is_previous"
-        untangled = st.untangle(step.query, step.image_atoms)
-        image = step.image_query
+        untangled = st.untangle(step.query, step.image.atoms)
+        image = step.image.query
         for seed in range(3):
             rng = random.Random(f"{name}:{k}:{seed}")
             db = Database()

@@ -275,10 +275,20 @@ def test_classify_needing_images_beyond_the_cap_raises(monkeypatch):
 
 
 def test_every_image_is_an_endomorphism_range():
-    for name in ("diamond", "ring8", "windmill", "twin_loops"):
-        q = fx.fixture(name)
-        for img in st.images(q):
-            assert st.has_endo_with_range(q, img.atoms) is not None
+    # each image carries an endomorphism of the analysed query: it renames
+    # every atom into the query, and its range is exactly the image's atoms
+    analyses = [st.Analysis(fx.fixture(name)) for name in fx.fixture_names()]
+    analyses += [st.Analysis(random_query(seed)) for seed in range(100)]
+    checked = 0
+    for a in analyses:
+        q = a.analyzed
+        for img in a.images or ():
+            assert set(img.endo) == set(q.all_vars)
+            renamed = [atom.rename(img.endo) for atom in q.atoms]
+            assert set(renamed) <= set(q.atoms)
+            assert frozenset(renamed) == img.atoms
+            checked += 1
+    assert checked
 
 
 # -- untangling -------------------------------------------------------------------
