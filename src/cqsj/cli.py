@@ -307,7 +307,7 @@ def cmd_gadget(args) -> int:
         _, occurrence = reductions.relabel_self_join_free(query)
         try:
             db = reductions.encoding_trick(query, d_prime, occurrence)
-        except reductions.SchemaMismatchError as exc:
+        except (reductions.SchemaMismatchError, reductions.GadgetInputError) as exc:
             raise InputError(str(exc)) from exc
     elif kind in reductions.GADGET_BUILDERS:
         try:

@@ -537,8 +537,9 @@ def _restricted_rows(g: structure.UntangledGroup, assignment: dict, facts: Calla
 
 
 class _RestJoin:
-    """The rest of an ``image_is_previous`` untangling step, joined once per
-    image answer over the relations that answer restricts, read in place.
+    """The rest of an untangling step whose image is the previous chain
+    element, joined once per image answer over the relations that answer
+    restricts, read in place.
 
     A rest atom is *restricted* when its group drops a position, so that its
     rows depend on the image answer, and *fixed* when it reads its source
@@ -631,6 +632,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = Ticker()
+    chain = witness.chain
 
     def make_stream(chain_idx: int, facts: Callable, index: dict, assignment: dict):
         """Assignment stream, a generator, for one chain element over the
@@ -645,10 +647,10 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
         """
         if chain_idx == 0:
             return _acyclic_assignments(witness.base, facts, ticker, assignment)
-        step = witness.steps[chain_idx - 1]
-        rewrite = step.rewrite
+        image = witness.steps[chain_idx - 1]
+        rewrite = image.rewrite
 
-        if step.case == "image_is_previous":
+        if image.query == chain[chain_idx - 1]:  # the image is the previous element
             image_stream = make_stream(chain_idx - 1, facts, index, assignment)
             rest = _RestJoin(rewrite, facts, index, ticker)
 
@@ -661,7 +663,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
         # rest equals the witness's previous element here (collision-free
         # step), so the sub-witness applies to it over the relations each
         # image answer restricts, with an index of their own.
-        image_stream = _acyclic_assignments(step.image.query, facts, ticker, assignment)
+        image_stream = _acyclic_assignments(image.query, facts, ticker, assignment)
 
         def run_restricted():
             for _ in image_stream:
@@ -690,9 +692,9 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
     if not structure.validate_mirror_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = Ticker()
-    image_query = witness.image_query
+    image_query = witness.image.query
     image_vars = set(image_query.all_vars)
-    rest_vars = {x for a in query.atoms if a not in witness.image_atoms
+    rest_vars = {x for a in query.atoms if a not in witness.image.atoms
                  for x in a.args}
     shared = sorted(image_vars & rest_vars)
     image_private = [v for v in image_query.all_vars if v not in shared]

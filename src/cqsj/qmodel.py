@@ -59,7 +59,6 @@ class Pair(NamedTuple):
 
 
 Value = Union[str, Pair]
-FactTuple = tuple  # tuple[Value, ...]
 
 
 def serialize_value(value: Value) -> str:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .qmodel import Atom, Database, Pair, Query, RelationSymbol, make_query
+from .qmodel import MAX_PAIR_DEPTH, Atom, Database, Pair, Query, RelationSymbol, make_query
 
 BOT = "bot"
 JOIN = "#"
@@ -126,12 +126,20 @@ def relabel_self_join_free(query: Query):
     return make_query(tuple(new_atoms), query.free_vars), occurrence
 
 
+def _pair_depth(value) -> int:
+    depth = 0
+    while isinstance(value, Pair):
+        value, depth = value.data, depth + 1
+    return depth
+
+
 def encoding_trick(query: Query, d_prime: Database, occurrence: dict) -> Database:
     """Fold a relabelled instance back onto the original schema.
 
     Every fact of an occurrence symbol becomes one fact over tagged pairs,
     the tag being the variable sitting at that position of the occurrence's
-    atom.  Output size equals the input size.
+    atom.  Output size equals the input size.  A value already nested
+    MAX_PAIR_DEPTH pairs deep is rejected: one more would not parse back.
     """
     out = Database()
     for name in d_prime.symbols:
@@ -141,6 +149,9 @@ def encoding_trick(query: Query, d_prime: Database, occurrence: dict) -> Databas
         if d_prime.arity(name) != atom.symbol.arity:
             raise SchemaMismatchError(f"arity mismatch for {name}")
         for row in d_prime.facts(name):
+            if any(_pair_depth(value) == MAX_PAIR_DEPTH for value in row):
+                raise GadgetInputError(f"{name}: a value nested {MAX_PAIR_DEPTH} pair( deep "
+                                       "would not parse back once encoded")
             out.add_fact(atom.symbol.name,
                          tuple(Pair(value, var) for value, var in zip(row, atom.args)))
     return out

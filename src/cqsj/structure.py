@@ -351,12 +351,18 @@ def shape_invariant(query: Query) -> tuple:
 
 @dataclass(frozen=True)
 class Image:
-    """Subquery induced by the range atoms of an endomorphism, with the first
-    endomorphism found that reaches them."""
+    """Subquery induced by the range atoms of an endomorphism of ``source``,
+    with the first endomorphism found that reaches them."""
 
     atoms: frozenset
     query: Query
     endo: dict = field(compare=False)
+    source: Query = field(compare=False)
+
+    @cached_property
+    def rewrite(self) -> Untangled:
+        """``source`` untangled at this image, worked out on first use."""
+        return untangle(self.source, self.atoms)
 
     def __repr__(self) -> str:
         return f"Image({serialize_query(self.query)})"
@@ -372,7 +378,8 @@ def images(query: Query) -> list:
     """All distinct endomorphism ranges of a full query, as subqueries.
 
     Contains the query itself (identity) and its full-core.  Distinctness is
-    by atom set; each image keeps the first endomorphism reaching it.
+    by atom set; each image keeps the first endomorphism reaching it and the
+    query as its source.
     """
     if not query.is_full:
         raise ValueError("images are defined for full queries")
@@ -385,7 +392,7 @@ def images(query: Query) -> list:
         endo_of.setdefault(key, m)
     atom_of = {(a.symbol.name, a.args): a for a in query.atoms}
     ranges = {frozenset(atom_of[k] for k in key): m for key, m in endo_of.items()}
-    return [Image(ran, _induced_subquery(ran), ranges[ran])
+    return [Image(ran, _induced_subquery(ran), ranges[ran], query)
             for ran in sorted(ranges, key=lambda r: tuple(sorted(r)))]
 
 
@@ -469,58 +476,46 @@ def untangle(query: Query, image_atoms: frozenset) -> Untangled:
 
 
 @dataclass(frozen=True)
-class UntanglingStep:
-    """One chain element: ``query`` untangled at its ``image``."""
-
-    query: Query
-    image: Image
-    case: str  # "image_is_previous" or "result_is_previous"
-
-    @cached_property
-    def rewrite(self) -> Untangled:
-        return untangle(self.query, self.image.atoms)
-
-
-@dataclass(frozen=True)
 class UntanglingWitness:
-    """Chain q0..ql with q0 acyclic and one verified step per element."""
+    """Chain q0..ql with q0 acyclic; ``steps[k]`` is an image of q(k+1) that
+    links it to qk, either as the image itself or as its untangling."""
 
     base: Query
-    steps: tuple  # tuple[UntanglingStep, ...]; steps[-1].query is the target
+    steps: tuple  # tuple[Image, ...]
 
     @property
-    def target(self) -> Query:
-        return self.steps[-1].query if self.steps else self.base
+    def chain(self) -> tuple:
+        return (self.base, *(img.source for img in self.steps))
+
+
+def _certified(image: Image) -> bool:
+    """The image's atoms are atoms of its source, its endomorphism renames
+    the source's atoms onto exactly them, and its query is the subquery they
+    induce.  Linear in the source; no search."""
+    source = image.source
+    return (image.atoms <= set(source.atoms)
+            and frozenset(a.rename(image.endo) for a in source.atoms) == image.atoms
+            and image.query == _induced_subquery(image.atoms))
 
 
 def validate_untangling_witness(query: Query, witness: UntanglingWitness) -> bool:
-    """Check the chain against the maps it carries; no search.  Each step's
-    image must be the range of its endomorphism and induce its query."""
-    if witness.target != query:
+    """Check the chain against the maps it carries; no search.  A step whose
+    image is the previous element must leave an acyclic result; otherwise
+    its result must be the previous element, from an acyclic image with one
+    filter per paper symbol."""
+    chain = witness.chain
+    if chain[-1] != query or not is_acyclic(witness.base):
         return False
-    if not is_acyclic(witness.base):
-        return False
-    prev = witness.base
-    for step in witness.steps:
-        image = step.image
-        if not image.atoms <= set(step.query.atoms):
+    for prev, image in zip(chain, witness.steps):
+        if not _certified(image):
             return False
-        if frozenset(a.rename(image.endo) for a in step.query.atoms) != image.atoms:
-            return False
-        if image.query != _induced_subquery(image.atoms):
-            return False
-        result = step.rewrite.result
-        if step.case == "image_is_previous":
-            if image.query != prev or not is_acyclic(result):
+        rewrite = image.rewrite
+        if image.query == prev:
+            if not is_acyclic(rewrite.result):
                 return False
-        elif step.case == "result_is_previous":
-            if result != prev or not is_acyclic(image.query):
-                return False
-            if not step.rewrite.collision_free:
-                return False
-        else:
+        elif (rewrite.result != prev or not is_acyclic(image.query)
+              or not rewrite.collision_free):
             return False
-        prev = step.query
     return True
 
 
@@ -568,20 +563,17 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
         for img in images(q) if q_images is None else q_images:
             if img.atoms == set(q.atoms):
                 continue  # trivial image: no progress
-            untangled = untangle(q, img.atoms)
-            result = untangled.result
+            result = img.rewrite.result
             if is_acyclic(result):
                 sub = visit(img.query)
                 if isinstance(sub, UntanglingWitness):
-                    step = UntanglingStep(q, img, "image_is_previous")
-                    return UntanglingWitness(sub.base, sub.steps + (step,))
+                    return UntanglingWitness(sub.base, sub.steps + (img,))
                 if sub is BUDGET:
                     hit_budget = True
-            if is_acyclic(img.query) and untangled.collision_free:
+            if is_acyclic(img.query) and img.rewrite.collision_free:
                 sub = visit(result)
                 if isinstance(sub, UntanglingWitness):
-                    step = UntanglingStep(q, img, "result_is_previous")
-                    return UntanglingWitness(sub.base, sub.steps + (step,))
+                    return UntanglingWitness(sub.base, sub.steps + (img,))
                 if sub is BUDGET:
                     hit_budget = True
         return BUDGET if hit_budget else None
@@ -602,33 +594,23 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
 class MirrorWitness:
     """Acyclic image plus a shared-fixing isomorphism from the rest onto it."""
 
-    image_atoms: frozenset
+    image: Image
     iso: dict  # remaining-atom variables -> image variables, identity on shared
-
-    @property
-    def image_query(self) -> Query:
-        return _induced_subquery(self.image_atoms)
 
 
 def validate_mirror_witness(query: Query, witness: MirrorWitness) -> bool:
-    image_atoms = witness.image_atoms
-    if not image_atoms <= set(query.atoms):
+    image, iso = witness.image, witness.iso
+    if image.source != query or not _certified(image) or not is_acyclic(image.query):
         return False
-    rest = [a for a in query.atoms if a not in image_atoms]
-    if not rest or len(rest) != len(image_atoms):
+    rest = [a for a in query.atoms if a not in image.atoms]
+    if not rest or len(rest) != len(image.atoms):
         return False
-    if not is_acyclic(witness.image_query):
-        return False
-    image_vars = {v for a in image_atoms for v in a.args}
     rest_vars = {v for a in rest for v in a.args}
-    iso = witness.iso
     if set(iso) != rest_vars or not _is_injective(iso):
         return False
-    for v in rest_vars & image_vars:
-        if iso[v] != v:
-            return False
-    mapped = frozenset(a.rename(iso) for a in rest)
-    return mapped == image_atoms
+    if any(iso[v] != v for v in rest_vars.intersection(image.query.all_vars)):
+        return False
+    return frozenset(a.rename(iso) for a in rest) == image.atoms
 
 
 def is_mirror(query: Query, imgs: Optional[list] = None) -> Optional[MirrorWitness]:
@@ -650,7 +632,7 @@ def is_mirror(query: Query, imgs: Optional[list] = None) -> Optional[MirrorWitne
         pinned = {v: v for v in rest_vars & image_vars}
         for iso in find_maps(tuple(rest), tuple(sorted(img.atoms)),
                              pinned=pinned, injective=True):
-            witness = MirrorWitness(img.atoms, iso)
+            witness = MirrorWitness(img, iso)
             if validate_mirror_witness(query, witness):
                 return witness
     return None
@@ -667,7 +649,7 @@ def hardness_transfer(query: Query, imgs: Optional[list] = None):
         raise ValueError("hardness transfer is defined for full queries")
     imgs = images(query) if imgs is None else imgs
     for img in imgs:
-        result = untangle(query, img.atoms).result
+        result = img.rewrite.result
         if not result.atoms:
             continue
         rvars = set(result.all_vars)
@@ -917,7 +899,7 @@ class Analysis:
                        if self.images_computed else NOT_COMPUTED),
             "mirror": (
                 NOT_COMPUTED if not self.images_computed else
-                {"image": serialize_query(self.mirror.image_query),
+                {"image": serialize_query(self.mirror.image.query),
                  "iso": dict(sorted(self.mirror.iso.items()))}
                 if self.mirror else None
             ),

@@ -20,6 +20,12 @@ FUZZ_TEXT = hst.lists(
 ).map("".join)
 
 
+# the untangling search takes a result_is_previous step for this query (its
+# result is the previous chain element), and no fixture gives one
+FOUND_RESULT_IS_PREVIOUS = ("Q(x0,x1,x2,x3,x4) :- P(x0), R(x0,x0), R(x1,x0), R(x2,x1), "
+                            "R(x2,x2), R(x2,x4), R(x3,x1), R(x3,x2).")
+
+
 def random_graph_db(n, m, seed, red_p=0.0, loops=0, s_facts=0, hubs=0) -> Database:
     """Sparse {R, P, S} instance; deterministic for a fixed seed.
 

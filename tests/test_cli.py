@@ -311,6 +311,35 @@ def test_gadget_encoding_trick(workdir, capsys):
     assert "4 facts" in out
 
 
+def test_gadget_encoding_trick_writes_only_what_parses_back(workdir, capsys):
+    # each value gets one more pair( around it, so a value nested
+    # MAX_PAIR_DEPTH deep would come out one deeper than the parser reads
+    tmp, write = workdir
+    qf = write("q.cq", "Q(x,y) :- R(x,y).")
+
+    def nested(depth):
+        value = "b"
+        for _ in range(depth):
+            value = f"pair({value},t)"
+        return value
+
+    too_deep = tmp / "deep.facts"
+    df = write("deep.in", f"R1({nested(qm.MAX_PAIR_DEPTH)},b).")
+    code, out, err = run_cli(
+        ["gadget", "encoding-trick", df, str(too_deep), "--query", qf], capsys)
+    assert code == 2
+    assert out == "" and f"nested {qm.MAX_PAIR_DEPTH} pair( deep" in err
+    assert not too_deep.exists()
+    out_path = tmp / "ok.facts"
+    df = write("ok.in", f"R1({nested(qm.MAX_PAIR_DEPTH - 1)},b).")
+    code, out, _ = run_cli(
+        ["gadget", "encoding-trick", df, str(out_path), "--query", qf], capsys)
+    assert code == 0 and "1 facts" in out
+    code, out, err = run_cli(["enumerate", qf, str(out_path)], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("pair(" * qm.MAX_PAIR_DEPTH + "b,")
+
+
 def test_gadget_utd_without_parts_exit_2(workdir, capsys):
     tmp, write = workdir
     gf = write("g.graph", "a b\n")

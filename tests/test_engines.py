@@ -8,7 +8,7 @@ import random
 import pytest
 
 import reference as ref
-from conftest import random_graph_db, random_query
+from conftest import FOUND_RESULT_IS_PREVIOUS, random_graph_db, random_query
 from cqsj import engines as en
 from cqsj import fixtures as fx
 from cqsj import reductions as rd
@@ -391,15 +391,21 @@ def test_enum_untangle_matches_oracle_on_gadgets(kind):
         assert set(got) == en.oracle_enumerate(q, db), seed
 
 
+def _case(witness, k):
+    """The case of step ``k``, read off the chain as validation reads it."""
+    image, prev = witness.steps[k], witness.chain[k]
+    return "image_is_previous" if image.query == prev else "result_is_previous"
+
+
 def test_enum_untangle_result_is_previous_step():
     # diamond_red's only step taken the other way round: its image is
     # acyclic and the rewritten rest is the base, so the rest is enumerated
     # through the sub-witness over each restricted database
     q = fx.fixture("diamond_red")
     _, found = st.is_untangleable(q)
-    step = found.steps[0]
-    witness = st.UntanglingWitness(
-        step.rewrite.result, (st.UntanglingStep(q, step.image, "result_is_previous"),))
+    image = found.steps[0]
+    witness = st.UntanglingWitness(image.rewrite.result, (image,))
+    assert _case(witness, 0) == "result_is_previous"
     assert st.validate_untangling_witness(q, witness)
     for seed in range(10):
         db = random_graph_db(12, 26, seed, red_p=0.4)
@@ -408,17 +414,11 @@ def test_enum_untangle_result_is_previous_step():
         assert set(got) == en.oracle_enumerate(q, db)
 
 
-# the search takes a result_is_previous step for this query, and no fixture
-# gives one
-FOUND_RESULT_IS_PREVIOUS = ("Q(x0,x1,x2,x3,x4) :- P(x0), R(x0,x0), R(x1,x0), R(x2,x1), "
-                            "R(x2,x2), R(x2,x4), R(x3,x1), R(x3,x2).")
-
-
 def test_enum_untangle_found_result_is_previous_step():
     q = parse_query(FOUND_RESULT_IS_PREVIOUS)
     status, witness = st.is_untangleable(q)
     assert status == "yes"
-    assert witness.steps[-1].case == "result_is_previous"
+    assert _case(witness, len(witness.steps) - 1) == "result_is_previous"
     for seed in range(10):
         db = random_graph_db(10, 40, seed, red_p=0.5, loops=6)
         got = list(en.enum_untangle(q, witness, db))
@@ -450,16 +450,15 @@ def _untangling_witnesses():
     found = [st.is_untangleable(q)[1] for q in (
         fx.fixture("diamond_red"), fx.fixture("bowtie_chain"), fx.fixture("ring8"),
         fx.fixture("ring8_spikes_flip"), parse_query(FOUND_RESULT_IS_PREVIOUS))]
-    step = found[0].steps[0]
-    flipped = st.UntanglingWitness(
-        step.rewrite.result, (st.UntanglingStep(step.query, step.image, "result_is_previous"),))
+    image = found[0].steps[0]
+    flipped = st.UntanglingWitness(image.rewrite.result, (image,))
     return found + [flipped]
 
 
-def _tampered_images(step):
-    """(kind, image) pairs: certificates of ``step`` that each break one
+def _tampered_images(image):
+    """(kind, image) pairs: certificates of ``image`` that each break one
     check of validation."""
-    image, q = step.image, step.query
+    q = image.source
     yield "identity endo", dataclasses.replace(image, endo={v: v for v in q.all_vars})
     for other in st.images(q):
         if other.atoms not in (image.atoms, frozenset(q.atoms)):
@@ -470,26 +469,36 @@ def _tampered_images(step):
     t0 = image.endo[q.all_vars[0]]
     moved = {v: "stray" if t == t0 else t for v, t in image.endo.items()}
     atoms = frozenset(a.rename(moved) for a in q.atoms)
-    yield "atom outside the query", st.Image(atoms, st._induced_subquery(atoms), moved)
+    yield "atom outside the query", st.Image(atoms, st._induced_subquery(atoms), moved, q)
     yield "query not induced", dataclasses.replace(
         image, query=make_query(image.query.atoms[:1], image.query.atoms[0].args))
 
 
 def test_tampered_untangling_certificates_are_rejected():
     kinds = collections.Counter()
+    db = random_graph_db(8, 20, 0, red_p=0.5, loops=3)
     for witness in _untangling_witnesses():
-        target = witness.target
-        db = random_graph_db(8, 20, 0, red_p=0.5, loops=3)
+        target = witness.chain[-1]
         for k, step in enumerate(witness.steps):
             for kind, image in _tampered_images(step):
                 steps = list(witness.steps)
-                steps[k] = st.UntanglingStep(step.query, image, step.case)
+                steps[k] = image
                 tampered = st.UntanglingWitness(witness.base, tuple(steps))
                 assert not st.validate_untangling_witness(target, tampered), kind
                 with pytest.raises(en.InvalidWitnessError):
                     en.enum_untangle(target, tampered, db)
                 kinds[kind] += 1
     assert len(kinds) == 4, kinds
+    # bowtie_chain's steps in reverse order: every certificate holds, but a
+    # step's image is not the previous element and untangles to none of them
+    _, found = st.is_untangleable(fx.fixture("bowtie_chain"))
+    backwards = st.UntanglingWitness(found.base, found.steps[::-1])
+    chain = backwards.chain
+    assert any(img.query != prev and img.rewrite.result not in (prev, nxt)
+               for prev, img, nxt in zip(chain, backwards.steps, chain[1:]))
+    assert not st.validate_untangling_witness(chain[-1], backwards)
+    with pytest.raises(en.InvalidWitnessError):
+        en.enum_untangle(chain[-1], backwards, db)
 
 
 def test_untangling_step_onto_atoms_outside_the_query_is_rejected():
@@ -499,8 +508,8 @@ def test_untangling_step_onto_atoms_outside_the_query_is_rejected():
     q = parse_query("Q(x,y,z) :- R(x,y), R(y,z).")
     endo = dict.fromkeys(q.all_vars, "w")
     atoms = frozenset(a.rename(endo) for a in q.atoms)
-    image = st.Image(atoms, st._induced_subquery(atoms), endo)
-    witness = st.UntanglingWitness(image.query, (st.UntanglingStep(q, image, "image_is_previous"),))
+    image = st.Image(atoms, st._induced_subquery(atoms), endo, q)
+    witness = st.UntanglingWitness(image.query, (image,))
     assert not st.validate_untangling_witness(q, witness)
     with pytest.raises(en.InvalidWitnessError):
         en.enum_untangle(q, witness, random_graph_db(6, 12, 0))
@@ -509,8 +518,7 @@ def test_untangling_step_onto_atoms_outside_the_query_is_rejected():
 def test_enum_untangle_cursor_searches_for_nothing(monkeypatch):
     # the cursor checks each step's carried endomorphism, and validation and
     # enumeration share one rewrite per step
-    witnesses = [st.UntanglingWitness(w.base, tuple(st.UntanglingStep(s.query, s.image, s.case)
-                                                    for s in w.steps))
+    witnesses = [st.UntanglingWitness(w.base, tuple(dataclasses.replace(img) for img in w.steps))
                  for w in _untangling_witnesses()]
     calls = collections.Counter()
 
@@ -524,12 +532,12 @@ def test_enum_untangle_cursor_searches_for_nothing(monkeypatch):
     monkeypatch.setattr(st, "untangle", counting("untangle", st.untangle))
     for witness in witnesses:
         calls.clear()
-        en.enum_untangle(witness.target, witness, random_graph_db(8, 20, 1, red_p=0.5))
+        en.enum_untangle(witness.chain[-1], witness, random_graph_db(8, 20, 1, red_p=0.5))
         assert calls["find_maps"] == 0
         assert calls["untangle"] <= len(witness.steps)
 
 
-def _plain_restriction(step, assignment, db):
+def _plain_restriction(image, assignment, db):
     """Reference restriction: one filtering scan of the relation per group.
 
     Reads only each group's source, positions, image variables, paper symbol
@@ -537,7 +545,7 @@ def _plain_restriction(step, assignment, db):
     """
     taken: dict = {}
     atoms, out = [], Database()
-    for g in st.untangle(step.query, step.image.atoms).groups:
+    for g in st.untangle(image.source, image.atoms).groups:
         n = taken.get(g.symbol, 0)
         taken[g.symbol] = n + 1
         sym = g.symbol if n == 0 else f"{g.symbol}_f{n}"
@@ -557,12 +565,12 @@ def _ordered_facts(db):
 @pytest.mark.parametrize("name", ["diamond_red", "ring8", "bowtie_chain", "windmill_tail"])
 def test_indexed_restriction_matches_plain_scan(name):
     _, witness = st.is_untangleable(fx.fixture(name))
-    for k, step in enumerate(witness.steps):
-        untangled = st.untangle(step.query, step.image.atoms)
+    for k, image in enumerate(witness.steps):
+        untangled = st.untangle(image.source, image.atoms)
         if k == 0 and name in ("ring8", "windmill_tail"):
             assert not untangled.collision_free  # so the renaming is exercised
-        image_vars = sorted({v for a in step.image.atoms for v in a.args})
-        symbols = {a.symbol for a in step.query.atoms}
+        image_vars = sorted({v for a in image.atoms for v in a.args})
+        symbols = {a.symbol for a in image.source.atoms}
         for seed in range(4):
             rng = random.Random(f"{name}:{k}:{seed}")
             db = Database()
@@ -575,7 +583,7 @@ def test_indexed_restriction_matches_plain_scan(name):
                 got = {g.relation: list(en._restricted_rows(g, assignment, db.facts, index,
                                                             en.Ticker()))
                        for g in untangled.groups}
-                want_query, want = _plain_restriction(step, assignment, db)
+                want_query, want = _plain_restriction(image, assignment, db)
                 assert untangled.rest == want_query
                 assert sorted((rel, rows) for rel, rows in got.items() if rows) \
                     == _ordered_facts(want)
@@ -622,13 +630,13 @@ def test_rest_join_matches_restricted_database(name):
     _, witness = st.is_untangleable(fx.fixture(name))
     total = 0
     for k, step in enumerate(witness.steps):
-        assert step.case == "image_is_previous"
-        untangled = st.untangle(step.query, step.image.atoms)
-        image = step.image.query
+        assert _case(witness, k) == "image_is_previous"
+        untangled = st.untangle(step.source, step.atoms)
+        image = step.query
         for seed in range(3):
             rng = random.Random(f"{name}:{k}:{seed}")
             db = Database()
-            for sym in sorted({a.symbol for a in step.query.atoms}):
+            for sym in sorted({a.symbol for a in step.source.atoms}):
                 for _ in range(30):
                     db.add_fact(sym.name, [f"v{rng.randrange(REST_JOIN_VALUES[name])}"
                                            for _ in range(sym.arity)])
@@ -752,6 +760,32 @@ def test_enum_mirror_examples(diamond):
         ("a", "d", "c", "b"), ("a", "d", "c", "d")}
     db = parse_database("R(a,b). R(b,c).")
     assert list(en.enum_mirror(diamond, witness, db)) == [("a", "b", "c", "b")]
+
+
+def _tampered_mirror_certificates(q, image):
+    """(kind, image) pairs: certificates of the mirror image ``image`` of
+    ``q`` that each break one check of validation."""
+    yield "identity endo", dataclasses.replace(image, endo={v: v for v in q.all_vars})
+    yield "query not induced", dataclasses.replace(
+        image, query=make_query(image.query.atoms, image.query.all_vars[:1]))
+    yield "another source", dataclasses.replace(
+        image, source=make_query(q.atoms, q.free_vars[:1]))
+
+
+@pytest.mark.parametrize("q", [fx.fixture("diamond"), parse_query("Q(x,y,z) :- R(x,y), R(x,z).")],
+                         ids=["diamond", "acyclic_fork"])
+def test_tampered_mirror_certificates_are_rejected(q):
+    witness = st.is_mirror(q)
+    assert st.validate_mirror_witness(q, witness)
+    db = random_graph_db(8, 20, 0)
+    kinds = 0
+    for kind, image in _tampered_mirror_certificates(q, witness.image):
+        tampered = dataclasses.replace(witness, image=image)
+        assert not st.validate_mirror_witness(q, tampered), kind
+        with pytest.raises(en.InvalidWitnessError):
+            en.enum_mirror(q, tampered, db)
+        kinds += 1
+    assert kinds == 3
 
 
 def test_enum_mirror_matches_oracle(diamond):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import reference as ref
-from conftest import random_query
+from conftest import FOUND_RESULT_IS_PREVIOUS, random_query
 from cqsj import fixtures as fx
 from cqsj import structure as st
 from cqsj.qmodel import LimitExceededError, make_query, parse_query, serialize_query
@@ -283,6 +283,7 @@ def test_every_image_is_an_endomorphism_range():
     for a in analyses:
         q = a.analyzed
         for img in a.images or ():
+            assert img.source == a.analyzed
             assert set(img.endo) == set(q.all_vars)
             renamed = [atom.rename(img.endo) for atom in q.atoms]
             assert set(renamed) <= set(q.atoms)
@@ -367,7 +368,7 @@ def test_witness_validation_rejects_wrong_target():
 def test_diamond_is_mirror():
     witness = st.is_mirror(fx.fixture("diamond"))
     assert witness is not None
-    assert len(witness.image_atoms) == 2
+    assert len(witness.image.atoms) == 2
     assert st.validate_mirror_witness(fx.fixture("diamond"), witness)
 
 
@@ -445,6 +446,22 @@ def test_classify_computes_images_of_the_analysed_query_once(monkeypatch):
     monkeypatch.setattr(st, "images", lambda q: calls.append(q) or images(q))
     report = st.classify(fx.fixture("ring8_spikes"))
     assert calls.count(report.analyzed) == 1
+
+
+@pytest.mark.parametrize("name", ["ring8", "bowtie_chain", "ring8_spikes_flip", "windmill",
+                                  "double_kite", "square_loops", "FOUND_RESULT_IS_PREVIOUS"])
+def test_classify_untangles_each_image_once(monkeypatch, name):
+    # the untangling search, its witness validation and the hardness
+    # transfer all read the one rewrite an image carries
+    q = (parse_query(FOUND_RESULT_IS_PREVIOUS) if name == "FOUND_RESULT_IS_PREVIOUS"
+         else fx.fixture(name))
+    calls = []
+    untangle = st.untangle
+    monkeypatch.setattr(st, "untangle",
+                        lambda query, atoms: calls.append((query, atoms)) or untangle(query, atoms))
+    st.classify(q)
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_classify_minimises_a_sparse_boolean_query_quickly():
