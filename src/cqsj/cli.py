@@ -111,18 +111,13 @@ def _engine(analysis: structure.Analysis, engine: str):
             raise InputError(f"unknown bespoke strategy {strategy}")
         if analysis.fixture_name != spec.fixture:
             raise InapplicableEngineError(f"query is not the {strategy} pattern")
-        positions = _head_positions(fixtures.fixture(spec.fixture), query)
+        # where each free variable of the query sits in the pattern's head
+        iso = analysis.registry_entry["iso"]
+        at = {iso[v]: i for i, v in enumerate(fixtures.fixture(spec.fixture).free_vars)}
+        positions = [at[v] for v in query.free_vars]
         return engine, lambda db: engines.reorder_answers(
             engines.enum_bespoke(strategy, db), positions)
     raise InputError(f"unknown engine {engine}")
-
-
-def _head_positions(pattern: Query, query: Query) -> list:
-    """Where each of ``query``'s free variables sits in ``pattern``'s head,
-    through an isomorphism from the full query ``pattern`` onto ``query``."""
-    iso = next(structure.find_maps(pattern.atoms, query.atoms, injective=True))
-    at = {iso[v]: i for i, v in enumerate(pattern.free_vars)}
-    return [at[v] for v in query.free_vars]
 
 
 def _check_schema(query: Query, db: Database) -> None:

@@ -2,8 +2,8 @@
 
 Each fixture is a plain parsed query.  The registry at the bottom records the
 individually settled verdicts (bespoke enumeration strategies and gadget
-encodings) keyed by shape invariant and canonical form, so classification
-recognises the patterns regardless of variable names.
+encodings) keyed by canonical key, so classification recognises the
+patterns regardless of variable names.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def fixture_names() -> list:
 
 @lru_cache(maxsize=None)
 def classification_registry() -> dict:
-    """Shape invariant -> canonical form -> individually settled verdicts
-    and fixture label."""
+    """Canonical key -> the individually settled verdicts and fixture label
+    of every registered fixture with that key."""
     from .structure import (
         PROBLEM_CONST,
         PROBLEM_LINEAR,
@@ -120,7 +120,6 @@ def classification_registry() -> dict:
         V_CONSTANT,
         V_LINEAR_DELAY,
         canonical_key,
-        shape_invariant,
     )
 
     entries = {
@@ -158,9 +157,6 @@ def classification_registry() -> dict:
     }
     registry = {}
     for name, verdicts in entries.items():
-        q = fixture(name)
-        registry.setdefault(shape_invariant(q), {})[canonical_key(q)] = {
-            "name": name,
-            "verdicts": verdicts,
-        }
+        registry.setdefault(canonical_key(fixture(name)), []).append(
+            {"name": name, "verdicts": verdicts})
     return registry

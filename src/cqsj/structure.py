@@ -216,18 +216,14 @@ def find_maps(
     yield from backtrack(0)
 
 
-def _endomorphism_stream(query: Query) -> Iterator[dict]:
-    """The endomorphisms one at a time; raises LimitExceededError on the
-    first one beyond MAX_HOM_RESULTS."""
+def endomorphisms(query: Query) -> Iterator[dict]:
+    """All atom-preserving variable self-maps, the identity included, one at
+    a time; raises LimitExceededError on the first one beyond
+    MAX_HOM_RESULTS."""
     for count, m in enumerate(find_maps(query.atoms, query.atoms), 1):
         if count > MAX_HOM_RESULTS:
             raise LimitExceededError(_HOM_CAP_EXCEEDED)
         yield m
-
-
-def endomorphisms(query: Query) -> list:
-    """All atom-preserving variable self-maps, the identity included."""
-    return list(_endomorphism_stream(query))
 
 
 def _is_injective(mapping: dict) -> bool:
@@ -275,75 +271,50 @@ def full_core_with_retraction(query: Query):
     return make_query(c.atoms, c.all_vars), retraction
 
 
-# -- canonical forms ---------------------------------------------------------
+# -- the same query up to renaming -------------------------------------------
 
 
-def _refine_colors(query: Query) -> dict:
-    """Colour refinement; stable variable invariants for canonical labelling."""
+def canonical_key(query: Query) -> tuple:
+    """Colour refinement's stable signatures, found without search.
+
+    A variable's signature is its colour and, per occurrence, the symbol, the
+    position and the argument colours.  The key holds every signature, the
+    nullary atoms and the free variables' colours.  Isomorphic queries (free
+    variables compared as a set) get equal keys; queries that are not may
+    share one, so ``isomorphism`` decides.
+    """
     free = set(query.free_vars)
     colors = {v: int(v in free) for v in query.all_vars}
+    occurrences: dict = {v: [] for v in colors}
+    for a in query.atoms:
+        for i, v in enumerate(a.args):
+            occurrences[v].append((a.symbol.name, i, a.args))
+    sigs: dict = {}
     for _ in range(len(colors) + 1):
-        sigs = {}
-        for v in colors:
-            sig = []
-            for a in query.atoms:
-                for i, arg in enumerate(a.args):
-                    if arg == v:
-                        sig.append((a.symbol.name, i,
-                                    tuple(colors[x] for x in a.args)))
-            sigs[v] = (colors[v], tuple(sorted(sig)))
+        sigs = {v: (colors[v], tuple(sorted((name, i, tuple(colors[x] for x in args))
+                                             for name, i, args in occ)))
+                for v, occ in occurrences.items()}
         ranked = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
         new = {v: ranked[sigs[v]] for v in colors}
         if new == colors:
             break
         colors = new
-    return colors
+    return (tuple(sorted(sigs.values())),
+            tuple(a.symbol.name for a in query.atoms if not a.args),
+            tuple(sorted(colors[v] for v in free)))
 
 
-def canonical_key(query: Query):
-    """Minimal atom encoding over variable bijections.
-
-    The key is invariant under variable renaming (free variables compared as
-    a set).  Colour refinement keeps the residual search tiny for every query
-    shape this package produces.
-    """
-    vs = list(query.all_vars)
-    if not vs:
-        return (tuple((a.symbol.name, a.symbol.arity, ()) for a in query.atoms),
-                frozenset())
-    colors = _refine_colors(query)
-    classes: dict = {}
-    for v in vs:
-        classes.setdefault(colors[v], []).append(v)
-    blocks = [sorted(classes[c]) for c in sorted(classes)]
-    total = 1
-    for b in blocks:
-        for i in range(2, len(b) + 1):
-            total *= i
-    if total > 1_000_000:
-        raise LimitExceededError("query too symmetric for canonical labelling")
-
-    free = set(query.free_vars)
-    best = None
-    for perms in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        order = [v for block in perms for v in block]
-        ren = {v: i for i, v in enumerate(order)}
-        atoms_key = tuple(sorted(
-            (a.symbol.name, a.symbol.arity, tuple(ren[x] for x in a.args))
-            for a in query.atoms
-        ))
-        key = (atoms_key, frozenset(ren[v] for v in free))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def shape_invariant(query: Query) -> tuple:
-    """Atoms per symbol, variable count and free-variable count: equal for
-    queries with equal canonical keys, and cheap to compute."""
-    per_symbol = Counter((a.symbol.name, a.symbol.arity) for a in query.atoms)
-    return (tuple(sorted(per_symbol.items())), len(query.all_vars),
-            len(query.free_vars))
+def isomorphism(src: Query, dst: Query) -> Optional[dict]:
+    """The first injective ``find_maps`` map from ``src``'s atoms onto
+    ``dst``'s that sends the free variables onto the free variables; None
+    when the queries are not the same up to renaming."""
+    if (len(src.atoms), len(src.all_vars)) != (len(dst.atoms), len(dst.all_vars)):
+        return None
+    free = set(dst.free_vars)
+    for m in find_maps(src.atoms, dst.atoms, injective=True):
+        if {m[v] for v in src.free_vars} == free:
+            return m
+    return None
 
 
 # -- images ------------------------------------------------------------------
@@ -387,7 +358,7 @@ def images(query: Query) -> list:
     # is kept as the (name, arguments) pairs of its atoms until the end
     shapes = [(a.symbol.name, a.args) for a in query.atoms]
     endo_of: dict = {}
-    for m in _endomorphism_stream(query):
+    for m in endomorphisms(query):
         key = frozenset([(name, tuple([m[v] for v in args])) for name, args in shapes])
         endo_of.setdefault(key, m)
     atom_of = {(a.symbol.name, a.args): a for a in query.atoms}
@@ -407,7 +378,7 @@ class UntangledGroup:
     positions: tuple   # dropped positions, those holding image variables
     image_vars: tuple  # the image variables at those positions
     symbol: str        # paper symbol, one per (source, positions)
-    relation: str      # symbol, or <symbol>_f<n> for the n-th later group with it
+    relation: str      # symbol, or a fresh <symbol>_f<n> for the n-th later group
     kept: tuple        # argument tuples of the atoms without those positions
 
 
@@ -465,6 +436,8 @@ def untangle(query: Query, image_atoms: frozenset) -> Untangled:
         n = taken[name]
         taken[name] += 1
         relation = name if n == 0 else f"{name}_f{n}"
+        while n and (relation in kept_names or relation in names.values()):
+            relation += "x"  # the same freshness as a paper symbol's
         groups.append(UntangledGroup(source, positions, at, name, relation, tuple(kept)))
 
     def over(field: str) -> Query:
@@ -526,33 +499,26 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
     Returns ("yes", witness) with a re-validating witness, ("no", None) when
     the progressing-step search is exhausted, or ("unknown", None) when the
     node budget ran out.  Steps must shrink the query (trivial images are
-    excluded), which bounds the depth; canonical memoisation prunes repeats.
-    ``imgs``, when given, are the query's images, already computed.
+    excluded), which bounds the depth; memoisation up to renaming prunes
+    repeats.  ``imgs``, when given, are the query's images, already computed.
     """
     if not query.is_full:
         raise ValueError("untangling is defined for full queries")
     remaining = [budget]
-    memo_no = set()
-    memo_unknown = set()
+    memo: dict = {}  # canonical key -> [(query, None or BUDGET)]
     BUDGET = "budget"
 
     def visit(q: Query):
         # memoised up to renaming; steps shrink, so the input never recurs
         if is_acyclic(q):
             return UntanglingWitness(q, ())
-        try:
-            key = canonical_key(q)
-        except LimitExceededError:
-            return expand(q)  # too symmetric to label: searched, not memoised
-        if key in memo_no:
-            return None
-        if key in memo_unknown:
-            return BUDGET
+        seen = memo.setdefault(canonical_key(q), [])
+        for other, out in seen:
+            if isomorphism(other, q) is not None:
+                return out
         out = expand(q)
-        if out is BUDGET:
-            memo_unknown.add(key)
-        elif out is None:
-            memo_no.add(key)
+        if out is BUDGET or out is None:
+            seen.append((q, out))
         return out
 
     def expand(q: Query, q_images: Optional[list] = None):
@@ -773,20 +739,14 @@ class Analysis:
 
     @cached_property
     def registry_entry(self) -> Optional[dict]:
-        """Individually settled verdicts for this query's shape, if any.
-
-        Only a query sharing its shape invariant with some registered fixture
-        is labelled canonically.  A query too symmetric to label matches no
-        fixture: colour refinement is invariant under isomorphism and every
-        fixture labels, so every isomorph of one labels too.
-        """
-        same_shape = fixtures.classification_registry().get(shape_invariant(self.analyzed))
-        if not same_shape:
-            return None
-        try:
-            return same_shape.get(canonical_key(self.analyzed))
-        except LimitExceededError:
-            return None
+        """Individually settled verdicts of the registered fixture that is
+        this query up to renaming, if any, with ``iso``, the isomorphism from
+        the fixture onto ``analyzed``."""
+        for entry in fixtures.classification_registry().get(canonical_key(self.analyzed), ()):
+            iso = isomorphism(fixtures.fixture(entry["name"]), self.analyzed)
+            if iso is not None:
+                return {**entry, "iso": iso}
+        return None
 
     @property
     def fixture_name(self) -> Optional[str]:

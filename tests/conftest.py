@@ -25,6 +25,14 @@ FUZZ_TEXT = hst.lists(
 FOUND_RESULT_IS_PREVIOUS = ("Q(x0,x1,x2,x3,x4) :- P(x0), R(x0,x0), R(x1,x0), R(x2,x1), "
                             "R(x2,x2), R(x2,x4), R(x3,x1), R(x3,x2).")
 
+# the query keeps a relation named R__0_f1, the name the second group of
+# the rewritten symbol R__0 gets at its untangling step; on this database,
+# reading both groups from one relation gives two extra answers
+KEPT_F_NAME = ("Q(v0,v1,v2,v3) :- R(v0,v1), R(v1,v2), R(v1,v3), R(v2,v2), R(v2,v3), "
+               "R__0_f1(v2), R__0_f1(v3).")
+KEPT_F_NAME_DB = ("R(n0,n2). R(n1,n0). R(n1,n2). R(n2,n0). R(n2,n1). R(n2,n3). R(n3,n3). "
+                  "R__0_f1(n0). R__0_f1(n3).")
+
 
 def random_graph_db(n, m, seed, red_p=0.0, loops=0, s_facts=0, hubs=0) -> Database:
     """Sparse {R, P, S} instance; deterministic for a fixed seed.

@@ -1,7 +1,8 @@
 """Reference checks and inputs that only the test suite needs.
 
 Independent cross-checks of the structural analysis (a brute-force
-join-tree search, running intersection, minimality and homomorphisms), the
+join-tree search, running intersection, minimality, homomorphisms and a
+canonical form found by permutation search), the
 copying restriction that the untangling engine's in-place reads are checked
 against, the gadget decoders that map every answer back to a graph object,
 and the copy and tripartite generators.  Import it like ``conftest``.
@@ -145,6 +146,58 @@ def homomorphism_exists(src: Query, dst: Query) -> bool:
 def is_minimal(query: Query) -> bool:
     """True iff every endomorphism fixing the free variables is injective."""
     return _folding_endomorphism(query) is None
+
+
+def _refine_colors(query: Query) -> dict:
+    """Colour refinement; stable variable invariants for canonical labelling."""
+    free = set(query.free_vars)
+    colors = {v: int(v in free) for v in query.all_vars}
+    for _ in range(len(colors) + 1):
+        sigs = {}
+        for v in colors:
+            sig = []
+            for a in query.atoms:
+                for i, arg in enumerate(a.args):
+                    if arg == v:
+                        sig.append((a.symbol.name, i,
+                                    tuple(colors[x] for x in a.args)))
+            sigs[v] = (colors[v], tuple(sorted(sig)))
+        ranked = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        new = {v: ranked[sigs[v]] for v in colors}
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def canonical_form(query: Query):
+    """Minimal atom encoding over the variable bijections that keep colour
+    refinement's classes in order: equal exactly for the queries that are the
+    same up to renaming (free variables compared as a set).  Tries every
+    permutation within each class, so it is for small queries only."""
+    vs = list(query.all_vars)
+    if not vs:
+        return (tuple((a.symbol.name, a.symbol.arity, ()) for a in query.atoms),
+                frozenset())
+    colors = _refine_colors(query)
+    classes: dict = {}
+    for v in vs:
+        classes.setdefault(colors[v], []).append(v)
+    blocks = [sorted(classes[c]) for c in sorted(classes)]
+
+    free = set(query.free_vars)
+    best = None
+    for perms in itertools.product(*[itertools.permutations(b) for b in blocks]):
+        order = [v for block in perms for v in block]
+        ren = {v: i for i, v in enumerate(order)}
+        atoms_key = tuple(sorted(
+            (a.symbol.name, a.symbol.arity, tuple(ren[x] for x in a.args))
+            for a in query.atoms
+        ))
+        key = (atoms_key, frozenset(ren[v] for v in free))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 # -- untangling -----------------------------------------------------------------

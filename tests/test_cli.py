@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference as ref
-from conftest import FUZZ_TEXT, random_graph_db, random_query
+from conftest import FUZZ_TEXT, KEPT_F_NAME, KEPT_F_NAME_DB, random_graph_db, random_query
 from cqsj import cli, engines as en, fixtures as fx, qmodel as qm, reductions as rd
 from cqsj import structure as st
 from cqsj.qmodel import (Database, make_query, parse_query, serialize_database,
@@ -565,10 +565,11 @@ def test_non_minimal_cycle_with_a_loop_enumerates_acyclic(workdir, capsys):
 
 
 def test_symmetric_query_outside_registry(workdir, capsys):
-    # Directed cycles are too symmetric for canonical labelling.  No fixture
-    # has the 10-cycle's shape, so the registry is not consulted; the
-    # 20-cycle has cycle20's shape but labels as no fixture; with the pendant
-    # R(x1,y) it is an image that the untangling search visits.
+    # Directed cycles give every variable one colour.  No fixture shares the
+    # 10-cycle's or the 20-cycle's canonical key (cycle20 has the 20-cycle's
+    # atoms per symbol, but mixed orientation), so neither matches a fixture;
+    # with the pendant R(x1,y) the 20-cycle is an image that the untangling
+    # search visits and memoises.
     _, write = workdir
     df = write("d.facts", "R(a,b). R(b,a).")
     for n, pendant in ((10, False), (20, False), (20, True)):
@@ -585,6 +586,34 @@ def test_symmetric_query_outside_registry(workdir, capsys):
         assert sorted(out.splitlines()) == [", ".join(["a", "b"] * (n // 2) + ["b"] * pendant),
                                             ", ".join(["b", "a"] * (n // 2) + ["a"] * pendant)]
         assert json.loads(err.splitlines()[-1])["engine"] == "oracle"
+
+
+def test_classify_directed_nine_cycle_with_a_pendant(workdir, capsys):
+    # every cycle variable shares one colour; the untangling search memoises
+    # the bare 9-cycle, an image, like any other query
+    _, write = workdir
+    cycle = [f"R(x{i},x{i % 9 + 1})" for i in range(1, 10)]
+    head = ",".join(f"x{i}" for i in range(1, 10))
+    qf = write("q.cq", f"Q({head},y) :- {', '.join(cycle)}, R(x1,y).")
+    code, out, _ = run_cli(["classify", qf], capsys)
+    assert code == 0
+    assert out.splitlines()[-7:] == [
+        "images: 2",
+        "mirror: no",
+        "untangleable: no",
+        "  first-solution: conditionally-hard (sHyperclique; Thm 3.5)",
+        "  evaluation: conditionally-hard (sHyperclique; Thm 3.5)",
+        "  enumeration-constant-delay: conditionally-hard (sHyperclique; Thm 3.5)",
+        "  enumeration-linear-delay: conditionally-hard (sHyperclique; Thm 3.5)",
+    ]
+
+
+def test_verify_a_query_keeping_a_relation_named_like_a_later_group(workdir, capsys):
+    _, write = workdir
+    qf = write("q.cq", KEPT_F_NAME)
+    df = write("d.facts", KEPT_F_NAME_DB)
+    code, out, _ = run_cli(["verify", qf, df], capsys)
+    assert (code, out) == (0, "PASS untangle: 4 answers match the oracle\n")
 
 
 @pytest.mark.parametrize("name", ["diamond_red", "ring8_spikes_flip"])

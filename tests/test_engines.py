@@ -8,7 +8,8 @@ import random
 import pytest
 
 import reference as ref
-from conftest import FOUND_RESULT_IS_PREVIOUS, random_graph_db, random_query
+from conftest import (FOUND_RESULT_IS_PREVIOUS, KEPT_F_NAME, KEPT_F_NAME_DB,
+                      random_graph_db, random_query)
 from cqsj import engines as en
 from cqsj import fixtures as fx
 from cqsj import reductions as rd
@@ -424,6 +425,27 @@ def test_enum_untangle_found_result_is_previous_step():
         got = list(en.enum_untangle(q, witness, db))
         assert len(got) == len(set(got))
         assert set(got) == en.oracle_enumerate(q, db), seed
+
+
+def test_enum_untangle_keeps_a_relation_named_like_a_later_group():
+    # every group of a step reads its own relation, also when the query
+    # keeps one named like the relation a later group would get
+    q = parse_query(KEPT_F_NAME)
+    status, witness = st.is_untangleable(q)
+    assert status == "yes"
+    for image in witness.steps:
+        relations = [g.relation for g in image.rewrite.groups]
+        assert len(relations) == len(set(relations))
+    dbs = [parse_database(KEPT_F_NAME_DB)]
+    for seed in range(10):
+        db = random_graph_db(6, 14, seed, loops=2)
+        for v in sorted({row[0] for row in db.facts("R")})[::2]:
+            db.add_fact("R__0_f1", (v,))
+        dbs.append(db)
+    for db in dbs:
+        got = list(en.enum_untangle(q, witness, db))
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(q, db)
 
 
 def test_enum_untangle_builds_no_database(monkeypatch):
