@@ -177,6 +177,7 @@ def cmd_enumerate(args) -> int:
     _check_schema(query, db)
     name, factory = select_engine(query, args.engine)
     cursor = factory(db)
+    write = sys.stdout.write
     emitted = 0
     while True:
         if args.limit is not None and emitted >= args.limit:
@@ -184,7 +185,11 @@ def cmd_enumerate(args) -> int:
         item = cursor.next()
         if item is None:
             break
-        print(serialize_answer(item))
+        try:
+            line = ", ".join(item)  # plain tokens
+        except TypeError:  # the answer holds a Pair
+            line = serialize_answer(item)
+        write(line + "\n")
         emitted += 1
     if args.stats:
         stats = {"engine": name, "answers": emitted,

@@ -143,44 +143,48 @@ def _oracle_atom_order(query: Query) -> list:
 def oracle_cursor(query: Query, db: Database) -> EnumerationCursor:
     """Exhaustive valuation search with projection and online dedup."""
     ticker = Ticker()
-    order = _oracle_atom_order(query)
+    return EnumerationCursor(ticker, 0, _oracle_answers(query, db, _oracle_atom_order(query),
+                                                        ticker))
 
-    def gen():
-        seen = set()
-        assignment: dict = {}
 
-        def backtrack(i: int):
-            if i == len(order):
-                ans = tuple(assignment[v] for v in query.free_vars)
-                ticker.tick()  # dedup probe
-                if ans not in seen:
-                    seen.add(ans)
-                    yield ans
-                return
-            a = order[i]
-            for row in db.facts(a.symbol.name):
-                ticker.tick()  # fact scan
-                bound = []
-                ok = True
-                for var, val in zip(a.args, row):
-                    got = assignment.get(var)
-                    if got is None:
-                        assignment[var] = val
-                        bound.append(var)
-                    elif got != val:
-                        ok = False
-                        break
-                if ok:
-                    yield from backtrack(i + 1)
-                for var in bound:
-                    del assignment[var]
+def _oracle_answers(query: Query, db: Database, order: list, ticker: Ticker):
+    if not order:
+        yield ()
+        return
+    seen = set()
+    assignment: dict = {}
+    for _ in _oracle_matches(order, 0, db, assignment, ticker):
+        ans = tuple(assignment[v] for v in query.free_vars)
+        ticker.tick()  # dedup probe
+        if ans not in seen:
+            seen.add(ans)
+            yield ans
 
-        if not order:
-            yield ()
-            return
-        yield from backtrack(0)
 
-    return EnumerationCursor(ticker, 0, gen())
+def _oracle_matches(order: list, i: int, db: Database, assignment: dict, ticker: Ticker):
+    """Every extension of ``assignment`` to the atoms ``order[i:]``, bound
+    into it and yielded; a module-level recursion, so no closure cycle keeps
+    a finished search alive."""
+    if i == len(order):
+        yield assignment
+        return
+    a = order[i]
+    for row in db.facts(a.symbol.name):
+        ticker.tick()  # fact scan
+        bound = []
+        ok = True
+        for var, val in zip(a.args, row):
+            got = assignment.get(var)
+            if got is None:
+                assignment[var] = val
+                bound.append(var)
+            elif got != val:
+                ok = False
+                break
+        if ok:
+            yield from _oracle_matches(order, i + 1, db, assignment, ticker)
+        for var in bound:
+            del assignment[var]
 
 
 def oracle_enumerate(query: Query, db: Database) -> set:
@@ -216,23 +220,32 @@ def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
     without a seen-set.  No delay bound.
     """
     ticker = Ticker()
-    order = structure.join_variable_order(query.atoms, query.free_vars)
-    depth = {v: i for i, v in enumerate(order)}
-    nullary = [a.symbol.name for a in query.atoms if not a.args]
-    tries = [a for a in query.atoms if a.args]
-    # per depth, the atoms holding that variable: (atom, level, position,
-    # repeated-variable checks, which only the root expansion applies)
-    steps: list = [[] for _ in order]
-    for k, a in enumerate(tries):
-        pos = _first_positions(a)
-        checks = tuple((pos[v], j) for j, v in enumerate(a.args) if pos[v] != j)
-        for level, v in enumerate(sorted(pos, key=depth.get)):
-            steps[depth[v]].append((k, level, pos[v], checks if level == 0 else ()))
-    nfree = len(query.free_vars)  # the first nfree variables of the order
-    binding: dict = {}
+    return EnumerationCursor(ticker, 0, _GenericJoin(query, db, ticker).answers())
 
-    def expand(node: _TrieNode, at: int, checks) -> dict:
-        ticker.tick(len(node.rows))
+
+class _GenericJoin:
+    """The search state of one generic-join cursor.  Its generators are
+    methods, so a finished search leaves no closure cycle behind."""
+
+    def __init__(self, query: Query, db: Database, ticker: Ticker):
+        self.query, self.db, self.ticker = query, db, ticker
+        self.order = order = structure.join_variable_order(query.atoms, query.free_vars)
+        depth = {v: i for i, v in enumerate(order)}
+        self.nullary = [a.symbol.name for a in query.atoms if not a.args]
+        self.tries = [a for a in query.atoms if a.args]
+        # per depth, the atoms holding that variable: (atom, level, position,
+        # repeated-variable checks, which only the root expansion applies)
+        self.steps = steps = [[] for _ in order]
+        for k, a in enumerate(self.tries):
+            pos = _first_positions(a)
+            checks = tuple((pos[v], j) for j, v in enumerate(a.args) if pos[v] != j)
+            for level, v in enumerate(sorted(pos, key=depth.get)):
+                steps[depth[v]].append((k, level, pos[v], checks if level == 0 else ()))
+        self.nfree = len(query.free_vars)  # the first nfree variables of the order
+        self.binding: dict = {}
+
+    def _expand(self, node: _TrieNode, at: int, checks) -> dict:
+        self.ticker.tick(len(node.rows))
         children: dict = {}
         for row in node.rows:
             if all(row[i] == row[j] for i, j in checks):
@@ -243,17 +256,18 @@ def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
         node.children = children
         return children
 
-    def search(i: int, stop: int, path: list):
+    def _search(self, i: int, stop: int, path: list):
         """Extensions of the binding from depth ``i`` to ``stop``;
         ``path[k][level]`` is the node atom ``k`` has reached."""
         if i == stop:
             yield True
             return
+        ticker, steps = self.ticker, self.steps
         nodes = []
         for k, level, at, checks in steps[i]:
             node = path[k][level]
             nodes.append(node.children if node.children is not None
-                         else expand(node, at, checks))
+                         else self._expand(node, at, checks))
         lead = min(range(len(nodes)), key=lambda n: len(nodes[n]))
         for value, lead_child in nodes[lead].items():
             ticker.tick()  # candidate
@@ -268,23 +282,22 @@ def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
                     break
                 reached.append(child)
             else:
-                binding[order[i]] = value
+                self.binding[self.order[i]] = value
                 for (k, level, _, _), child in zip(steps[i], reached):
                     path[k][level + 1] = child
-                yield from search(i + 1, stop, path)
+                yield from self._search(i + 1, stop, path)
 
-    def gen():
-        for name in nullary:
-            ticker.tick()  # emptiness probe
+    def answers(self):
+        db, nfree, nvars = self.db, self.nfree, len(self.order)
+        for name in self.nullary:
+            self.ticker.tick()  # emptiness probe
             if not db.facts(name):
                 return
         path = [[_TrieNode(db.facts(a.symbol.name))] + [None] * len(a.var_set)
-                for a in tries]
-        for _ in search(0, nfree, path):
-            if nfree == len(order) or next(search(nfree, len(order), path), False):
-                yield tuple(binding[v] for v in query.free_vars)
-
-    return EnumerationCursor(ticker, 0, gen())
+                for a in self.tries]
+        for _ in self._search(0, nfree, path):
+            if nfree == nvars or next(self._search(nfree, nvars, path), False):
+                yield tuple([self.binding[v] for v in self.query.free_vars])
 
 
 # -- semi-join reduction and constant-delay enumeration -----------------------
@@ -446,35 +459,51 @@ def _forest_assignments(forest: _Forest, rows: dict, index: dict, ticker: Ticker
     assignments.  The forest's variables are bound into ``assignment``, which
     is yielded each time and left as it was when the stream ends; it may
     already bind other variables.
+
+    The walk is a stack of row iterators, one per atom, rather than a
+    recursion, so no closure refers back to it and its rows are freed as
+    soon as the stream is.  An atom binds the variables that neither
+    ``assignment`` nor an earlier atom binds; its next row overwrites them
+    and they are removed when its rows run out.  Ticks: one per row and one
+    per index probe, in the order of a recursive preorder walk.
     """
     if not all(rows[r] for r in forest.roots):
-        return iter(())
-    # per atom: its rows (roots) or (shared variables, buckets), and the
-    # (variable, first position) pairs it binds
-    steps = [(rows[a] if forest.parent[a] is None else None, index.get(a),
-              tuple(forest.pos[a].items())) for a in forest.preorder]
-
-    def extend(i: int):
-        if i == len(steps):
-            yield assignment
-            return
-        candidates, probe, bind = steps[i]
-        if candidates is None:
-            shared, buckets = probe
-            ticker.tick()  # index probe
-            candidates = buckets.get(tuple([assignment[v] for v in shared]), ())
-        for row in candidates:
+        return
+    # per atom: its rows (roots) or None, its (shared variables, buckets),
+    # and the (variable, first position) pairs it binds
+    steps = []
+    seen = set(assignment)
+    for a in forest.preorder:
+        steps.append((rows[a] if forest.parent[a] is None else None, index.get(a),
+                      tuple((v, p) for v, p in forest.pos[a].items() if v not in seen)))
+        seen.update(forest.pos[a])
+    if not steps:
+        yield assignment
+        return
+    last = len(steps) - 1
+    cursors = [iter(steps[0][0])] + [None] * last
+    depth = 0
+    while depth >= 0:
+        for row in cursors[depth]:
             ticker.tick()
-            bound = []
-            for v, p in bind:
-                if v not in assignment:
-                    assignment[v] = row[p]
-                    bound.append(v)
-            yield from extend(i + 1)
-            for v in bound:
-                del assignment[v]
-
-    return extend(0)
+            for v, p in steps[depth][2]:
+                assignment[v] = row[p]
+            if depth == last:
+                yield assignment
+                continue
+            depth += 1
+            candidates, probe, _ = steps[depth]
+            if candidates is None:
+                shared, buckets = probe
+                ticker.tick()  # index probe
+                candidates = buckets.get(tuple([assignment[v] for v in shared]), ())
+            cursors[depth] = iter(candidates)
+            break
+        else:
+            cursors[depth] = None
+            for v, _ in steps[depth][2]:
+                assignment.pop(v, None)
+            depth -= 1
 
 
 def enum_full_acyclic(query: Query, db: Database) -> EnumerationCursor:
@@ -632,50 +661,50 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = Ticker()
-    chain = witness.chain
-
-    def make_stream(chain_idx: int, facts: Callable, index: dict, assignment: dict):
-        """Assignment stream, a generator, for one chain element over the
-        relations ``facts`` (name -> rows) and their restriction ``index``;
-        it binds the element's variables into ``assignment`` and yields it.
-        Image and rest variables are disjoint, so one dict serves the whole
-        chain.
-
-        Preprocessing along the image side of the chain happens here,
-        eagerly; the per-image-answer work on the rest is enumeration work
-        and stays inside the returned stream.
-        """
-        if chain_idx == 0:
-            return _acyclic_assignments(witness.base, facts, ticker, assignment)
-        image = witness.steps[chain_idx - 1]
-        rewrite = image.rewrite
-
-        if image.query == chain[chain_idx - 1]:  # the image is the previous element
-            image_stream = make_stream(chain_idx - 1, facts, index, assignment)
-            rest = _RestJoin(rewrite, facts, index, ticker)
-
-            def run():
-                for _ in image_stream:
-                    yield from rest.assignments(assignment)
-
-            return run()
-
-        # rest equals the witness's previous element here (collision-free
-        # step), so the sub-witness applies to it over the relations each
-        # image answer restricts, with an index of their own.
-        image_stream = _acyclic_assignments(image.query, facts, ticker, assignment)
-
-        def run_restricted():
-            for _ in image_stream:
-                restricted = {g.relation: _restricted_rows(g, assignment, facts, index, ticker)
-                              for g in rewrite.groups}
-                yield from make_stream(chain_idx - 1, restricted.__getitem__, {}, assignment)
-
-        return run_restricted()
-
-    top = make_stream(len(witness.steps), db.facts, {}, {})
+    top = _untangle_stream(witness, len(witness.steps), db.facts, {}, {}, ticker)
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in top)
     return EnumerationCursor(ticker, ticker.count, gen)
+
+
+def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, facts: Callable,
+                     index: dict, assignment: dict, ticker: Ticker):
+    """Assignment stream, a generator, for one chain element over the
+    relations ``facts`` (name -> rows) and their restriction ``index``; it
+    binds the element's variables into ``assignment`` and yields it.  Image
+    and rest variables are disjoint, so one dict serves the whole chain.
+
+    Preprocessing along the image side of the chain happens here, eagerly;
+    the per-image-answer work on the rest is enumeration work and stays
+    inside the returned stream.
+    """
+    if chain_idx == 0:
+        return _acyclic_assignments(witness.base, facts, ticker, assignment)
+    image = witness.steps[chain_idx - 1]
+    if image.query == witness.chain[chain_idx - 1]:  # the image is the previous element
+        image_stream = _untangle_stream(witness, chain_idx - 1, facts, index, assignment, ticker)
+        return _rest_per_image_answer(image_stream, _RestJoin(image.rewrite, facts, index, ticker),
+                                      assignment)
+    # rest equals the witness's previous element here (collision-free
+    # step), so the sub-witness applies to it over the relations each
+    # image answer restricts, with an index of their own.
+    image_stream = _acyclic_assignments(image.query, facts, ticker, assignment)
+    return _chain_per_image_answer(witness, chain_idx, image_stream, facts, index, assignment,
+                                   ticker)
+
+
+def _rest_per_image_answer(image_stream, rest: _RestJoin, assignment: dict):
+    for _ in image_stream:
+        yield from rest.assignments(assignment)
+
+
+def _chain_per_image_answer(witness: structure.UntanglingWitness, chain_idx: int, image_stream,
+                            facts: Callable, index: dict, assignment: dict, ticker: Ticker):
+    groups = witness.steps[chain_idx - 1].rewrite.groups
+    for _ in image_stream:
+        restricted = {g.relation: _restricted_rows(g, assignment, facts, index, ticker)
+                      for g in groups}
+        yield from _untangle_stream(witness, chain_idx - 1, restricted.__getitem__, {},
+                                    assignment, ticker)
 
 
 # -- mirror constant-delay enumeration ----------------------------------------
@@ -949,16 +978,23 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
 
 
 class BespokeStrategy(NamedTuple):
+    """A strategy and what ``cheater_dedup`` may assume of its raw stream:
+    each answer comes at most ``duplication`` times, and with ``group`` > 0
+    the answers come in groups that share their first ``group`` positions,
+    no group recurring once left, so the dedup table holds one group."""
+
     fixture: str      # the fixture whose query (up to renaming) it answers
-    duplication: int  # the raw stream emits each answer at most this often
+    duplication: int
+    group: int        # 0: no grouping, the dedup table grows with the output
     factory: Callable  # (db, ticker) -> answer generator; preprocesses eagerly
 
 
 BESPOKE_STRATEGIES = {
-    "TWO_LOOPS": BespokeStrategy("twin_loops", 1, _two_loops_factory),
-    "TWO_TRIANGLES": BespokeStrategy("twin_triangles", 1, _two_triangles_factory),
-    "SPIKE_Q2": BespokeStrategy("ring8_io", 3, _spike_q2_factory),
-    "SPIKE_Q3": BespokeStrategy("ring8_spikes", 3, _spike_q3_factory),
+    "TWO_LOOPS": BespokeStrategy("twin_loops", 1, 0, _two_loops_factory),
+    "TWO_TRIANGLES": BespokeStrategy("twin_triangles", 1, 0, _two_triangles_factory),
+    "SPIKE_Q2": BespokeStrategy("ring8_io", 3, 0, _spike_q2_factory),
+    # one group per core solution (b,m,c), the first three positions
+    "SPIKE_Q3": BespokeStrategy("ring8_spikes", 3, 3, _spike_q3_factory),
 }
 
 
@@ -967,7 +1003,7 @@ def enum_bespoke(strategy: str, db: Database, dedup: bool = True) -> Enumeration
 
     The raw stream emits each answer at most the strategy's duplication
     bound times; by default it is wrapped in cheater_dedup, which also
-    checks that bound online.
+    checks that bound, and the strategy's grouping, online.
     """
     spec = BESPOKE_STRATEGIES.get(strategy)
     if spec is None:
@@ -976,7 +1012,7 @@ def enum_bespoke(strategy: str, db: Database, dedup: bool = True) -> Enumeration
     gen = spec.factory(db, ticker)
     raw = EnumerationCursor(ticker, ticker.count, gen)
     if dedup:
-        return cheater_dedup(raw, spec.duplication)
+        return cheater_dedup(raw, spec.duplication, spec.group)
     return raw
 
 
@@ -992,41 +1028,68 @@ def reorder_answers(cursor: EnumerationCursor, positions: list) -> EnumerationCu
 # -- duplicate elimination ------------------------------------------------------
 
 
-def cheater_dedup(inner: EnumerationCursor, c: int) -> EnumerationCursor:
+def cheater_dedup(inner: EnumerationCursor, c: int, group: int = 0) -> EnumerationCursor:
     """Remove duplicates from a stream that repeats each answer at most c times.
 
     Pulls up to c inner answers per emission: after k emissions at most c*k
     inner answers have been consumed, which must contain at least k distinct
     ones, so the outgoing gap stays within c inner gaps plus a constant.
     Raises DuplicateBoundError the moment some answer exceeds the bound.
+
+    With ``group`` = g > 0 the inner stream must come in groups, the answers
+    of a group sharing their first g positions and a group never coming
+    back once left.  The table of seen answers then holds one group: it
+    starts afresh at each new prefix, and a finished prefix that comes back
+    raises DuplicateBoundError, so the bound is still checked in full.
+    While the queue holds answers of a finished group nothing is pulled;
+    once they are out, the new group is paced at c pulls per emission, so
+    the argument above holds within each group and the queue holds answers
+    of one group, plus at most the first answer of the next.  Beyond that
+    only the finished prefixes are kept.
+    With g = 0 every answer is in one group, and the table grows with the
+    output.
     """
     if c < 1:
         raise ValueError("duplication bound must be positive")
+    return EnumerationCursor(inner.ticker, inner.preprocessing_ticks,
+                             _dedup(inner, c, group))
+
+
+def _dedup(inner: EnumerationCursor, c: int, group: int):
+    """cheater_dedup's stream."""
     ticker = inner.ticker
-
-    def gen():
-        counts: dict = {}
-        queue: deque = deque()
-        exhausted = False
-        while True:
-            pulls = 0
-            while pulls < c and not exhausted:
-                item = inner.next()
-                if item is None:
-                    exhausted = True
-                    break
-                pulls += 1
-                ticker.tick()  # seen-table probe
-                n = counts.get(item, 0) + 1
-                if n > c:
+    counts: dict = {}
+    prefix = None
+    finished: dict = {}  # the finished prefixes; smaller than a set of as many
+    queue: deque = deque()
+    held = 0  # queued answers of finished groups, all ahead of the current group's
+    exhausted = False
+    while True:
+        pulls = 0
+        while pulls < c and not held and not exhausted:
+            item = inner.next()
+            if item is None:
+                exhausted = True
+                break
+            pulls += 1
+            ticker.tick()  # seen-table probe
+            key = item[:group]
+            if key != prefix:
+                if key in finished:
                     raise DuplicateBoundError(
-                        f"answer repeated more than {c} times: {item!r}")
-                counts[item] = n
-                if n == 1:
-                    queue.append(item)
-            if queue:
-                yield queue.popleft()
-            elif exhausted:
-                return
-
-    return EnumerationCursor(ticker, inner.preprocessing_ticks, gen())
+                        f"answer group {key!r} resumed after it ended: {item!r}")
+                if prefix is not None:
+                    finished[prefix] = None
+                prefix, counts, held = key, {}, len(queue)
+            n = counts.get(item, 0) + 1
+            if n > c:
+                raise DuplicateBoundError(f"answer repeated more than {c} times: {item!r}")
+            counts[item] = n
+            if n == 1:
+                queue.append(item)
+        if queue:
+            if held:
+                held -= 1
+            yield queue.popleft()
+        elif exhausted:
+            return

@@ -2,8 +2,10 @@
 
 import collections
 import dataclasses
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -850,8 +852,10 @@ def test_bespoke_matches_oracle(strategy, kwargs):
 
 
 def test_bespoke_raw_duplication_bound():
+    assert en.BESPOKE_STRATEGIES["SPIKE_Q3"].group == 3
     for strategy in ("SPIKE_Q2", "SPIKE_Q3"):
         bound = en.BESPOKE_STRATEGIES[strategy].duplication
+        group = en.BESPOKE_STRATEGIES[strategy].group
         for seed in range(6):
             db = random_graph_db(10, 16, seed, red_p=0.3)
             raw = list(en.enum_bespoke(strategy, db, dedup=False))
@@ -859,6 +863,9 @@ def test_bespoke_raw_duplication_bound():
             for item in raw:
                 counts[item] = counts.get(item, 0) + 1
             assert max(counts.values(), default=0) <= bound
+            # the declared grouping: each prefix is one contiguous block
+            blocks = [key for key, _ in itertools.groupby(item[:group] for item in raw)]
+            assert len(blocks) == len(set(blocks)), (strategy, seed)
 
 
 def test_bespoke_rejects_wrong_schema():
@@ -909,13 +916,51 @@ def test_cheater_dedup_violation():
 
 
 def test_cheater_dedup_gap_bound():
-    for c in (1, 2, 3, 4):
-        items = [x for x in range(50) for _ in range(c)]
-        inner = _stream_cursor(items, gap_ticks=7)
-        stats = en.measure_delay(lambda: en.cheater_dedup(_stream_cursor(items, 7), c))
+    for c, group in itertools.product((1, 2, 3, 4), (0, 1)):
+        # 5 groups of 10 answers, each answer's repeats spread over its group
+        items = sorted(((x // 10, x) for _ in range(c) for x in range(50)),
+                       key=lambda item: item[0])
+        stats = en.measure_delay(lambda: en.cheater_dedup(_stream_cursor(items, 7), c, group))
         inner_stats = en.measure_delay(lambda: _stream_cursor(items, 7))
         assert stats.answers == 50
         assert stats.max_gap <= c * inner_stats.max_gap + 4 * c + 4
+
+
+def test_cheater_dedup_grouped_keeps_answer_order():
+    items = [("a", 1), ("a", 2), ("a", 1), ("b", 1), ("b", 1), ("c", 3), ("c", 2), ("c", 3)]
+    for group in (0, 1):
+        assert list(en.cheater_dedup(_stream_cursor(items), 2, group)) == [
+            ("a", 1), ("a", 2), ("b", 1), ("c", 3), ("c", 2)]
+
+
+def test_cheater_dedup_grouped_rejects_resumed_prefix():
+    # ("a", 1) twice is within the bound, but only because group "a" came back
+    items = [("a", 1), ("b", 1), ("a", 1)]
+    assert list(en.cheater_dedup(_stream_cursor(items), 2)) == [("a", 1), ("b", 1)]
+    with pytest.raises(en.DuplicateBoundError):
+        list(en.cheater_dedup(_stream_cursor(items), 2, 1))
+    with pytest.raises(en.DuplicateBoundError):
+        list(en.cheater_dedup(_stream_cursor([("a", 1), ("a", 1), ("a", 1)]), 2, 1))
+
+
+def test_cheater_dedup_grouped_memory_follows_one_group():
+    # 100k distinct answers in groups of 10; the values are allocated up
+    # front, as a database's constants are
+    values = [f"v{i}" for i in range(100_000)]
+
+    def stream():
+        return _stream_cursor((values[i // 10], values[i]) for i in range(100_000))
+
+    peaks = {}
+    for group in (0, 1):
+        tracemalloc.start()
+        try:
+            answers = sum(1 for _ in en.cheater_dedup(stream(), 2, group))
+            peaks[group] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answers == 100_000
+    assert peaks[1] < 1_000_000 < peaks[0]
 
 
 def test_cheater_dedup_set_equality_on_mirror_stream(diamond):
@@ -924,6 +969,54 @@ def test_cheater_dedup_set_equality_on_mirror_stream(diamond):
     plain = set(en.enum_mirror(diamond, witness, db))
     wrapped = list(en.cheater_dedup(en.enum_mirror(diamond, witness, db), 2))
     assert set(wrapped) == plain and len(wrapped) == len(plain)
+
+
+# -- memory ------------------------------------------------------------------------------
+
+
+def _cursor_makers():
+    """label -> cursor factory for every engine, over one small database and
+    with each witness built beforehand."""
+    db = random_graph_db(8, 12, 3, red_p=0.5, loops=3)
+    diamond, path = fx.fixture("diamond"), fx.fixture("path2_full")
+    mirror = st.is_mirror(diamond)
+    full = parse_query("Q(x,y,z) :- R(x,y), R(y,z), R(x,z).")
+    projected = parse_query("Q(x) :- R(x,y), R(y,z), R(z,x).")
+    makers = {
+        "acyclic": lambda: en.enum_full_acyclic(path, db),
+        "mirror": lambda: en.enum_mirror(diamond, mirror, db),
+        "join_full": lambda: en.generic_join_cursor(full, db),
+        "join_projected": lambda: en.generic_join_cursor(projected, db),
+        "oracle": lambda: en.oracle_cursor(diamond, db),
+    }
+    for name in ("diamond_red", "ring8"):
+        q = fx.fixture(name)
+        witness = st.is_untangleable(q)[1]
+        makers[f"untangle_{name}"] = lambda q=q, witness=witness: en.enum_untangle(q, witness, db)
+    for strategy in en.BESPOKE_STRATEGIES:
+        makers[strategy] = lambda strategy=strategy: en.enum_bespoke(strategy, db)
+    return makers
+
+
+CURSOR_MAKERS = _cursor_makers()
+
+
+@pytest.mark.parametrize("label", sorted(CURSOR_MAKERS))
+def test_exhausted_cursor_leaves_no_reference_cycle(label):
+    # a cursor's state must be freed by reference counting alone, the moment
+    # the cursor is dropped, not whenever the cyclic collector next runs
+    make = CURSOR_MAKERS[label]
+    gc.collect()
+    gc.disable()
+    try:
+        cursor = make()
+        answers = sum(1 for _ in cursor)
+        del cursor
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert answers > 0
+    assert left == 0, f"{label}: {left} objects left in reference cycles"
 
 
 # -- delay measurement -------------------------------------------------------------------
