@@ -206,12 +206,14 @@ class _TrieNode:
 
 
 def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
-    """Generic Join (Ngo, Ré & Rudra 2013) over one hash trie per atom.
+    """Generic Join (Ngo, Ré & Rudra 2013) over hash tries of the atoms.
 
     Variables are bound one at a time in a global order; each atom's trie
-    follows that order over the atom's distinct variables.  A variable takes
-    the values of the smallest trie node among the atoms holding it, each
-    probed in the others' nodes, so the ticks stay within
+    follows that order over the atom's distinct variables.  Atoms with the
+    same signature (relation, repeated-variable checks and the column order
+    their trie follows) share one trie, since their tries would be equal.
+    A variable takes the values of the smallest trie node among the atoms
+    holding it, each probed in the others' nodes, so the ticks stay within
     O(|atoms| · |D|^rho*), the AGM bound times the number of atoms.  A trie
     node is bucketed the first time the search reaches it, one tick per
     row, so construction reads no facts.  Ticks: one per candidate value
@@ -232,14 +234,18 @@ class _GenericJoin:
         self.order = order = structure.join_variable_order(query.atoms, query.free_vars)
         depth = {v: i for i, v in enumerate(order)}
         self.nullary = [a.symbol.name for a in query.atoms if not a.args]
-        self.tries = [a for a in query.atoms if a.args]
+        tries = [a for a in query.atoms if a.args]
         # per depth, the atoms holding that variable: (atom, level, position,
         # repeated-variable checks, which only the root expansion applies)
         self.steps = steps = [[] for _ in order]
-        for k, a in enumerate(self.tries):
+        # per atom, its trie's signature: (relation, checks, column order)
+        self.signatures = []
+        for k, a in enumerate(tries):
             pos = _first_positions(a)
             checks = tuple((pos[v], j) for j, v in enumerate(a.args) if pos[v] != j)
-            for level, v in enumerate(sorted(pos, key=depth.get)):
+            columns = sorted(pos, key=depth.get)
+            self.signatures.append((a.symbol.name, checks, tuple(pos[v] for v in columns)))
+            for level, v in enumerate(columns):
                 steps[depth[v]].append((k, level, pos[v], checks if level == 0 else ()))
         self.nfree = len(query.free_vars)  # the first nfree variables of the order
         self.binding: dict = {}
@@ -293,8 +299,15 @@ class _GenericJoin:
             self.ticker.tick()  # emptiness probe
             if not db.facts(name):
                 return
-        path = [[_TrieNode(db.facts(a.symbol.name))] + [None] * len(a.var_set)
-                for a in self.tries]
+        # one root per signature: atoms that share one read the same rows in
+        # the same order, so they share every node their search expands
+        roots: dict = {}
+        path = []
+        for sig in self.signatures:
+            root = roots.get(sig)
+            if root is None:
+                root = roots[sig] = _TrieNode(db.facts(sig[0]))
+            path.append([root] + [None] * len(sig[2]))
         for _ in self._search(0, nfree, path):
             if nfree == nvars or next(self._search(nfree, nvars, path), False):
                 yield tuple([self.binding[v] for v in self.query.free_vars])
@@ -303,10 +316,77 @@ class _GenericJoin:
 # -- semi-join reduction and constant-delay enumeration -----------------------
 
 
-def _atom_rows(atoms, facts: Callable, ticker: Ticker) -> dict:
-    """Atom -> the rows of its relation (``facts``: name -> rows) that match
-    its pattern."""
-    return {a: _matching_rows(a, facts(a.symbol.name), ticker) for a in atoms}
+class _FactIndex:
+    """The relations of one fact lookup, ``facts`` (name -> rows), and the
+    buckets built over them.
+
+    A bucket map costs one tick per row when it is first requested and
+    nothing afterwards, so the atoms of a self-join that read one relation
+    whole share its buckets.  Two kinds, each keyed by relation name:
+
+    - per (relation, key positions), the rows, in fact order, grouped by
+      their values at those positions (``buckets``);
+    - per (relation, dropped positions), the kept columns of every row, in
+      fact order, grouped by the values at the dropped positions
+      (``restricted``).
+
+    An index lives exactly as long as its lookup: one per cursor over a
+    database, and a fresh one per image answer over the relations that
+    answer restricts.  Nothing outlives its cursor, so a cursor's ticks do
+    not depend on the cursors that ran before it.
+    """
+
+    __slots__ = ("facts", "ticker", "_whole", "_restrictions")
+
+    def __init__(self, facts: Callable, ticker: Ticker):
+        self.facts = facts
+        self.ticker = ticker
+        self._whole: dict = {}
+        self._restrictions: dict = {}
+
+    def buckets(self, name: str, at: tuple) -> dict:
+        """The relation's rows grouped by their values at positions ``at``."""
+        buckets = self._whole.get((name, at))
+        if buckets is None:
+            buckets = self._whole[name, at] = _bucketed(self.facts(name), at, self.ticker)
+        return buckets
+
+    def restricted(self, g: structure.UntangledGroup, assignment: dict):
+        """The rows of group ``g``'s relation that the image answer
+        ``assignment`` leaves, read in place.
+
+        A group that drops no position gets its source relation as it is.
+        Any other group gets one bucket of its (source, dropped positions)
+        restriction: one probe, and one tick per row when the probe builds
+        the buckets.
+        """
+        if not g.positions:
+            return self.facts(g.source)
+        buckets = self._restrictions.get((g.source, g.positions))
+        if buckets is None:
+            rows = self.facts(g.source)
+            self.ticker.tick(len(rows))
+            kept = [i for i in range(len(g.positions) + len(g.kept[0]))
+                    if i not in g.positions]
+            buckets = self._restrictions[g.source, g.positions] = {}
+            for row in rows:
+                buckets.setdefault(tuple([row[i] for i in g.positions]), []).append(
+                    tuple([row[i] for i in kept]))
+        self.ticker.tick()  # index probe
+        return buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
+
+
+def _atom_rows(relation: dict, lookup: _FactIndex) -> tuple:
+    """(rows, whole) for the atoms of ``relation`` (atom -> the name of the
+    relation it reads in ``lookup``): ``rows`` maps each atom to the rows
+    that match its pattern, and ``whole`` maps each atom whose rows are its
+    whole relation, one without a repeated variable, to that relation."""
+    rows, whole = {}, {}
+    for a, name in relation.items():
+        rows[a] = _matching_rows(a, lookup.facts(name), lookup.ticker)
+        if len(a.var_set) == len(a.args):
+            whole[a] = name
+    return rows, whole
 
 
 def _matching_rows(a: Atom, facts, ticker: Ticker):
@@ -362,7 +442,7 @@ class _Forest:
                       for p in reversed(self.preorder) for ch in children[p]]
 
 
-def _bucketed(rows, at: list, ticker: Ticker) -> dict:
+def _bucketed(rows, at, ticker: Ticker) -> dict:
     """The rows grouped by their values at positions ``at``; one tick per row."""
     ticker.tick(len(rows))
     buckets: dict = {}
@@ -371,17 +451,34 @@ def _bucketed(rows, at: list, ticker: Ticker) -> dict:
     return buckets
 
 
-def _reduce_forest(forest: _Forest, rows: dict, ticker: Ticker, edges=None,
+def _atom_buckets(forest: _Forest, a: Atom, shared: list, rows: dict, whole: dict,
+                  lookup: _FactIndex) -> dict:
+    """Atom ``a``'s rows bucketed by its values of the variables ``shared``:
+    its relation's buckets in ``lookup`` while ``whole`` names it, else a
+    bucketing of ``rows[a]``."""
+    at = tuple([forest.pos[a][v] for v in shared])
+    name = whole.get(a)
+    if name is None:
+        return _bucketed(rows[a], at, lookup.ticker)
+    return lookup.buckets(name, at)
+
+
+def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict, edges=None,
                    index: Optional[dict] = None, tables: Optional[dict] = None) -> dict:
     """One leaves-to-root semi-join pass that also builds the enumeration
     indexes (Yannakakis's upward pass).
 
-    Per join-tree edge, the child's rows are scanned once and bucketed by
-    the variables it shares with its parent, and the parent's rows are
-    scanned once, keeping those whose key has a bucket: two ticks per row per
-    edge.  Afterwards every root row extends to a match of its whole tree,
-    and every bucket that a row of the parent can reach holds exactly the
-    child rows that extend it, so no downward pass is needed.
+    Per join-tree edge, the child's rows are bucketed by the variables it
+    shares with its parent, and the parent's rows are scanned once, keeping
+    those whose key has a bucket.  A child whose rows are still its whole
+    relation (``whole``: atom -> relation name in ``lookup``; the pass
+    removes every atom it reduces) takes that relation's buckets from
+    ``lookup``, built once per cursor, so atoms of a self-join share them;
+    any other child's rows are bucketed here, one tick per row.  The parent
+    scan is one tick per row.  Afterwards every root row extends to a match
+    of its whole tree, and every bucket that a row of the parent can reach
+    holds exactly the child rows that extend it, so no downward pass is
+    needed.
 
     ``rows`` (atom -> rows) is reduced in place; the result is the index:
     per non-root atom, the variables shared with its parent and its buckets.
@@ -393,10 +490,10 @@ def _reduce_forest(forest: _Forest, rows: dict, ticker: Ticker, edges=None,
     key and one per row fetched.
     """
     index = {} if index is None else index
+    ticker = lookup.ticker
     for ch, p, shared in forest.edges if edges is None else edges:
         if ch not in index:
-            index[ch] = (shared, _bucketed(rows[ch], [forest.pos[ch][v] for v in shared],
-                                           ticker))
+            index[ch] = (shared, _atom_buckets(forest, ch, shared, rows, whole, lookup))
         buckets = index[ch][1]
         if p in rows:
             at = [forest.pos[p][v] for v in shared]
@@ -407,15 +504,21 @@ def _reduce_forest(forest: _Forest, rows: dict, ticker: Ticker, edges=None,
             ticker.tick(len(buckets))
             rows[p] = [row for key in buckets for row in table.get(key, ())]
             ticker.tick(len(rows[p]))
+        whole.pop(p, None)
     return index
+
+
+def _reduced(forest: _Forest, lookup: _FactIndex) -> tuple:
+    """(rows, index) of the whole forest over ``lookup``'s relations after
+    its semi-join pass (see ``_reduce_forest``)."""
+    rows, whole = _atom_rows({a: a.symbol.name for a in forest.preorder}, lookup)
+    return rows, _reduce_forest(forest, rows, lookup, whole)
 
 
 def eval_boolean(query: Query, db: Database, ticker: Optional[Ticker] = None) -> bool:
     """Satisfiability of an acyclic query: every root keeps a row."""
-    ticker = ticker or Ticker()
     forest = _Forest(_join_tree(query))
-    rows = _atom_rows(forest.preorder, db.facts, ticker)
-    _reduce_forest(forest, rows, ticker)
+    rows, _ = _reduced(forest, _FactIndex(db.facts, ticker or Ticker()))
     return all(rows[r] for r in forest.roots)
 
 
@@ -428,8 +531,7 @@ def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> s
     var = query.free_vars[0]
     holder = next(a for a in query.atoms if var in a.args)
     forest = _Forest(_join_tree(query).rerooted(holder))
-    rows = _atom_rows(forest.preorder, db.facts, ticker)
-    _reduce_forest(forest, rows, ticker)
+    rows, _ = _reduced(forest, _FactIndex(db.facts, ticker))
     if not all(rows[r] for r in forest.roots):
         return set()
     ticker.tick(len(rows[holder]))
@@ -437,15 +539,12 @@ def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> s
     return {row[at] for row in rows[holder]}
 
 
-def _acyclic_assignments(query: Query, facts: Callable, ticker: Ticker,
-                         assignment: Optional[dict] = None):
-    """Preprocess a full acyclic query over the relations ``facts`` (name ->
-    rows); return its assignment stream, a generator (see
-    ``_forest_assignments``)."""
+def _acyclic_assignments(query: Query, lookup: _FactIndex, assignment: Optional[dict] = None):
+    """Preprocess a full acyclic query over ``lookup``'s relations; return
+    its assignment stream, a generator (see ``_forest_assignments``)."""
     forest = _Forest(_join_tree(query))
-    rows = _atom_rows(forest.preorder, facts, ticker)
-    index = _reduce_forest(forest, rows, ticker)
-    return _forest_assignments(forest, rows, index, ticker,
+    rows, index = _reduced(forest, lookup)
+    return _forest_assignments(forest, rows, index, lookup.ticker,
                                {} if assignment is None else assignment)
 
 
@@ -514,7 +613,7 @@ def enum_full_acyclic(query: Query, db: Database) -> EnumerationCursor:
     if not query.is_full:
         raise ValueError("enum_full_acyclic expects a full query")
     ticker = Ticker()
-    stream = _acyclic_assignments(query, db.facts, ticker)
+    stream = _acyclic_assignments(query, _FactIndex(db.facts, ticker))
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in stream)
     return EnumerationCursor(ticker, ticker.count, gen)
 
@@ -531,38 +630,12 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
     fcore, retraction = structure.full_core_with_retraction(query)
     if not structure.is_acyclic(fcore):
         raise CyclicCoreError("the query's core is cyclic")
-    for assignment in _acyclic_assignments(fcore, db.facts, ticker):
+    for assignment in _acyclic_assignments(fcore, _FactIndex(db.facts, ticker)):
         return tuple(assignment[retraction[v]] for v in query.free_vars)
     return None
 
 
 # -- untangling-based linear delay enumeration --------------------------------
-
-
-def _restricted_rows(g: structure.UntangledGroup, assignment: dict, facts: Callable,
-                     index: dict, ticker: Ticker):
-    """The rows of group ``g``'s relation that the image answer
-    ``assignment`` leaves, read in place from ``facts`` (name -> rows).
-
-    A group that drops no position gets its source relation as it is.  Any
-    other group gets its bucket in ``index``, which belongs to ``facts``: per
-    (symbol, dropped positions), the kept columns of every row, in fact
-    order, bucketed by the values at the dropped positions.  One probe, and
-    one tick per row when the probe builds the buckets.
-    """
-    if not g.positions:
-        return facts(g.source)
-    buckets = index.get((g.source, g.positions))
-    if buckets is None:
-        rows = facts(g.source)
-        ticker.tick(len(rows))
-        kept = [i for i in range(len(g.positions) + len(g.kept[0])) if i not in g.positions]
-        buckets = index[(g.source, g.positions)] = {}
-        for row in rows:
-            buckets.setdefault(tuple([row[i] for i in g.positions]), []).append(
-                tuple([row[i] for i in kept]))
-    ticker.tick()  # index probe
-    return buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
 
 
 class _RestJoin:
@@ -578,12 +651,13 @@ class _RestJoin:
     - At the first image answer, as enumeration work: the reduction of every
       subtree without a live atom, with its buckets, and every live fixed
       atom's rows, so reduced, bucketed by the variables it shares with its
-      first live child: its *table*.
-    - Per image answer: one probe per restricted group in ``index`` (see
-      ``_restricted_rows``) for the rows of its atoms, then the semi-join
-      pass over the edges whose child is live or whose parent is restricted.
-      A live fixed atom takes its rows from its table at its first live
-      child's keys and is filtered by its other live children.
+      first live child: its *table*.  A fixed atom whose rows are still its
+      whole relation takes these buckets from the cursor's ``lookup``.
+    - Per image answer: one probe per restricted group in ``lookup`` (see
+      ``_FactIndex.restricted``) for the rows of its atoms, then the
+      semi-join pass over the edges whose child is live or whose parent is
+      restricted.  A live fixed atom takes its rows from its table at its
+      first live child's keys and is filtered by its other live children.
 
     So every semi-join costs at most the child's keys plus the parent's
     rows, never more than the same pass over a copy of the restricted
@@ -591,8 +665,7 @@ class _RestJoin:
     enumeration makes the same probes.  No fact is copied.
     """
 
-    def __init__(self, rewrite: structure.Untangled, facts: Callable, index: dict,
-                 ticker: Ticker):
+    def __init__(self, rewrite: structure.Untangled, lookup: _FactIndex):
         self.forest = forest = _Forest(_join_tree(rewrite.rest))
         relation = {g.relation: g for g in rewrite.groups}
         self.group = {a: relation[a.symbol.name] for a in forest.preorder}
@@ -611,24 +684,19 @@ class _RestJoin:
         for ch, p, shared in self.answer_edges:
             if ch in live and p not in self.restricted:
                 self.table_keys.setdefault(p, shared)
-        self.facts = facts
-        self.index = index
-        self.ticker = ticker
+        self.lookup = lookup
         self.prepared = None
-
-    def _rows(self, g: structure.UntangledGroup, assignment: dict):
-        return _restricted_rows(g, assignment, self.facts, self.index, self.ticker)
 
     def _prepare(self):
         """(rows of the fixed roots, index of the fixed children, tables)."""
-        forest, ticker = self.forest, self.ticker
+        forest, lookup = self.forest, self.lookup
+        rows, whole = _atom_rows({a: self.group[a].source for a in forest.preorder
+                                  if a not in self.restricted}, lookup)
         # restricted atoms hold no rows before an image answer selects them,
         # so this pass only buckets their fixed children
-        rows = {a: () if a in self.restricted
-                else _matching_rows(a, self._rows(self.group[a], {}), ticker)
-                for a in forest.preorder}
-        index = _reduce_forest(forest, rows, ticker, self.fixed_edges)
-        tables = {p: _bucketed(rows[p], [forest.pos[p][v] for v in shared], ticker)
+        rows.update((a, ()) for a in self.restricted)
+        index = _reduce_forest(forest, rows, lookup, whole, self.fixed_edges)
+        tables = {p: _atom_buckets(forest, p, shared, rows, whole, lookup)
                   for p, shared in self.table_keys.items()}
         return {r: rows[r] for r in forest.roots if r not in self.live}, index, tables
 
@@ -638,13 +706,15 @@ class _RestJoin:
         if self.prepared is None:
             self.prepared = self._prepare()
         fixed_rows, fixed_index, tables = self.prepared
-        selected = {g: self._rows(g, assignment) for g in self.probes}
+        lookup = self.lookup
+        selected = {g: lookup.restricted(g, assignment) for g in self.probes}
         rows = dict(fixed_rows)
         for a in self.restricted:
-            rows[a] = _matching_rows(a, selected[self.group[a]], self.ticker)
+            rows[a] = _matching_rows(a, selected[self.group[a]], lookup.ticker)
         index = dict(fixed_index)
-        _reduce_forest(self.forest, rows, self.ticker, self.answer_edges, index, tables)
-        return _forest_assignments(self.forest, rows, index, self.ticker, assignment)
+        # every child this pass buckets is live, so none reads a whole relation
+        _reduce_forest(self.forest, rows, lookup, {}, self.answer_edges, index, tables)
+        return _forest_assignments(self.forest, rows, index, lookup.ticker, assignment)
 
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,
@@ -655,41 +725,39 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     rest over the relations that answer restricts and enumerates it.  Every
     image answer extends to at least one full answer, so the gap stays
     linear in the database size; distinct image answers yield disjoint blocks.
-    Restricted relations are read in place (``_restricted_rows``); no
+    Restricted relations are read in place (``_FactIndex.restricted``); no
     database is built.
     """
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = Ticker()
-    top = _untangle_stream(witness, len(witness.steps), db.facts, {}, {}, ticker)
+    top = _untangle_stream(witness, len(witness.steps), _FactIndex(db.facts, ticker), {})
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in top)
     return EnumerationCursor(ticker, ticker.count, gen)
 
 
-def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, facts: Callable,
-                     index: dict, assignment: dict, ticker: Ticker):
-    """Assignment stream, a generator, for one chain element over the
-    relations ``facts`` (name -> rows) and their restriction ``index``; it
-    binds the element's variables into ``assignment`` and yields it.  Image
-    and rest variables are disjoint, so one dict serves the whole chain.
+def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, lookup: _FactIndex,
+                     assignment: dict):
+    """Assignment stream, a generator, for one chain element over
+    ``lookup``'s relations; it binds the element's variables into
+    ``assignment`` and yields it.  Image and rest variables are disjoint, so
+    one dict serves the whole chain.
 
     Preprocessing along the image side of the chain happens here, eagerly;
     the per-image-answer work on the rest is enumeration work and stays
     inside the returned stream.
     """
     if chain_idx == 0:
-        return _acyclic_assignments(witness.base, facts, ticker, assignment)
+        return _acyclic_assignments(witness.base, lookup, assignment)
     image = witness.steps[chain_idx - 1]
     if image.query == witness.chain[chain_idx - 1]:  # the image is the previous element
-        image_stream = _untangle_stream(witness, chain_idx - 1, facts, index, assignment, ticker)
-        return _rest_per_image_answer(image_stream, _RestJoin(image.rewrite, facts, index, ticker),
-                                      assignment)
+        image_stream = _untangle_stream(witness, chain_idx - 1, lookup, assignment)
+        return _rest_per_image_answer(image_stream, _RestJoin(image.rewrite, lookup), assignment)
     # rest equals the witness's previous element here (collision-free
     # step), so the sub-witness applies to it over the relations each
     # image answer restricts, with an index of their own.
-    image_stream = _acyclic_assignments(image.query, facts, ticker, assignment)
-    return _chain_per_image_answer(witness, chain_idx, image_stream, facts, index, assignment,
-                                   ticker)
+    image_stream = _acyclic_assignments(image.query, lookup, assignment)
+    return _chain_per_image_answer(witness, chain_idx, image_stream, lookup, assignment)
 
 
 def _rest_per_image_answer(image_stream, rest: _RestJoin, assignment: dict):
@@ -698,13 +766,12 @@ def _rest_per_image_answer(image_stream, rest: _RestJoin, assignment: dict):
 
 
 def _chain_per_image_answer(witness: structure.UntanglingWitness, chain_idx: int, image_stream,
-                            facts: Callable, index: dict, assignment: dict, ticker: Ticker):
+                            lookup: _FactIndex, assignment: dict):
     groups = witness.steps[chain_idx - 1].rewrite.groups
     for _ in image_stream:
-        restricted = {g.relation: _restricted_rows(g, assignment, facts, index, ticker)
-                      for g in groups}
-        yield from _untangle_stream(witness, chain_idx - 1, restricted.__getitem__, {},
-                                    assignment, ticker)
+        restricted = {g.relation: lookup.restricted(g, assignment) for g in groups}
+        yield from _untangle_stream(witness, chain_idx - 1,
+                                    _FactIndex(restricted.__getitem__, lookup.ticker), assignment)
 
 
 # -- mirror constant-delay enumeration ----------------------------------------
@@ -734,7 +801,7 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
               else (2, image_private.index(witness.iso[v]))
               for v in query.free_vars]
 
-    stream = _acyclic_assignments(image_query, db.facts, ticker)
+    stream = _acyclic_assignments(image_query, _FactIndex(db.facts, ticker))
 
     def gen():
         table: dict = {}
@@ -757,13 +824,26 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
 # -- bespoke per-query strategies ----------------------------------------------
 
 
-def _binary_adjacency(db: Database, ticker: Ticker, with_red: bool):
-    """Adjacency of R; relations the strategy does not read are ignored."""
-    read = {"R": 2, "P": 1} if with_red else {"R": 2}
+def _check_schema(db: Database, read: dict) -> None:
+    """The relations ``read`` (name -> arity) have those arities in ``db``
+    or are absent; relations the strategy does not read are ignored."""
     for name, arity in read.items():
         if db.arity(name) not in (None, arity):
             raise WrongSchemaError(
                 f"strategy reads {name}/{arity}, found {name}/{db.arity(name)}")
+
+
+def _edge_set(db: Database, ticker: Ticker) -> set:
+    """The edges of R, all a twin strategy reads of them; one tick per fact."""
+    _check_schema(db, {"R": 2})
+    edges = db.facts("R")
+    ticker.tick(len(edges))
+    return set(edges)
+
+
+def _binary_adjacency(db: Database, ticker: Ticker):
+    """Adjacency of R and the values P marks; one tick per fact."""
+    _check_schema(db, {"R": 2, "P": 1})
     out: dict = {}
     in_: dict = {}
     edges = set()
@@ -773,10 +853,9 @@ def _binary_adjacency(db: Database, ticker: Ticker, with_red: bool):
         in_.setdefault(v, []).append(u)
         edges.add((u, v))
     red = set()
-    if with_red:
-        for (u,) in db.facts("P"):
-            ticker.tick()
-            red.add(u)
+    for (u,) in db.facts("P"):
+        ticker.tick()
+        red.add(u)
     return out, in_, edges, red
 
 
@@ -788,7 +867,7 @@ def _two_loops_factory(db: Database, ticker: Ticker):
     against the tables before storing makes each cross pair fire exactly
     once; the diagonal pair is emitted explicitly.
     """
-    _, _, edges, _ = _binary_adjacency(db, ticker, with_red=False)
+    edges = _edge_set(db, ticker)
     edge_list = db.facts("R")
     loops = [u for u, v in edge_list if u == v]
 
@@ -816,7 +895,7 @@ def _two_loops_factory(db: Database, ticker: Ticker):
 
 def _two_triangles_factory(db: Database, ticker: Ticker):
     """Edge-keyed two-table strategy for the twin-triangles pattern."""
-    _, _, edges, _ = _binary_adjacency(db, ticker, with_red=False)
+    edges = _edge_set(db, ticker)
     edge_list = db.facts("R")
     loops = [u for u, v in edge_list if u == v]
 
@@ -861,9 +940,10 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
     top answer already induces a full answer; the left-image pass then joins
     against the table and expands the two spikes per joined loop.
     """
-    out, in_, _, _ = _binary_adjacency(db, ticker, with_red=True)
-    top_stream = _acyclic_assignments(parse_query(_Q2_TOP), db.facts, ticker)
-    left_stream = _acyclic_assignments(parse_query(_Q2_LEFT), db.facts, ticker)
+    out, in_, _, _ = _binary_adjacency(db, ticker)
+    lookup = _FactIndex(db.facts, ticker)  # the two streams share their buckets
+    top_stream = _acyclic_assignments(parse_query(_Q2_TOP), lookup)
+    left_stream = _acyclic_assignments(parse_query(_Q2_LEFT), lookup)
 
     def gen():
         table: dict = {}
@@ -897,7 +977,7 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
     emission (the spike products guarantee enough emissions to pay for all
     tests), with a drain at the end of the group.
     """
-    out, in_, edges, red = _binary_adjacency(db, ticker, with_red=True)
+    out, in_, edges, red = _binary_adjacency(db, ticker)
     in_pred: dict = {}
     for c, lst in in_.items():
         ticker.tick()

@@ -601,11 +601,10 @@ def test_indexed_restriction_matches_plain_scan(name):
             for sym in sorted(symbols):
                 for _ in range(30):
                     db.add_fact(sym.name, [f"v{rng.randrange(5)}" for _ in range(sym.arity)])
-            index: dict = {}  # shared by every answer over this database
+            index = en._FactIndex(db.facts, en.Ticker())  # shared by every answer
             for _ in range(25):
                 assignment = {v: f"v{rng.randrange(6)}" for v in image_vars}
-                got = {g.relation: list(en._restricted_rows(g, assignment, db.facts, index,
-                                                            en.Ticker()))
+                got = {g.relation: list(index.restricted(g, assignment))
                        for g in untangled.groups}
                 want_query, want = _plain_restriction(image, assignment, db)
                 assert untangled.rest == want_query
@@ -621,7 +620,7 @@ def _rest_join_matches_restricted_database(untangled, db, image_answers) -> int:
     Returns the number of rest assignments."""
     rest_vars = untangled.rest.all_vars
     ticker, plain_ticker = en.Ticker(), en.Ticker()
-    rest = en._RestJoin(untangled, db.facts, {}, ticker)
+    rest = en._RestJoin(untangled, en._FactIndex(db.facts, ticker))
     index: dict = {}  # the plain restriction's, shared by every answer
     total = 0
     for i, image_answer in enumerate(image_answers):
@@ -633,8 +632,8 @@ def _rest_join_matches_restricted_database(untangled, db, image_answers) -> int:
         start = plain_ticker.count
         restricted = ref.restrict(untangled.groups, assignment, db, index, plain_ticker)
         want = [tuple(a[v] for v in rest_vars)
-                for a in en._acyclic_assignments(untangled.rest, restricted.facts,
-                                                 plain_ticker)]
+                for a in en._acyclic_assignments(untangled.rest,
+                                                 en._FactIndex(restricted.facts, plain_ticker))]
         assert sorted(got) == sorted(want)
         assert len(got) == len(set(got))
         if i:
@@ -971,6 +970,174 @@ def test_cheater_dedup_set_equality_on_mirror_stream(diamond):
     assert set(wrapped) == plain and len(wrapped) == len(plain)
 
 
+# -- shared indexes ----------------------------------------------------------------------
+
+
+RELATION_VIEW = type(Database().facts("R"))  # the rows of a database relation, read whole
+
+
+def _whole_bucketings(monkeypatch) -> list:
+    """Record every bucketing of a database relation read whole, as (rows,
+    key positions); a relation is told by its rows, so the test databases
+    must hold no two equal relations."""
+    builds = []
+    bucketed = en._bucketed
+
+    def counting(rows, at, ticker):
+        if isinstance(rows, RELATION_VIEW):
+            builds.append((tuple(rows), tuple(at)))
+        return bucketed(rows, at, ticker)
+
+    monkeypatch.setattr(en, "_bucketed", counting)
+    return builds
+
+
+def _shared_index_cases():
+    """label -> (query, cursor factory (db -> cursor), databases); every
+    database holds R and P, and S where the query reads it."""
+    dbs = [random_graph_db(10, 24, seed, red_p=0.4, loops=2) for seed in range(6)]
+    hub_dbs = [random_graph_db(7, 14, seed, red_p=0.4, hubs=3) for seed in range(6)]
+    diamond, path = fx.fixture("diamond"), fx.fixture("path2_full")
+    mirror = st.is_mirror(diamond)
+    cases = {
+        "acyclic_path2_full": (path, lambda db: en.enum_full_acyclic(path, db), dbs),
+        "mirror_diamond": (diamond, lambda db: en.enum_mirror(diamond, mirror, db), dbs),
+        "SPIKE_Q2": (fx.fixture("ring8_io"), lambda db: en.enum_bespoke("SPIKE_Q2", db), dbs),
+    }
+    for name in ("diamond_red", "ring8", "bowtie_chain"):
+        q = fx.fixture(name)
+        witness = st.is_untangleable(q)[1]
+        cases[f"untangle_{name}"] = (
+            q, lambda db, q=q, witness=witness: en.enum_untangle(q, witness, db),
+            hub_dbs if name == "bowtie_chain" else dbs)
+    return cases
+
+
+SHARED_INDEX_CASES = _shared_index_cases()
+
+
+@pytest.mark.parametrize("label", sorted(SHARED_INDEX_CASES))
+def test_whole_relation_buckets_are_built_once_per_cursor(label, monkeypatch):
+    # the atoms of a self-join that read a relation whole share its buckets
+    # by each set of key positions, and the answers stay the oracle's
+    query, make, dbs = SHARED_INDEX_CASES[label]
+    builds = _whole_bucketings(monkeypatch)
+    answered = 0
+    for db in dbs:
+        assert len({tuple(db.facts(n)) for n in db.symbols}) == len(db.symbols)
+        builds.clear()
+        got = list(make(db))
+        assert len(builds) == len(set(builds)), (label, builds)
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(query, db), label
+        answered += bool(got)
+    assert answered
+
+
+def test_whole_relation_buckets_are_built_once_on_random_queries(monkeypatch):
+    builds = _whole_bucketings(monkeypatch)
+    checked = 0
+    for seed in range(300):
+        query = random_query(seed)
+        if not query.is_full or st.gyo_acyclic(query) is None:
+            continue
+        db = _random_schema_db(seed, 6)
+        if len({tuple(db.facts(n)) for n in db.symbols}) < len(db.symbols):
+            continue
+        builds.clear()
+        got = list(en.enum_full_acyclic(query, db))
+        assert len(builds) == len(set(builds)), (seed, builds)
+        assert set(got) == en.oracle_enumerate(query, db), seed
+        builds.clear()
+        assert en.eval_boolean(query, db) == bool(got)
+        assert len(builds) == len(set(builds)), (seed, builds)
+        checked += 1
+    assert checked > 50
+
+
+def _trie_signatures(query) -> set:
+    """Per atom, the relation, repeated-variable checks and column order its
+    trie follows in the generic join's variable order."""
+    order = st.join_variable_order(query.atoms, query.free_vars)
+    signatures = set()
+    for a in query.atoms:
+        if not a.args:
+            continue
+        first = {}
+        for i, v in enumerate(a.args):
+            first.setdefault(v, i)
+        checks = tuple((first[v], j) for j, v in enumerate(a.args) if first[v] != j)
+        columns = tuple(first[v] for v in sorted(first, key=order.index))
+        signatures.add((a.symbol.name, checks, columns))
+    return signatures
+
+
+def _counting_trie_roots(monkeypatch) -> list:
+    """Record the rows of every trie root the generic join builds: a root
+    holds a database relation, every other node a list."""
+    roots = []
+    init = en._TrieNode.__init__
+
+    def counting(self, rows):
+        if isinstance(rows, RELATION_VIEW):
+            roots.append(rows)
+        init(self, rows)
+
+    monkeypatch.setattr(en._TrieNode, "__init__", counting)
+    return roots
+
+
+@pytest.mark.parametrize("name", ["triangle", "windmill"])
+def test_generic_join_builds_one_trie_root_per_signature(name, monkeypatch):
+    query = fx.fixture(name)
+    assert len(_trie_signatures(query)) < len(query.atoms)  # some atoms share a trie
+    roots = _counting_trie_roots(monkeypatch)
+    answered = 0
+    for seed in range(6):
+        db = random_graph_db(8, 24, seed, loops=3, hubs=3)
+        roots.clear()
+        got = list(en.generic_join_cursor(query, db))
+        assert len(roots) == len(_trie_signatures(query))
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(query, db), (name, seed)
+        answered += bool(got)
+    assert answered
+
+
+def test_generic_join_builds_one_trie_root_per_signature_on_random_queries(monkeypatch):
+    roots = _counting_trie_roots(monkeypatch)
+    shared = 0
+    for seed in range(300):
+        query = random_query(seed)
+        db = _random_schema_db(seed, 6)
+        roots.clear()
+        got = list(en.generic_join_cursor(query, db))
+        if roots:  # no root is built when a nullary atom has no fact
+            assert len(roots) == len(_trie_signatures(query)), seed
+        assert set(got) == en.oracle_enumerate(query, db), seed
+        shared += len(_trie_signatures(query)) < sum(1 for a in query.atoms if a.args)
+    assert shared > 20
+
+
+def test_cursor_ticks_do_not_depend_on_earlier_cursors():
+    # a cursor's indexes live and die with it: on a database other cursors
+    # have read, it makes the same ticks and answers as on a fresh one
+    def run(make, db):
+        cursor = make(db)
+        answers = list(cursor)
+        return answers, cursor.preprocessing_ticks, cursor.ticker.count
+
+    makers = [make for _, make, _ in SHARED_INDEX_CASES.values()]
+    makers += [lambda db, q=fx.fixture(name): en.generic_join_cursor(q, db)
+               for name in ("triangle", "windmill")]
+    for seed in range(3):
+        fresh = [run(make, random_graph_db(7, 14, seed, red_p=0.4, hubs=3)) for make in makers]
+        db = random_graph_db(7, 14, seed, red_p=0.4, hubs=3)
+        assert [run(make, db) for make in makers] == fresh
+        assert [run(make, db) for make in reversed(makers)] == fresh[::-1]
+    assert any(answers for answers, _, _ in fresh)
+
+
 # -- memory ------------------------------------------------------------------------------
 
 
@@ -993,6 +1160,18 @@ def _cursor_makers():
         q = fx.fixture(name)
         witness = st.is_untangleable(q)[1]
         makers[f"untangle_{name}"] = lambda q=q, witness=witness: en.enum_untangle(q, witness, db)
+    # a three-step witness whose steps share one index, and a
+    # result_is_previous step with a fresh index per image answer
+    bowtie = fx.fixture("bowtie_chain")
+    chain = st.is_untangleable(bowtie)[1]
+    hub_db = random_graph_db(7, 14, 0, hubs=3)
+    makers["untangle_bowtie_chain"] = lambda: en.enum_untangle(bowtie, chain, hub_db)
+    previous = parse_query(FOUND_RESULT_IS_PREVIOUS)
+    found = st.is_untangleable(previous)[1]
+    makers["untangle_result_is_previous"] = lambda: en.enum_untangle(previous, found, db)
+    # windmill's atoms share trie roots
+    windmill = fx.fixture("windmill")
+    makers["join_windmill"] = lambda: en.generic_join_cursor(windmill, hub_db)
     for strategy in en.BESPOKE_STRATEGIES:
         makers[strategy] = lambda strategy=strategy: en.enum_bespoke(strategy, db)
     return makers
