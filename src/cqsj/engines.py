@@ -842,7 +842,7 @@ def _edge_set(db: Database, ticker: Ticker) -> set:
 
 
 def _binary_adjacency(db: Database, ticker: Ticker):
-    """Adjacency of R and the values P marks; one tick per fact."""
+    """Adjacency and edges of R and the values P marks, for SPIKE_Q3; one tick per fact."""
     _check_schema(db, {"R": 2, "P": 1})
     out: dict = {}
     in_: dict = {}
@@ -940,10 +940,12 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
     top answer already induces a full answer; the left-image pass then joins
     against the table and expands the two spikes per joined loop.
     """
-    out, in_, _, _ = _binary_adjacency(db, ticker)
+    _check_schema(db, {"R": 2, "P": 1})
     lookup = _FactIndex(db.facts, ticker)  # the two streams share their buckets
     top_stream = _acyclic_assignments(parse_query(_Q2_TOP), lookup)
     left_stream = _acyclic_assignments(parse_query(_Q2_LEFT), lookup)
+    # the spikes: R's rows by source and by target, built by the streams' passes
+    out, in_ = lookup.buckets("R", (0,)), lookup.buckets("R", (1,))
 
     def gen():
         table: dict = {}
@@ -959,8 +961,8 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
             yield (b, m, c, a, w, a, c, m, m, f)
             ticker.tick()  # table probe
             for v8, v7 in table.get((c, m, b, f), ()):
-                for so in out.get(w, ()):
-                    for si in in_.get(v7, ()):
+                for _, so in out.get((w,), ()):
+                    for si, _ in in_.get((v7,), ()):
                         ticker.tick()
                         yield (b, m, c, a, w, f, v7, v8, si, so)
 

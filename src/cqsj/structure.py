@@ -3,16 +3,17 @@
 Covers hypergraph acyclicity (ear removal with a deterministic tie-break),
 free-connexity, endomorphism search, minimisation and cores, endomorphism
 images, the untangling rewrite and its witness search, mirror decompositions,
-a transfer condition for conditional hardness, and the per-query verdict
-table.  Everything here is a pure function of immutable inputs.
+a transfer condition for conditional hardness, the verdicts settled for
+single patterns, and the per-query verdict table.  Everything here is a pure
+function of immutable inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
 from . import fixtures
@@ -471,25 +472,26 @@ def _certified(image: Image) -> bool:
             and image.query == _induced_subquery(image.atoms))
 
 
+def _links(image: Image) -> Iterator[Query]:
+    """The queries an untangling step through ``image`` may follow in a
+    chain: the image itself when its untangling is acyclic, then that
+    untangling when the image is acyclic and the rewrite puts one filter on
+    each paper symbol.  A generator, so a search stops at the first link
+    that leads somewhere."""
+    if is_acyclic(image.rewrite.result):
+        yield image.query
+    if is_acyclic(image.query) and image.rewrite.collision_free:
+        yield image.rewrite.result
+
+
 def validate_untangling_witness(query: Query, witness: UntanglingWitness) -> bool:
-    """Check the chain against the maps it carries; no search.  A step whose
-    image is the previous element must leave an acyclic result; otherwise
-    its result must be the previous element, from an acyclic image with one
-    filter per paper symbol."""
+    """Check the chain against the maps it carries; no search.  Every step's
+    image is certified and links its source to the previous element."""
     chain = witness.chain
     if chain[-1] != query or not is_acyclic(witness.base):
         return False
-    for prev, image in zip(chain, witness.steps):
-        if not _certified(image):
-            return False
-        rewrite = image.rewrite
-        if image.query == prev:
-            if not is_acyclic(rewrite.result):
-                return False
-        elif (rewrite.result != prev or not is_acyclic(image.query)
-              or not rewrite.collision_free):
-            return False
-    return True
+    return all(_certified(image) and prev in _links(image)
+               for prev, image in zip(chain, witness.steps))
 
 
 def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
@@ -529,15 +531,8 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
         for img in images(q) if q_images is None else q_images:
             if img.atoms == set(q.atoms):
                 continue  # trivial image: no progress
-            result = img.rewrite.result
-            if is_acyclic(result):
-                sub = visit(img.query)
-                if isinstance(sub, UntanglingWitness):
-                    return UntanglingWitness(sub.base, sub.steps + (img,))
-                if sub is BUDGET:
-                    hit_budget = True
-            if is_acyclic(img.query) and img.rewrite.collision_free:
-                sub = visit(result)
+            for prev in _links(img):
+                sub = visit(prev)
                 if isinstance(sub, UntanglingWitness):
                     return UntanglingWitness(sub.base, sub.steps + (img,))
                 if sub is BUDGET:
@@ -742,7 +737,7 @@ class Analysis:
         """Individually settled verdicts of the registered fixture that is
         this query up to renaming, if any, with ``iso``, the isomorphism from
         the fixture onto ``analyzed``."""
-        for entry in fixtures.classification_registry().get(canonical_key(self.analyzed), ()):
+        for entry in classification_registry().get(canonical_key(self.analyzed), ()):
             iso = isomorphism(fixtures.fixture(entry["name"]), self.analyzed)
             if iso is not None:
                 return {**entry, "iso": iso}
@@ -765,10 +760,8 @@ class Analysis:
 
         # (1) cyclic core: not even one solution in linear time.
         if not self.core_acyclic:
-            put(PROBLEM_FIRST, V_COND_HARD, "sHyperclique", "Thm 3.5")
-            put(PROBLEM_EVAL, V_COND_HARD, "sHyperclique", "Thm 3.5")
-            put(PROBLEM_CONST, V_COND_HARD, "sHyperclique", "Thm 3.5")
-            put(PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Thm 3.5")
+            for problem in PROBLEMS:
+                put(problem, V_COND_HARD, "sHyperclique", "Thm 3.5")
 
         # (2) Boolean/unary minimal: linear-time evaluation iff acyclic.  An
         # acyclic such query is free-connex, so (4) gives its delay verdicts.
@@ -834,11 +827,10 @@ class Analysis:
             put(PROBLEM_FIRST, V_LINEAR_TIME, "none", "Thm 2.2")
 
         # (10) everything else stays open.
-        for problem in (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR):
+        for problem in PROBLEMS:
             put(problem, V_UNKNOWN, "none", "open")
 
-        return [verdicts[p] for p in
-                (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR)]
+        return [verdicts[p] for p in PROBLEMS]
 
     def to_json(self) -> dict:
         return {
@@ -875,6 +867,7 @@ PROBLEM_FIRST = "first-solution"
 PROBLEM_EVAL = "evaluation"
 PROBLEM_CONST = "enumeration-constant-delay"
 PROBLEM_LINEAR = "enumeration-linear-delay"
+PROBLEMS = (PROBLEM_FIRST, PROBLEM_EVAL, PROBLEM_CONST, PROBLEM_LINEAR)
 
 V_LINEAR_TIME = "linear-time"
 V_LINEAR_IO = "linear-input-output"
@@ -885,6 +878,53 @@ V_UNKNOWN = "unknown"
 
 NOT_COMPUTED = "not computed"
 
+# Verdicts settled for single patterns (bespoke algorithms, gadget
+# encodings), by fixture.  The open problems are listed with none, so that
+# classification can still label the fixture; the generic rules leave them
+# unknown.
+_SETTLED = {
+    "diamond_red": [
+        (PROBLEM_CONST, V_COND_HARD, "sHyperclique", "triangle-mirrorfig1 encoding"),
+    ],
+    "ring8": [
+        (PROBLEM_CONST, V_COND_HARD, "sHyperclique", "triangle-spike-q1 encoding"),
+    ],
+    "ring8_io": [
+        (PROBLEM_CONST, V_CONSTANT, "none", "bespoke SPIKE_Q2"),
+    ],
+    "ring8_spikes": [
+        (PROBLEM_CONST, V_CONSTANT, "none", "bespoke SPIKE_Q3"),
+    ],
+    "ring8_spikes_flip": [
+        (PROBLEM_CONST, V_COND_HARD, "UTD", "utd-spike-q4 encoding"),
+    ],
+    "double_kite": [
+        (PROBLEM_LINEAR, V_COND_HARD, "sHyperclique", "Ex 4.7 encoding"),
+    ],
+    "twin_loops": [
+        (PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "bespoke TWO_LOOPS"),
+    ],
+    "twin_triangles": [
+        (PROBLEM_LINEAR, V_LINEAR_DELAY, "none", "bespoke TWO_TRIANGLES"),
+    ],
+    "square_loops": [],
+    "cycle20": [],
+    "windmill": [],
+    "windmill_tail": [],
+    "bowtie_chain": [],
+}
+
+
+@lru_cache(maxsize=None)
+def classification_registry() -> dict:
+    """Canonical key -> the settled verdicts and fixture label of every
+    registered fixture with that key."""
+    registry = {}
+    for name, verdicts in _SETTLED.items():
+        registry.setdefault(canonical_key(fixtures.fixture(name)), []).append(
+            {"name": name, "verdicts": verdicts})
+    return registry
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -894,12 +934,7 @@ class Verdict:
     citation: str
 
     def to_json(self) -> dict:
-        return {
-            "problem": self.problem,
-            "verdict": self.verdict,
-            "assumption": self.assumption,
-            "citation": self.citation,
-        }
+        return asdict(self)
 
 
 def classify(query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET) -> Analysis:

@@ -618,7 +618,7 @@ def test_verify_a_query_keeping_a_relation_named_like_a_later_group(workdir, cap
 
 @pytest.mark.parametrize("name", ["diamond_red", "ring8_spikes_flip"])
 def test_auto_selection_runs_each_search_once(monkeypatch, name):
-    fx.classification_registry()  # keys the fixtures; built before counting
+    st.classification_registry()  # keys the fixtures; built before counting
     query = parse_query(serialize_query(fx.fixture(name)))
     calls = {"is_untangleable": [], "canonical_key": [], "minimal_form": []}
     for fn_name, seen in calls.items():

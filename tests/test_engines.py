@@ -850,6 +850,21 @@ def test_bespoke_matches_oracle(strategy, kwargs):
         assert set(got) == en.oracle_enumerate(q, db), (strategy, seed)
 
 
+def test_spike_q2_preprocesses_only_its_two_streams():
+    # the spikes are read from R's buckets by source and by target, which
+    # the two streams' semi-join passes build in the cursor's index
+    q = fx.fixture("ring8_io")
+    for seed in range(10):
+        db = random_graph_db(12, 20, seed, red_p=0.3)
+        streams = en.Ticker()
+        lookup = en._FactIndex(db.facts, streams)
+        for text in (en._Q2_TOP, en._Q2_LEFT):
+            en._acyclic_assignments(parse_query(text), lookup)
+        cursor = en.enum_bespoke("SPIKE_Q2", db)
+        assert cursor.preprocessing_ticks == streams.count > 0
+        assert set(cursor) == en.oracle_enumerate(q, db), seed
+
+
 def test_bespoke_raw_duplication_bound():
     assert en.BESPOKE_STRATEGIES["SPIKE_Q3"].group == 3
     for strategy in ("SPIKE_Q2", "SPIKE_Q3"):

@@ -1,9 +1,12 @@
 """Structural analysis: acyclicity, cores, images, untangling, mirrors."""
 
+import ast
 import itertools
 import random
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -504,6 +507,44 @@ def test_canonical_key_of_symmetric_cycles_needs_no_search(free):
             halves = _directed_cycles(n, parts=2, free=free)
             assert st.canonical_key(halves) == st.canonical_key(q), n
             assert not _same(halves, q), n
+
+
+def test_fixtures_only_name_queries():
+    # every classification rule lives in structure: fixtures imports query
+    # parsing and the standard library, at the top or inside a function
+    for node in ast.walk(ast.parse(Path(fx.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "qmodel"), ast.dump(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] in sys.stdlib_module_names
+                       for a in node.names), ast.dump(node)
+
+
+def test_registry_labels_the_settled_fixtures():
+    C, L = st.PROBLEM_CONST, st.PROBLEM_LINEAR
+    hard = st.V_COND_HARD
+    rows = {
+        "diamond_red": [(C, hard, "sHyperclique", "triangle-mirrorfig1 encoding")],
+        "ring8": [(C, hard, "sHyperclique", "triangle-spike-q1 encoding")],
+        "ring8_io": [(C, st.V_CONSTANT, "none", "bespoke SPIKE_Q2")],
+        "ring8_spikes": [(C, st.V_CONSTANT, "none", "bespoke SPIKE_Q3")],
+        "ring8_spikes_flip": [(C, hard, "UTD", "utd-spike-q4 encoding")],
+        "double_kite": [(L, hard, "sHyperclique", "Ex 4.7 encoding")],
+        "twin_loops": [(L, st.V_LINEAR_DELAY, "none", "bespoke TWO_LOOPS")],
+        "twin_triangles": [(L, st.V_LINEAR_DELAY, "none", "bespoke TWO_TRIANGLES")],
+        "square_loops": [], "cycle20": [], "windmill": [], "windmill_tail": [],
+        "bowtie_chain": [],
+    }
+    labelled = {}
+    for key, entries in st.classification_registry().items():
+        for entry in entries:
+            assert st.canonical_key(fx.fixture(entry["name"])) == key
+            labelled[entry["name"]] = entry["verdicts"]
+    assert labelled == rows
+    for name in fx.fixture_names():
+        assert st.Analysis(fx.fixture(name)).fixture_name == (name if name in rows else None)
 
 
 def test_classify_minimizes_first():
