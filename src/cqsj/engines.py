@@ -318,62 +318,87 @@ class _GenericJoin:
 
 class _FactIndex:
     """The relations of one fact lookup, ``facts`` (name -> rows), and the
-    buckets built over them.
+    buckets built over them: per (relation, key positions), the rows, in
+    fact order, grouped by their values at those positions (``buckets``).
 
     A bucket map costs one tick per row when it is first requested and
-    nothing afterwards, so the atoms of a self-join that read one relation
-    whole share its buckets.  Two kinds, each keyed by relation name:
-
-    - per (relation, key positions), the rows, in fact order, grouped by
-      their values at those positions (``buckets``);
-    - per (relation, dropped positions), the kept columns of every row, in
-      fact order, grouped by the values at the dropped positions
-      (``restricted``).
+    nothing afterwards.  So the atoms of a self-join that read one relation
+    whole share its buckets, and so do the image of an untangling step and
+    its rest, whose restricted atoms read one bucket of a relation by the
+    positions their group drops (``restricted``).
 
     An index lives exactly as long as its lookup: one per cursor over a
-    database, and a fresh one per image answer over the relations that
-    answer restricts.  Nothing outlives its cursor, so a cursor's ticks do
-    not depend on the cursors that ran before it.
+    database, and a fresh one per image answer of a ``result_is_previous``
+    step over the relations that answer restricts (``per_answer``), which
+    takes the buckets of the relations it reads whole from the index it was
+    made from.  Nothing outlives its cursor, so a cursor's ticks do not
+    depend on the cursors that ran before it.
     """
 
-    __slots__ = ("facts", "ticker", "_whole", "_restrictions")
+    __slots__ = ("facts", "ticker", "_whole", "_inherited")
 
     def __init__(self, facts: Callable, ticker: Ticker):
         self.facts = facts
         self.ticker = ticker
         self._whole: dict = {}
-        self._restrictions: dict = {}
+        self._inherited: dict = {}  # name -> (parent index, its name for the relation)
 
     def buckets(self, name: str, at: tuple) -> dict:
         """The relation's rows grouped by their values at positions ``at``."""
         buckets = self._whole.get((name, at))
         if buckets is None:
-            buckets = self._whole[name, at] = _bucketed(self.facts(name), at, self.ticker)
+            inherited = self._inherited.get(name)
+            if inherited is None:
+                buckets = _bucketed(self.facts(name), at, self.ticker)
+            else:
+                parent, source = inherited
+                buckets = parent.buckets(source, at)
+            self._whole[name, at] = buckets
         return buckets
 
     def restricted(self, g: structure.UntangledGroup, assignment: dict):
-        """The rows of group ``g``'s relation that the image answer
-        ``assignment`` leaves, read in place.
+        """The rows of group ``g``'s source relation that the image answer
+        ``assignment`` leaves, read in place: whole source rows, in fact
+        order, whose j-th kept position holds the j-th argument of ``g``'s
+        atoms (``_kept_positions``).
 
         A group that drops no position gets its source relation as it is.
-        Any other group gets one bucket of its (source, dropped positions)
-        restriction: one probe, and one tick per row when the probe builds
-        the buckets.
+        Any other gets one bucket of its source by the dropped positions,
+        the bucket map the semi-join passes read: one probe, and one tick
+        per row when no pass has built the map yet.
         """
         if not g.positions:
             return self.facts(g.source)
-        buckets = self._restrictions.get((g.source, g.positions))
-        if buckets is None:
-            rows = self.facts(g.source)
-            self.ticker.tick(len(rows))
-            kept = [i for i in range(len(g.positions) + len(g.kept[0]))
-                    if i not in g.positions]
-            buckets = self._restrictions[g.source, g.positions] = {}
-            for row in rows:
-                buckets.setdefault(tuple([row[i] for i in g.positions]), []).append(
-                    tuple([row[i] for i in kept]))
+        buckets = self.buckets(g.source, g.positions)
         self.ticker.tick()  # index probe
         return buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
+
+    def per_answer(self, groups: tuple, assignment: dict) -> "_FactIndex":
+        """An index over the relations the image answer ``assignment``
+        restricts, one per group, named by the group's relation and holding
+        its atoms' arguments only.
+
+        A group that drops positions projects its bucket onto the kept
+        positions, one tick per row.  A group that drops none reads its
+        source whole, so the new index takes that relation's buckets from
+        this one, where each is built once per cursor.
+        """
+        facts = {}
+        for g in groups:
+            rows = self.restricted(g, assignment)
+            if g.positions:
+                kept = _kept_positions(g)
+                self.ticker.tick(len(rows))
+                rows = [tuple([row[i] for i in kept]) for row in rows]
+            facts[g.relation] = rows
+        index = _FactIndex(facts.__getitem__, self.ticker)
+        index._inherited = {g.relation: (self, g.source) for g in groups if not g.positions}
+        return index
+
+
+def _kept_positions(g: structure.UntangledGroup) -> tuple:
+    """The positions of a source row that group ``g`` keeps, in order."""
+    return tuple(i for i in range(len(g.positions) + len(g.kept[0])) if i not in g.positions)
 
 
 def _atom_rows(relation: dict, lookup: _FactIndex) -> tuple:
@@ -389,16 +414,18 @@ def _atom_rows(relation: dict, lookup: _FactIndex) -> tuple:
     return rows, whole
 
 
-def _matching_rows(a: Atom, facts, ticker: Ticker):
-    """The facts matching the atom's repeated-variable pattern.
+def _matching_rows(a: Atom, facts, ticker: Ticker, at: Optional[tuple] = None):
+    """The facts matching the atom's repeated-variable pattern, its j-th
+    argument read at position ``at[j]`` of a fact (by default, j).
 
     An atom without a repeated variable matches every fact and gets
     ``facts`` itself, without a scan.
     """
     if len(a.var_set) == len(a.args):
         return facts
+    at = range(len(a.args)) if at is None else at
     first = _first_positions(a)
-    checks = [(first[v], j) for j, v in enumerate(a.args) if first[v] != j]
+    checks = [(at[first[v]], at[j]) for j, v in enumerate(a.args) if first[v] != j]
     ticker.tick(len(facts))
     return [row for row in facts if all(row[i] == row[j] for i, j in checks)]
 
@@ -654,7 +681,9 @@ class _RestJoin:
       first live child: its *table*.  A fixed atom whose rows are still its
       whole relation takes these buckets from the cursor's ``lookup``.
     - Per image answer: one probe per restricted group in ``lookup`` (see
-      ``_FactIndex.restricted``) for the rows of its atoms, then the
+      ``_FactIndex.restricted``) for the rows of its atoms, whole source
+      rows that each restricted atom reads at its group's kept positions
+      (``at``, also its positions in ``forest.pos``), then the
       semi-join pass over the edges whose child is live or whose parent is
       restricted.  A live fixed atom takes its rows from its table at its
       first live child's keys and is filtered by its other live children.
@@ -671,6 +700,11 @@ class _RestJoin:
         self.group = {a: relation[a.symbol.name] for a in forest.preorder}
         self.restricted = [a for a in forest.preorder if self.group[a].positions]
         self.probes = [g for g in rewrite.groups if g.positions]
+        # a restricted atom reads whole source rows, its j-th argument at the
+        # j-th position its group keeps
+        self.at = {a: _kept_positions(self.group[a]) for a in self.restricted}
+        for a, at in self.at.items():
+            forest.pos[a] = {v: at[j] for v, j in forest.pos[a].items()}
         live = set(self.restricted)
         for ch, p, _ in forest.edges:  # children before parents
             if ch in live:
@@ -710,7 +744,7 @@ class _RestJoin:
         selected = {g: lookup.restricted(g, assignment) for g in self.probes}
         rows = dict(fixed_rows)
         for a in self.restricted:
-            rows[a] = _matching_rows(a, selected[self.group[a]], lookup.ticker)
+            rows[a] = _matching_rows(a, selected[self.group[a]], lookup.ticker, self.at[a])
         index = dict(fixed_index)
         # every child this pass buckets is live, so none reads a whole relation
         _reduce_forest(self.forest, rows, lookup, {}, self.answer_edges, index, tables)
@@ -755,7 +789,8 @@ def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, looku
         return _rest_per_image_answer(image_stream, _RestJoin(image.rewrite, lookup), assignment)
     # rest equals the witness's previous element here (collision-free
     # step), so the sub-witness applies to it over the relations each
-    # image answer restricts, with an index of their own.
+    # image answer restricts, with an index of their own
+    # (``_FactIndex.per_answer``).
     image_stream = _acyclic_assignments(image.query, lookup, assignment)
     return _chain_per_image_answer(witness, chain_idx, image_stream, lookup, assignment)
 
@@ -769,9 +804,8 @@ def _chain_per_image_answer(witness: structure.UntanglingWitness, chain_idx: int
                             lookup: _FactIndex, assignment: dict):
     groups = witness.steps[chain_idx - 1].rewrite.groups
     for _ in image_stream:
-        restricted = {g.relation: lookup.restricted(g, assignment) for g in groups}
-        yield from _untangle_stream(witness, chain_idx - 1,
-                                    _FactIndex(restricted.__getitem__, lookup.ticker), assignment)
+        yield from _untangle_stream(witness, chain_idx - 1, lookup.per_answer(groups, assignment),
+                                    assignment)
 
 
 # -- mirror constant-delay enumeration ----------------------------------------
@@ -833,12 +867,18 @@ def _check_schema(db: Database, read: dict) -> None:
                 f"strategy reads {name}/{arity}, found {name}/{db.arity(name)}")
 
 
-def _edge_set(db: Database, ticker: Ticker) -> set:
-    """The edges of R, all a twin strategy reads of them; one tick per fact."""
+def _edge_set(db: Database, ticker: Ticker) -> tuple:
+    """(edges, loops): the edges of R as a set and the vertices with a
+    self-loop in fact order, all a twin strategy reads of R besides its
+    edge list; one tick per fact."""
     _check_schema(db, {"R": 2})
-    edges = db.facts("R")
-    ticker.tick(len(edges))
-    return set(edges)
+    edges, loops = set(), []
+    for u, v in db.facts("R"):
+        ticker.tick()
+        edges.add((u, v))
+        if u == v:
+            loops.append(u)
+    return edges, loops
 
 
 def _binary_adjacency(db: Database, ticker: Ticker):
@@ -867,9 +907,8 @@ def _two_loops_factory(db: Database, ticker: Ticker):
     against the tables before storing makes each cross pair fire exactly
     once; the diagonal pair is emitted explicitly.
     """
-    edges = _edge_set(db, ticker)
+    edges, loops = _edge_set(db, ticker)
     edge_list = db.facts("R")
-    loops = [u for u, v in edge_list if u == v]
 
     def gen():
         t_left: dict = {}   # c -> [(a, b)] with a->b->c->a, loop a
@@ -895,9 +934,8 @@ def _two_loops_factory(db: Database, ticker: Ticker):
 
 def _two_triangles_factory(db: Database, ticker: Ticker):
     """Edge-keyed two-table strategy for the twin-triangles pattern."""
-    edges = _edge_set(db, ticker)
+    edges, loops = _edge_set(db, ticker)
     edge_list = db.facts("R")
-    loops = [u for u, v in edge_list if u == v]
 
     def gen():
         t_tri: dict = {}   # (b,c) -> [a] with triangle a->b->c->a, loop a

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -604,11 +605,27 @@ def test_indexed_restriction_matches_plain_scan(name):
             index = en._FactIndex(db.facts, en.Ticker())  # shared by every answer
             for _ in range(25):
                 assignment = {v: f"v{rng.randrange(6)}" for v in image_vars}
-                got = {g.relation: list(index.restricted(g, assignment))
-                       for g in untangled.groups}
                 want_query, want = _plain_restriction(image, assignment, db)
                 assert untangled.rest == want_query
-                assert sorted((rel, rows) for rel, rows in got.items() if rows) \
+                projected = {}
+                for g in untangled.groups:
+                    rows = index.restricted(g, assignment)
+                    key = tuple(assignment[v] for v in g.image_vars)
+                    # whole source rows holding the answer's values at the
+                    # dropped positions, in fact order
+                    assert list(rows) == [row for row in db.facts(g.source)
+                                          if tuple(row[p] for p in g.positions) == key]
+                    if g.positions:
+                        # the very bucket the semi-join passes read, not a copy
+                        buckets = index.buckets(g.source, g.positions)
+                        if rows:
+                            assert rows is buckets[key]
+                        else:
+                            assert key not in buckets
+                    projected[g.relation] = [
+                        tuple(v for i, v in enumerate(row) if i not in g.positions)
+                        for row in rows]
+                assert sorted((rel, rows) for rel, rows in projected.items() if rows) \
                     == _ordered_facts(want)
 
 
@@ -1068,6 +1085,60 @@ def test_whole_relation_buckets_are_built_once_on_random_queries(monkeypatch):
         assert len(builds) == len(set(builds)), (seed, builds)
         checked += 1
     assert checked > 50
+
+
+def _index_bucketings(monkeypatch) -> list:
+    """Record every bucketing that an index (``_FactIndex.buckets``) makes
+    of a relation it reads, as (rows, key positions, rows object): a
+    database relation, a fresh view at every read, by its facts, and any
+    other rows by ``id``, with the rows kept alive so that no id is reused.
+    Bucketings of rows that a pass has reduced or filtered are not recorded."""
+    builds = []
+    bucketed = en._bucketed
+
+    def counting(rows, at, ticker):
+        if sys._getframe(1).f_code is en._FactIndex.buckets.__code__:
+            told = tuple(rows) if isinstance(rows, RELATION_VIEW) else id(rows)
+            builds.append((told, tuple(at), rows))
+        return bucketed(rows, at, ticker)
+
+    monkeypatch.setattr(en, "_bucketed", counting)
+    return builds
+
+
+def _untangle_cursor_cases():
+    """(label, query, witness, database): a result_is_previous chain on the
+    database that showed each image answer re-bucketing whole relations,
+    and the witnesses of five fixtures on three databases each."""
+    q = parse_query(FOUND_RESULT_IS_PREVIOUS)
+    yield ("FOUND_RESULT_IS_PREVIOUS", q, st.is_untangleable(q)[1],
+           random_graph_db(10, 40, 0, red_p=0.5, loops=6))
+    for name in ("diamond_red", "ring8", "bowtie_chain", "windmill_tail", "ring8_spikes_flip"):
+        q = fx.fixture(name)
+        witness = st.is_untangleable(q)[1]
+        hubs = 3 if any(a.symbol.name == "S" for a in q.atoms) else 0  # S facts that match
+        for seed in range(3):
+            yield name, q, witness, random_graph_db(8, 14, seed, red_p=0.5, hubs=hubs)
+
+
+def test_untangle_cursor_buckets_each_relation_once(monkeypatch):
+    # an untangling cursor's indexes bucket a relation by a set of key
+    # positions at most once over a full run: the rest reads the buckets
+    # the image's passes built, and the index of each image answer of a
+    # result_is_previous step takes the cursor's buckets of the relations
+    # it reads whole
+    builds = _index_bucketings(monkeypatch)
+    answered = set()
+    for label, q, witness, db in _untangle_cursor_cases():
+        assert len({tuple(db.facts(n)) for n in db.symbols}) == len(db.symbols)
+        builds.clear()
+        got = list(en.enum_untangle(q, witness, db))
+        told = [(rows, at) for rows, at, _ in builds]
+        assert len(told) == len(set(told)), label
+        assert len(got) == len(set(got))
+        if got:
+            answered.add(label)
+    assert len(answered) == 6, answered
 
 
 def _trie_signatures(query) -> set:
