@@ -322,10 +322,13 @@ class _FactIndex:
     fact order, grouped by their values at those positions (``buckets``).
 
     A bucket map costs one tick per row when it is first requested and
-    nothing afterwards.  So the atoms of a self-join that read one relation
-    whole share its buckets, and so do the image of an untangling step and
-    its rest, whose restricted atoms read one bucket of a relation by the
-    positions their group drops (``restricted``).
+    nothing afterwards; it records the size of its largest bucket as it is
+    built.  So the atoms of a self-join that read one relation whole share
+    its buckets, and so do the image of an untangling step and its rest,
+    whose restricted atoms read one bucket of a relation by the positions
+    their group drops (``restricted``).  A semi-join pass may fetch a
+    parent's rows from a map that is already built (``built``), which
+    never builds one.
 
     An index lives exactly as long as its lookup: one per cursor over a
     database, and a fresh one per image answer of a ``result_is_previous``
@@ -340,21 +343,33 @@ class _FactIndex:
     def __init__(self, facts: Callable, ticker: Ticker):
         self.facts = facts
         self.ticker = ticker
-        self._whole: dict = {}
+        self._whole: dict = {}  # (name, at) -> (buckets, size of the largest bucket)
         self._inherited: dict = {}  # name -> (parent index, its name for the relation)
 
     def buckets(self, name: str, at: tuple) -> dict:
         """The relation's rows grouped by their values at positions ``at``."""
-        buckets = self._whole.get((name, at))
-        if buckets is None:
+        built = self._whole.get((name, at))
+        if built is None:
             inherited = self._inherited.get(name)
             if inherited is None:
                 buckets = _bucketed(self.facts(name), at, self.ticker)
+                built = buckets, max(map(len, buckets.values()), default=0)
             else:
                 parent, source = inherited
-                buckets = parent.buckets(source, at)
-            self._whole[name, at] = buckets
-        return buckets
+                parent.buckets(source, at)
+                built = parent._whole[source, at]
+            self._whole[name, at] = built
+        return built[0]
+
+    def built(self, name: str, at: tuple) -> Optional[tuple]:
+        """(buckets, size of the largest bucket) of the relation's map by
+        positions ``at`` if it is already built, here or in the index this
+        one inherits the relation from; else None.  Builds nothing."""
+        built = self._whole.get((name, at))
+        if built is None and name in self._inherited:
+            parent, source = self._inherited[name]
+            return parent.built(source, at)
+        return built
 
     def restricted(self, g: structure.UntangledGroup, assignment: dict):
         """The rows of group ``g``'s source relation that the image answer
@@ -490,22 +505,40 @@ def _atom_buckets(forest: _Forest, a: Atom, shared: list, rows: dict, whole: dic
     return lookup.buckets(name, at)
 
 
+def _fetched(table: dict, keys, ticker: Ticker) -> list:
+    """The rows of ``table`` (key -> rows) at ``keys``, key by key; one tick
+    per key and one per row fetched."""
+    ticker.tick(len(keys))
+    rows = [row for key in keys for row in table.get(key, ())]
+    ticker.tick(len(rows))
+    return rows
+
+
 def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict, edges=None,
                    index: Optional[dict] = None, tables: Optional[dict] = None) -> dict:
     """One leaves-to-root semi-join pass that also builds the enumeration
     indexes (Yannakakis's upward pass).
 
     Per join-tree edge, the child's rows are bucketed by the variables it
-    shares with its parent, and the parent's rows are scanned once, keeping
-    those whose key has a bucket.  A child whose rows are still its whole
-    relation (``whole``: atom -> relation name in ``lookup``; the pass
-    removes every atom it reduces) takes that relation's buckets from
-    ``lookup``, built once per cursor, so atoms of a self-join share them;
-    any other child's rows are bucketed here, one tick per row.  The parent
-    scan is one tick per row.  Afterwards every root row extends to a match
-    of its whole tree, and every bucket that a row of the parent can reach
-    holds exactly the child rows that extend it, so no downward pass is
-    needed.
+    shares with its parent, and the parent keeps the rows whose key has a
+    bucket.  A child whose rows are still its whole relation (``whole``:
+    atom -> relation name in ``lookup``; the pass removes every atom it
+    reduces) takes that relation's buckets from ``lookup``, built once per
+    cursor, so atoms of a self-join share them; any other child's rows are
+    bucketed here, one tick per row.  The buckets of the leaf children that
+    read their whole relation are requested before the first edge, so every
+    parent finds all of them built.
+
+    A parent is scanned, one tick per row, unless it still reads its whole
+    relation and ``lookup`` has already built that relation's map by the
+    parent's shared positions, with largest bucket ``w``, and the child's
+    ``k`` keys satisfy k·(1 + w) < |parent|.  Then it fetches its rows from
+    that map's buckets at the child's keys (``_fetched``): one tick per key
+    and one per row fetched, at most k·(1 + w), so never more than the
+    scan.  Both routes keep the same rows; only their order differs.
+    Afterwards every root row extends to a match of its whole tree, and
+    every bucket that a row of the parent can reach holds exactly the child
+    rows that extend it, so no downward pass is needed.
 
     ``rows`` (atom -> rows) is reduced in place; the result is the index:
     per non-root atom, the variables shared with its parent and its buckets.
@@ -513,24 +546,28 @@ def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict,
     ``forest.edges``, and may start from an ``index`` that already holds
     some children, whose buckets it keeps.  A parent missing from ``rows``
     takes its rows from ``tables[parent]``, its candidate rows bucketed by
-    the variables shared with this child, at the child's keys: one tick per
-    key and one per row fetched.
+    the variables shared with this child, fetched at the child's keys.
     """
     index = {} if index is None else index
     ticker = lookup.ticker
-    for ch, p, shared in forest.edges if edges is None else edges:
+    edges = forest.edges if edges is None else edges
+    parents = {p for _, p, _ in edges}
+    for ch, _, shared in edges:
+        if ch in whole and ch not in parents and ch not in index:
+            index[ch] = (shared, _atom_buckets(forest, ch, shared, rows, whole, lookup))
+    for ch, p, shared in edges:
         if ch not in index:
             index[ch] = (shared, _atom_buckets(forest, ch, shared, rows, whole, lookup))
         buckets = index[ch][1]
-        if p in rows:
-            at = [forest.pos[p][v] for v in shared]
+        at = tuple([forest.pos[p][v] for v in shared])
+        built = lookup.built(whole[p], at) if p in whole else None
+        if p not in rows:
+            rows[p] = _fetched(tables[p], buckets, ticker)
+        elif built is not None and len(buckets) * (1 + built[1]) < len(rows[p]):
+            rows[p] = _fetched(built[0], buckets, ticker)
+        else:
             ticker.tick(len(rows[p]))
             rows[p] = [row for row in rows[p] if tuple([row[i] for i in at]) in buckets]
-        else:
-            table = tables[p]
-            ticker.tick(len(buckets))
-            rows[p] = [row for key in buckets for row in table.get(key, ())]
-            ticker.tick(len(rows[p]))
         whole.pop(p, None)
     return index
 
@@ -687,6 +724,11 @@ class _RestJoin:
       semi-join pass over the edges whose child is live or whose parent is
       restricted.  A live fixed atom takes its rows from its table at its
       first live child's keys and is filtered by its other live children.
+      A restricted atom without a child, a *restricted leaf*, is bucketed
+      once per key of its group: its rows depend on the image answer only
+      through that key, so its buckets are kept under (atom, key) for the
+      rest of the run, and the keys partition its source, so they hold
+      each source row at most once.
 
     So every semi-join costs at most the child's keys plus the parent's
     rows, never more than the same pass over a copy of the restricted
@@ -718,6 +760,12 @@ class _RestJoin:
         for ch, p, shared in self.answer_edges:
             if ch in live and p not in self.restricted:
                 self.table_keys.setdefault(p, shared)
+        # restricted leaf -> the variables it shares with its parent; its
+        # buckets depend on the image answer only through its group's key
+        parents = {p for _, p, _ in forest.edges}
+        self.leaves = {ch: shared for ch, _, shared in forest.edges
+                       if ch in self.at and ch not in parents}
+        self.leaf_buckets: dict = {}  # (restricted leaf, group key) -> its buckets
         self.lookup = lookup
         self.prepared = None
 
@@ -740,15 +788,26 @@ class _RestJoin:
         if self.prepared is None:
             self.prepared = self._prepare()
         fixed_rows, fixed_index, tables = self.prepared
-        lookup = self.lookup
+        forest, lookup = self.forest, self.lookup
         selected = {g: lookup.restricted(g, assignment) for g in self.probes}
         rows = dict(fixed_rows)
-        for a in self.restricted:
-            rows[a] = _matching_rows(a, selected[self.group[a]], lookup.ticker, self.at[a])
         index = dict(fixed_index)
+        for a in self.restricted:
+            g = self.group[a]
+            shared = self.leaves.get(a)
+            if shared is None:
+                rows[a] = _matching_rows(a, selected[g], lookup.ticker, self.at[a])
+                continue
+            key = (a, tuple([assignment[v] for v in g.image_vars]))
+            buckets = self.leaf_buckets.get(key)
+            if buckets is None:
+                leaf = {a: _matching_rows(a, selected[g], lookup.ticker, self.at[a])}
+                buckets = self.leaf_buckets[key] = _atom_buckets(forest, a, shared, leaf, {},
+                                                                 lookup)
+            index[a] = (shared, buckets)
         # every child this pass buckets is live, so none reads a whole relation
-        _reduce_forest(self.forest, rows, lookup, {}, self.answer_edges, index, tables)
-        return _forest_assignments(self.forest, rows, index, lookup.ticker, assignment)
+        _reduce_forest(forest, rows, lookup, {}, self.answer_edges, index, tables)
+        return _forest_assignments(forest, rows, index, lookup.ticker, assignment)
 
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,

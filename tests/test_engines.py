@@ -224,6 +224,31 @@ def test_full_acyclic_enumeration_has_no_dead_ends():
     assert answered >= 80
 
 
+def _full_acyclic_run(query, db) -> tuple:
+    cursor = en.enum_full_acyclic(query, db)
+    got = set(cursor)
+    return got, cursor.ticker.count, cursor.preprocessing_ticks
+
+
+def test_semi_join_never_costs_more_than_the_scan(monkeypatch):
+    # a pass fetches a parent from a built map only when that provably costs
+    # fewer ticks than scanning it, and keeps the same rows: with the lookup
+    # reporting no map, every parent is scanned, and no cursor gets cheaper
+    queries = (random_query(seed, 8, 8) for seed in range(300))
+    joins = [q for q in queries if q.is_full and st.is_acyclic(q)]
+    dbs = [random_graph_db(200, 600, s, red_p=0.05, loops=3, s_facts=40) for s in (0, 1)]
+    fetched = [_full_acyclic_run(q, db) for q in joins for db in dbs]
+    monkeypatch.setattr(en._FactIndex, "built", lambda self, name, at: None)
+    scanned = [_full_acyclic_run(q, db) for q in joins for db in dbs]
+    assert len(fetched) > 150
+    cheaper = 0
+    for (got, ticks, pre), (expect, scan_ticks, scan_pre) in zip(fetched, scanned):
+        assert got == expect
+        assert ticks <= scan_ticks and pre <= scan_pre
+        cheaper += ticks < scan_ticks
+    assert cheaper
+
+
 # -- generic join ----------------------------------------------------------------------
 
 
@@ -882,6 +907,30 @@ def test_spike_q2_preprocesses_only_its_two_streams():
         assert set(cursor) == en.oracle_enumerate(q, db), seed
 
 
+def test_spike_q2_fetches_its_parents_from_the_shared_buckets():
+    # on a sparse R with few P values, each stream's semi-join pass fetches
+    # the rows of R that its P atom and the rows fetched before it reach
+    # from R's buckets by source or target, which the passes build anyway,
+    # instead of scanning R for each of its six atoms
+    q = fx.fixture("ring8_io")
+    for seed in range(3):
+        rng = random.Random(seed)
+        db = Database()
+        for _ in range(2):  # in- and out-degree 2
+            perm = list(range(500))
+            rng.shuffle(perm)
+            for u, v in enumerate(perm):
+                db.add_fact("R", (f"v{u}", f"v{v}"))
+        for u in rng.sample(range(500), 10):
+            db.add_fact("P", (f"v{u}",))
+        edges = len(db.facts("R"))
+        assert edges >= 990
+        cursor = en.enum_bespoke("SPIKE_Q2", db)
+        assert cursor.preprocessing_ticks < 3 * edges, seed
+        if seed == 0:
+            assert set(cursor) == en.oracle_enumerate(q, db)
+
+
 def test_bespoke_raw_duplication_bound():
     assert en.BESPOKE_STRATEGIES["SPIKE_Q3"].group == 3
     for strategy in ("SPIKE_Q2", "SPIKE_Q3"):
@@ -1106,6 +1155,30 @@ def _index_bucketings(monkeypatch) -> list:
     return builds
 
 
+def _restricted_leaf_bucketings(monkeypatch) -> list:
+    """Record every bucketing of a restricted leaf's rows that a rest join
+    makes under an image answer, as (rest join, atom, the key of the atom's
+    group in that answer), with the rest join kept alive.  A restricted leaf
+    is a restricted atom of the rest's join forest with no child."""
+    builds = []
+    atom_buckets = en._atom_buckets
+    assignments = en._RestJoin.assignments.__code__
+
+    def counting(forest, a, shared, rows, whole, lookup):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not assignments:
+            frame = frame.f_back
+        if frame is not None:
+            rest, assignment = frame.f_locals["self"], frame.f_locals["assignment"]
+            if a in rest.restricted and all(p != a for _, p, _ in rest.forest.edges):
+                key = tuple(assignment[v] for v in rest.group[a].image_vars)
+                builds.append((rest, a, key))
+        return atom_buckets(forest, a, shared, rows, whole, lookup)
+
+    monkeypatch.setattr(en, "_atom_buckets", counting)
+    return builds
+
+
 def _untangle_cursor_cases():
     """(label, query, witness, database): a result_is_previous chain on the
     database that showed each image answer re-bucketing whole relations,
@@ -1126,19 +1199,26 @@ def test_untangle_cursor_buckets_each_relation_once(monkeypatch):
     # positions at most once over a full run: the rest reads the buckets
     # the image's passes built, and the index of each image answer of a
     # result_is_previous step takes the cursor's buckets of the relations
-    # it reads whole
+    # it reads whole; a rest join keeps the buckets of each restricted leaf
+    # per key of its group, so no image answer buckets them again
     builds = _index_bucketings(monkeypatch)
-    answered = set()
+    leaves = _restricted_leaf_bucketings(monkeypatch)
+    answered, leaf_cases = set(), set()
     for label, q, witness, db in _untangle_cursor_cases():
         assert len({tuple(db.facts(n)) for n in db.symbols}) == len(db.symbols)
         builds.clear()
+        leaves.clear()
         got = list(en.enum_untangle(q, witness, db))
         told = [(rows, at) for rows, at, _ in builds]
         assert len(told) == len(set(told)), label
+        assert len(leaves) == len(set(leaves)), label
         assert len(got) == len(set(got))
         if got:
             answered.add(label)
+        if leaves:
+            leaf_cases.add(label)
     assert len(answered) == 6, answered
+    assert leaf_cases, "no rest join bucketed a restricted leaf"
 
 
 def _trie_signatures(query) -> set:
