@@ -40,18 +40,21 @@ class InapplicableEngineError(Exception):
     pass
 
 
-def _load_query(path: str) -> Query:
+def _load(path: str, parse, what: str):
+    """``parse`` applied to the text of the file at ``path``."""
     try:
-        return parse_query(Path(path).read_text())
+        return parse(Path(path).read_text())
     except (OSError, UnicodeDecodeError, QueryModelError) as exc:
-        raise InputError(f"cannot load query {path}: {exc}") from exc
+        raise InputError(f"cannot load {what} {path}: {exc}") from exc
 
 
-def _load_database(path: str) -> Database:
-    try:
-        return parse_database(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, QueryModelError) as exc:
-        raise InputError(f"cannot load database {path}: {exc}") from exc
+def _load_checked(args) -> tuple:
+    """The query and the database that ``args`` name, the database checked
+    to hold every relation the query reads at the query's arity."""
+    query = _load(args.query, parse_query, "query")
+    db = _load(args.db, parse_database, "database")
+    db.check_arities({a.symbol.name: a.symbol.arity for a in query.atoms})
+    return query, db
 
 
 # -- engine selection -----------------------------------------------------------
@@ -98,8 +101,6 @@ def _engine(analysis: structure.Analysis, engine: str):
             raise InapplicableEngineError("query is not a mirror")
         return "mirror", lambda db: engines.enum_mirror(query, witness, db)
     if engine == "untangle":
-        if not query.is_full:
-            raise InapplicableEngineError("untangling needs a full query")
         status, witness = analysis.untangling
         if status != "yes":
             raise InapplicableEngineError(f"query is not untangleable ({status})")
@@ -120,23 +121,13 @@ def _engine(analysis: structure.Analysis, engine: str):
     raise InputError(f"unknown engine {engine}")
 
 
-def _check_schema(query: Query, db: Database) -> None:
-    """Every relation the query reads has the query's arity in the database,
-    or is absent there, which makes it empty."""
-    for a in query.atoms:
-        arity = db.arity(a.symbol.name)
-        if arity not in (None, a.symbol.arity):
-            raise InputError(f"relation {a.symbol.name} has arity {arity} in the "
-                             f"database but {a.symbol.arity} in the query")
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
 def cmd_classify(args) -> int:
     if args.budget < 0:
         raise InputError("--budget must not be negative")
-    query = _load_query(args.query)
+    query = _load(args.query, parse_query, "query")
     report = structure.classify(query, untangle_budget=args.budget)
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -172,9 +163,7 @@ def cmd_classify(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError("--limit must not be negative")
-    query = _load_query(args.query)
-    db = _load_database(args.db)
-    _check_schema(query, db)
+    query, db = _load_checked(args)
     name, factory = select_engine(query, args.engine)
     cursor = factory(db)
     write = sys.stdout.write
@@ -200,9 +189,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    query = _load_query(args.query)
-    db = _load_database(args.db)
-    _check_schema(query, db)
+    query, db = _load_checked(args)
     name, factory = select_engine(query, args.engine)
     got = list(factory(db))
     want = engines.oracle_enumerate(query, db)
@@ -251,17 +238,16 @@ def _default_generator(query: Query) -> str:
 def cmd_bench_delay(args) -> int:
     if min(args.sizes) < 1:
         raise InputError("--sizes must be positive")
-    query = _load_query(args.query)
+    query = _load(args.query, parse_query, "query")
     gen = _default_generator(query)
-    needed = {a.symbol.name for a in query.atoms}
-    provided = {"R", "P"} if gen != "digraph" else {"R"}
-    if not needed <= provided:
+    needed = {a.symbol.name: a.symbol.arity for a in query.atoms}
+    if not needed.keys() <= {"R", "P"}:
         raise InputError(f"generator {gen} cannot feed schema {sorted(needed)}")
     name, factory = select_engine(query, args.engine)
     rows = []
     for size in args.sizes:
         db = _bench_db(gen, size, args.seed, "P" in needed)
-        _check_schema(query, db)
+        db.check_arities(needed)
         stats = engines.measure_delay(lambda: factory(db))
         rows.append({"size": db.size, **stats.to_json()})
     verdict = delay_verdict(rows)
@@ -302,8 +288,8 @@ def cmd_gadget(args) -> int:
     if kind == "encoding-trick":
         if not args.query:
             raise InputError("encoding-trick needs --query")
-        query = _load_query(args.query)
-        d_prime = _load_database(args.input)
+        query = _load(args.query, parse_query, "query")
+        d_prime = _load(args.input, parse_database, "database")
         _, occurrence = reductions.relabel_self_join_free(query)
         try:
             db = reductions.encoding_trick(query, d_prime, occurrence)
@@ -385,15 +371,12 @@ def main(argv=None) -> int:
         # writes, the flush at interpreter exit included, go to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except InputError as exc:
+    except (InputError, QueryModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InapplicableEngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (QueryModelError, engines.WrongSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -24,10 +24,6 @@ class InvalidWitnessError(Exception):
     pass
 
 
-class WrongSchemaError(Exception):
-    pass
-
-
 class CyclicCoreError(Exception):
     pass
 
@@ -332,10 +328,11 @@ class _FactIndex:
 
     An index lives exactly as long as its lookup: one per cursor over a
     database, and a fresh one per image answer of a ``result_is_previous``
-    step over the relations that answer restricts (``per_answer``), which
-    takes the buckets of the relations it reads whole from the index it was
-    made from.  Nothing outlives its cursor, so a cursor's ticks do not
-    depend on the cursors that ran before it.
+    step over the relations that answer restricts (``per_answer``).  A
+    relation that step reads whole keeps its name there, and its buckets
+    come from the index the new one was made from.  Nothing outlives its
+    cursor, so a cursor's ticks do not depend on the cursors that ran
+    before it.
     """
 
     __slots__ = ("facts", "ticker", "_whole", "_inherited")
@@ -344,20 +341,19 @@ class _FactIndex:
         self.facts = facts
         self.ticker = ticker
         self._whole: dict = {}  # (name, at) -> (buckets, size of the largest bucket)
-        self._inherited: dict = {}  # name -> (parent index, its name for the relation)
+        self._inherited: dict = {}  # name -> the index the relation is read whole from
 
     def buckets(self, name: str, at: tuple) -> dict:
         """The relation's rows grouped by their values at positions ``at``."""
         built = self._whole.get((name, at))
         if built is None:
-            inherited = self._inherited.get(name)
-            if inherited is None:
+            parent = self._inherited.get(name)
+            if parent is None:
                 buckets = _bucketed(self.facts(name), at, self.ticker)
                 built = buckets, max(map(len, buckets.values()), default=0)
             else:
-                parent, source = inherited
-                parent.buckets(source, at)
-                built = parent._whole[source, at]
+                parent.buckets(name, at)
+                built = parent._whole[name, at]
             self._whole[name, at] = built
         return built[0]
 
@@ -367,8 +363,7 @@ class _FactIndex:
         one inherits the relation from; else None.  Builds nothing."""
         built = self._whole.get((name, at))
         if built is None and name in self._inherited:
-            parent, source = self._inherited[name]
-            return parent.built(source, at)
+            return self._inherited[name].built(name, at)
         return built
 
     def restricted(self, g: structure.UntangledGroup, assignment: dict):
@@ -395,8 +390,9 @@ class _FactIndex:
 
         A group that drops positions projects its bucket onto the kept
         positions, one tick per row.  A group that drops none reads its
-        source whole, so the new index takes that relation's buckets from
-        this one, where each is built once per cursor.
+        source whole under the source's own name (``structure.untangle``),
+        so the new index takes that relation's buckets from this one, where
+        each is built once per cursor.
         """
         facts = {}
         for g in groups:
@@ -407,7 +403,7 @@ class _FactIndex:
                 rows = [tuple([row[i] for i in kept]) for row in rows]
             facts[g.relation] = rows
         index = _FactIndex(facts.__getitem__, self.ticker)
-        index._inherited = {g.relation: (self, g.source) for g in groups if not g.positions}
+        index._inherited = {g.relation: self for g in groups if not g.positions}
         return index
 
 
@@ -917,20 +913,11 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
 # -- bespoke per-query strategies ----------------------------------------------
 
 
-def _check_schema(db: Database, read: dict) -> None:
-    """The relations ``read`` (name -> arity) have those arities in ``db``
-    or are absent; relations the strategy does not read are ignored."""
-    for name, arity in read.items():
-        if db.arity(name) not in (None, arity):
-            raise WrongSchemaError(
-                f"strategy reads {name}/{arity}, found {name}/{db.arity(name)}")
-
-
 def _edge_set(db: Database, ticker: Ticker) -> tuple:
     """(edges, loops): the edges of R as a set and the vertices with a
     self-loop in fact order, all a twin strategy reads of R besides its
     edge list; one tick per fact."""
-    _check_schema(db, {"R": 2})
+    db.check_arities({"R": 2})
     edges, loops = set(), []
     for u, v in db.facts("R"):
         ticker.tick()
@@ -942,7 +929,7 @@ def _edge_set(db: Database, ticker: Ticker) -> tuple:
 
 def _binary_adjacency(db: Database, ticker: Ticker):
     """Adjacency and edges of R and the values P marks, for SPIKE_Q3; one tick per fact."""
-    _check_schema(db, {"R": 2, "P": 1})
+    db.check_arities({"R": 2, "P": 1})
     out: dict = {}
     in_: dict = {}
     edges = set()
@@ -1037,7 +1024,7 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
     top answer already induces a full answer; the left-image pass then joins
     against the table and expands the two spikes per joined loop.
     """
-    _check_schema(db, {"R": 2, "P": 1})
+    db.check_arities({"R": 2, "P": 1})
     lookup = _FactIndex(db.facts, ticker)  # the two streams share their buckets
     top_stream = _acyclic_assignments(parse_query(_Q2_TOP), lookup)
     left_stream = _acyclic_assignments(parse_query(_Q2_LEFT), lookup)

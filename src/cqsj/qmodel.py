@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_MAX_VARS = 32
 DEFAULT_MAX_ATOMS = 32
-MAX_PAIR_DEPTH = 64  # the reductions nest pair( one level deep
+MAX_PAIR_DEPTH = 64  # each encoding-trick pass nests pair( one level deeper
 
 class QueryModelError(Exception):
     """Base class for model-level errors."""
@@ -52,7 +52,7 @@ def max_vars_limit() -> int:
 
 
 class Pair(NamedTuple):
-    """A tagged value ``pair(data, var)``; nesting depth of data is <= 1."""
+    """A tagged value ``pair(data, var)``; data nests up to MAX_PAIR_DEPTH deep."""
 
     data: "Value"
     var: str
@@ -186,6 +186,15 @@ class Database:
 
     def arity(self, name: str) -> Optional[int]:
         return self._arities.get(name)
+
+    def check_arities(self, read: dict) -> None:
+        """Each relation of ``read`` (name -> arity) has that arity here or
+        is absent, which makes it empty; relations not read are ignored."""
+        for name, arity in read.items():
+            known = self._arities.get(name)
+            if known not in (None, arity):
+                raise ArityMismatchError(f"relation {name} has arity {known} in the "
+                                         f"database but {arity} in the query")
 
     @property
     def symbols(self) -> list:

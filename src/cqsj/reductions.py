@@ -146,8 +146,7 @@ def encoding_trick(query: Query, d_prime: Database, occurrence: dict) -> Databas
         if name not in occurrence:
             raise SchemaMismatchError(f"symbol {name} is not in the occurrence map")
         atom = occurrence[name]
-        if d_prime.arity(name) != atom.symbol.arity:
-            raise SchemaMismatchError(f"arity mismatch for {name}")
+        d_prime.check_arities({name: atom.symbol.arity})
         for row in d_prime.facts(name):
             if any(_pair_depth(value) == MAX_PAIR_DEPTH for value in row):
                 raise GadgetInputError(f"{name}: a value nested {MAX_PAIR_DEPTH} pair( deep "

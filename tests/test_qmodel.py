@@ -8,6 +8,7 @@ from conftest import FUZZ_TEXT
 from cqsj import fixtures as fx
 from cqsj.qmodel import (
     MAX_PAIR_DEPTH,
+    ArityMismatchError,
     Database,
     LimitExceededError,
     Pair,
@@ -147,6 +148,15 @@ def test_duplicate_facts_collapse():
 def test_fact_arity_mismatch():
     with pytest.raises(ParseError):
         parse_database("R(a,b). R(a).")
+
+
+def test_check_arities():
+    db = parse_database("R(a,b,c). S(a).")
+    # an absent relation is empty; a relation not read is not checked
+    db.check_arities({"R": 3, "P": 1})
+    with pytest.raises(ArityMismatchError,
+                       match="^relation R has arity 3 in the database but 2 in the query$"):
+        db.check_arities({"S": 1, "R": 2})
 
 
 def test_query_round_trip_all_fixtures():

@@ -7,7 +7,7 @@ from conftest import pattern_triangles, random_graph_db
 from cqsj import engines as en
 from cqsj import fixtures as fx
 from cqsj import reductions as rd
-from cqsj.qmodel import Pair, parse_database, parse_query, serialize_database
+from cqsj.qmodel import ArityMismatchError, Pair, parse_database, parse_query, serialize_database
 
 
 # -- relabelling ------------------------------------------------------------------
@@ -65,6 +65,9 @@ def test_encoding_trick_schema_mismatch(diamond):
     _, occurrence = rd.relabel_self_join_free(diamond)
     with pytest.raises(rd.SchemaMismatchError):
         rd.encoding_trick(diamond, parse_database("Zed(a,b)."), occurrence)
+    with pytest.raises(ArityMismatchError,
+                       match="^relation R1 has arity 3 in the database but 2 in the query$"):
+        rd.encoding_trick(diamond, parse_database("R1(a,b,c)."), occurrence)
 
 
 def test_encoded_answers_contain_original(diamond):
