@@ -60,26 +60,33 @@ def _load_checked(args) -> tuple:
 # -- engine selection -----------------------------------------------------------
 
 
-# Strongest guarantee first: the constant-delay engines, then linear delay.
-AUTO_ORDER = ("acyclic", "mirror", "bespoke:SPIKE_Q2", "bespoke:SPIKE_Q3",
-              "untangle", "bespoke:TWO_LOOPS", "bespoke:TWO_TRIANGLES")
+# The engines auto tries, in order, with the verdict each one's cursors
+# realise: full acyclic (Thm 2.2), mirror (Prop 5.2), untangle (Prop 4.3) and
+# the bespoke strategies.  The generic join of --engine oracle promises none.
+ENGINES = {**dict.fromkeys(("acyclic", "mirror", "bespoke:SPIKE_Q2", "bespoke:SPIKE_Q3"),
+                           structure.V_CONSTANT),
+           **dict.fromkeys(("untangle", "bespoke:TWO_LOOPS", "bespoke:TWO_TRIANGLES"),
+                           structure.V_LINEAR_DELAY)}
 
 
 def select_engine(query: Query, engine: str):
-    """Resolve an engine name to a cursor factory.  Every engine, auto
-    included, reads one structural analysis of the query's minimal form and
-    runs on that form, which has the query's answers in its head order.
-    Auto picks the first engine of AUTO_ORDER whose explicit selection
-    applies."""
+    """Resolve an engine name to its label and a cursor factory.  A name
+    other than auto, oracle or a key of ENGINES is an input error, raised
+    before any analysis.  Every engine, auto included, reads one structural
+    analysis of the query's minimal form and runs on that form, which has
+    the query's answers in its head order.  Auto picks the first engine of
+    ENGINES whose explicit selection applies, else the generic join."""
+    if engine not in ENGINES and engine not in ("auto", "oracle"):
+        raise InputError(f"unknown engine {engine}")
     analysis = structure.Analysis(query)
     if engine != "auto":
         return _engine(analysis, engine)
-    for name in AUTO_ORDER:
+    for name in ENGINES:
         try:
             return _engine(analysis, name)
         except InapplicableEngineError:
             pass
-    print("warning: no specialised engine applies, falling back to the oracle",
+    print("warning: no specialised engine applies, falling back to the generic join",
           file=sys.stderr)
     return _engine(analysis, "oracle")
 
@@ -105,20 +112,16 @@ def _engine(analysis: structure.Analysis, engine: str):
         if status != "yes":
             raise InapplicableEngineError(f"query is not untangleable ({status})")
         return "untangle", lambda db: engines.enum_untangle(query, witness, db)
-    if engine.startswith("bespoke:"):
-        strategy = engine.split(":", 1)[1]
-        spec = engines.BESPOKE_STRATEGIES.get(strategy)
-        if spec is None:
-            raise InputError(f"unknown bespoke strategy {strategy}")
-        if analysis.fixture_name != spec.fixture:
-            raise InapplicableEngineError(f"query is not the {strategy} pattern")
-        # where each free variable of the query sits in the pattern's head
-        iso = analysis.registry_entry["iso"]
-        at = {iso[v]: i for i, v in enumerate(fixtures.fixture(spec.fixture).free_vars)}
-        positions = [at[v] for v in query.free_vars]
-        return engine, lambda db: engines.reorder_answers(
-            engines.enum_bespoke(strategy, db), positions)
-    raise InputError(f"unknown engine {engine}")
+    strategy = engine.split(":", 1)[1]  # the bespoke:<ID> rows of ENGINES
+    spec = engines.BESPOKE_STRATEGIES[strategy]
+    if analysis.fixture_name != spec.fixture:
+        raise InapplicableEngineError(f"query is not the {strategy} pattern")
+    # where each free variable of the query sits in the pattern's head
+    iso = analysis.registry_entry["iso"]
+    at = {iso[v]: i for i, v in enumerate(fixtures.fixture(spec.fixture).free_vars)}
+    positions = [at[v] for v in query.free_vars]
+    return engine, lambda db: engines.reorder_answers(
+        engines.enum_bespoke(strategy, db), positions)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -181,7 +184,7 @@ def cmd_enumerate(args) -> int:
         write(line + "\n")
         emitted += 1
     if args.stats:
-        stats = {"engine": name, "answers": emitted,
+        stats = {"engine": name, "guarantee": ENGINES.get(name), "answers": emitted,
                  "preprocessing_ticks": cursor.preprocessing_ticks,
                  "ticks": cursor.ticker.count}
         print(json.dumps(stats, sort_keys=True), file=sys.stderr)
@@ -285,24 +288,19 @@ def delay_verdict(rows) -> str:
 def cmd_gadget(args) -> int:
     kind = args.kind
     out_path = Path(args.out)
-    if kind == "encoding-trick":
-        if not args.query:
-            raise InputError("encoding-trick needs --query")
-        query = _load(args.query, parse_query, "query")
-        d_prime = _load(args.input, parse_database, "database")
-        _, occurrence = reductions.relabel_self_join_free(query)
-        try:
+    try:
+        if kind == "encoding-trick":
+            if not args.query:
+                raise InputError("encoding-trick needs --query")
+            query = _load(args.query, parse_query, "query")
+            d_prime = _load(args.input, parse_database, "database")
+            _, occurrence = reductions.relabel_self_join_free(query)
             db = reductions.encoding_trick(query, d_prime, occurrence)
-        except (reductions.SchemaMismatchError, reductions.GadgetInputError) as exc:
-            raise InputError(str(exc)) from exc
-    elif kind in reductions.GADGET_BUILDERS:
-        try:
+        else:  # argparse admits no other kind than those of GADGET_BUILDERS
             graph = reductions.parse_graph(Path(args.input).read_text())
             db = reductions.GADGET_BUILDERS[kind](graph)
-        except (OSError, UnicodeDecodeError, reductions.GadgetInputError) as exc:
-            raise InputError(str(exc)) from exc
-    else:
-        raise InputError(f"unknown gadget kind {kind}")
+    except (OSError, UnicodeDecodeError, reductions.GadgetInputError) as exc:
+        raise InputError(str(exc)) from exc
     try:
         out_path.write_text(serialize_database(db))
     except OSError as exc:

@@ -1,8 +1,8 @@
 """Enumeration and evaluation engines with instrumented delay.
 
 Every engine counts elementary steps (fact scans, index probes, stores,
-emissions) on a shared tick counter; the delay guarantees asserted by the
-test suite are statements about these ticks, not about wall-clock time.
+emissions) on a shared tick counter; each engine's delay guarantee, its
+row of ``cli.ENGINES``, is a statement about these ticks, not wall-clock time.
 The specialised engines perform their whole preprocessing eagerly at
 construction; the generic join, the fallback, builds its indexes as its
 search reaches them.  All stream answers through an EnumerationCursor.
@@ -309,7 +309,7 @@ class _GenericJoin:
                 yield tuple([self.binding[v] for v in self.query.free_vars])
 
 
-# -- semi-join reduction and constant-delay enumeration -----------------------
+# -- semi-join reduction and full acyclic enumeration -------------------------
 
 
 class _FactIndex:
@@ -666,7 +666,7 @@ def _forest_assignments(forest: _Forest, rows: dict, index: dict, ticker: Ticker
 
 
 def enum_full_acyclic(query: Query, db: Database) -> EnumerationCursor:
-    """Constant-delay enumeration of a full acyclic query.
+    """Enumeration of a full acyclic query (Thm 2.2).
 
     Linear preprocessing: semi-join reduction plus per-edge hash indexes.
     """
@@ -695,7 +695,7 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
     return None
 
 
-# -- untangling-based linear delay enumeration --------------------------------
+# -- untangling-based enumeration ---------------------------------------------
 
 
 class _RestJoin:
@@ -808,7 +808,7 @@ class _RestJoin:
 
 def enum_untangle(query: Query, witness: structure.UntanglingWitness,
                   db: Database) -> EnumerationCursor:
-    """Linear-delay enumeration driven by an untangling witness.
+    """Enumeration driven by an untangling witness (Prop 4.3).
 
     Recursively enumerates the step's image; for each image answer joins the
     rest over the relations that answer restricts and enumerates it.  Every
@@ -863,12 +863,12 @@ def _chain_per_image_answer(witness: structure.UntanglingWitness, chain_idx: int
                                     assignment)
 
 
-# -- mirror constant-delay enumeration ----------------------------------------
+# -- mirror enumeration -------------------------------------------------------
 
 
 def enum_mirror(query: Query, witness: structure.MirrorWitness,
                 db: Database) -> EnumerationCursor:
-    """Constant-delay enumeration of a mirror query.
+    """Enumeration of a mirror query (Prop 5.2).
 
     Streams the acyclic image; a table keyed by the shared variables pairs
     each new private part with every previously seen one (diagonal first,
@@ -1018,7 +1018,7 @@ _Q2_LEFT = ("Q(x1,x2,x3,x4,x5,x6) :- R(x1,x2), R(x2,x3), R(x4,x3), "
 
 
 def _spike_q2_factory(db: Database, ticker: Ticker):
-    """Constant-delay strategy for the ring with one in- and one out-spike.
+    """Strategy for the ring with one in- and one out-spike.
 
     Top-image pass fills a table keyed by the four join variables while each
     top answer already induces a full answer; the left-image pass then joins
@@ -1054,7 +1054,7 @@ def _spike_q2_factory(db: Database, ticker: Ticker):
 
 
 def _spike_q3_factory(db: Database, ticker: Ticker):
-    """Constant-delay strategy for the six-spike ring.
+    """Strategy for the six-spike ring.
 
     Per core solution (b,m,c): a left pass emits one induced answer per
     left-image solution while collecting (x4,x5,x6)-candidates, a top pass

@@ -28,10 +28,6 @@ class GadgetInputError(Exception):
     pass
 
 
-class SchemaMismatchError(Exception):
-    pass
-
-
 # -- graphs -------------------------------------------------------------------
 
 
@@ -144,7 +140,7 @@ def encoding_trick(query: Query, d_prime: Database, occurrence: dict) -> Databas
     out = Database()
     for name in d_prime.symbols:
         if name not in occurrence:
-            raise SchemaMismatchError(f"symbol {name} is not in the occurrence map")
+            raise GadgetInputError(f"symbol {name} is not in the occurrence map")
         atom = occurrence[name]
         d_prime.check_arities({name: atom.symbol.arity})
         for row in d_prime.facts(name):

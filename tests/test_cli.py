@@ -474,17 +474,13 @@ AUTO_ENGINE = {
     "twin_loops": "bespoke:TWO_LOOPS", "twin_triangles": "bespoke:TWO_TRIANGLES",
     "unary_path": "oracle", "windmill": "oracle", "windmill_tail": "untangle",
 }
-CONSTANT_DELAY_ENGINES = {"acyclic", "mirror", "bespoke:SPIKE_Q2", "bespoke:SPIKE_Q3"}
-LINEAR_DELAY_ENGINES = {"untangle", "bespoke:TWO_LOOPS", "bespoke:TWO_TRIANGLES"}
 
 
 def _auto_engine_agreeing_with_classify(query) -> str:
     engine, _ = cli.select_engine(query, "auto")
-    verdicts = {v.problem: v for v in st.classify(query).verdicts}
-    if engine in CONSTANT_DELAY_ENGINES:
-        assert verdicts[st.PROBLEM_CONST].verdict == st.V_CONSTANT
-    if engine in LINEAR_DELAY_ENGINES:
-        assert verdicts[st.PROBLEM_LINEAR].verdict == st.V_LINEAR_DELAY
+    verdicts = {v.verdict for v in st.classify(query).verdicts}
+    # the picked row's guarantee is a verdict of the query; the fallback has none
+    assert engine == "oracle" or cli.ENGINES[engine] in verdicts
     return engine
 
 
@@ -494,19 +490,76 @@ def test_auto_engine_per_fixture_agrees_with_classify(name):
 
 
 def test_auto_engine_on_random_queries_agrees_with_classify():
+    # auto's order decides these counts: 175 of the queries below and the
+    # fixtures let both acyclic and untangle apply, 3 acyclic, mirror and
+    # untangle, and 3 more untangle with mirror, SPIKE_Q2 or SPIKE_Q3
     queries = (random_query(seed) for seed in itertools.count())
     self_joins = (q for q in queries
                   if len({a.symbol for a in q.atoms}) < len(q.atoms))
-    engines = [_auto_engine_agreeing_with_classify(q)
-               for q in itertools.islice(self_joins, 200)]
-    assert {"acyclic", "oracle"} <= set(engines)  # both sides of the fallback
+    picks = collections.Counter(_auto_engine_agreeing_with_classify(q)
+                                for q in itertools.islice(self_joins, 200))
+    assert picks == {"oracle": 147, "acyclic": 53}
     # the 200 random queries of the benchmark's classify_mix workload at seed 1
     files, _ = _load_perfbench("run").build_classify_mix(1, Path("unwritten"))
     texts = [text for path, text in sorted(files.items())
              if Path(path).name.startswith("random") and path.endswith(".cq")]
     assert len(texts) == 200
-    engines = [_auto_engine_agreeing_with_classify(parse_query(t)) for t in texts]
-    assert {"acyclic", "untangle", "oracle"} <= set(engines)
+    picks = collections.Counter(_auto_engine_agreeing_with_classify(parse_query(t))
+                                for t in texts)
+    assert picks == {"acyclic": 124, "oracle": 73, "untangle": 3}
+
+
+def test_engine_table_ranks_constant_before_linear_delay():
+    # auto takes the first row that applies, so a stronger guarantee comes first
+    rank = [st.V_CONSTANT, st.V_LINEAR_DELAY]
+    guarantees = list(cli.ENGINES.values())
+    assert set(guarantees) == set(rank)
+    assert guarantees == sorted(guarantees, key=rank.index)
+    # every bespoke strategy can be selected, and only those
+    bespoke = {name for name in cli.ENGINES if name.startswith("bespoke:")}
+    assert bespoke == {f"bespoke:{s}" for s in en.BESPOKE_STRATEGIES}
+
+
+@pytest.mark.parametrize("engine", ["nope", "bespoke:NOPE"])
+def test_unknown_engine_exits_2_before_any_analysis(workdir, capsys, monkeypatch, engine):
+    _, write = workdir
+    qf = write("q.cq", serialize_query(fx.fixture("diamond")))
+    df = write("d.facts", "R(a,b). R(b,c).")
+    calls = []
+    minimal_form = st.minimal_form
+    monkeypatch.setattr(st, "minimal_form", lambda q: calls.append(q) or minimal_form(q))
+    for command in ("enumerate", "verify"):
+        code, out, err = run_cli([command, qf, df, "--engine", engine], capsys)
+        assert (code, out, err) == (2, "", f"error: unknown engine {engine}\n")
+    assert calls == []
+
+
+def test_bespoke_engine_on_another_pattern_exits_3(workdir, capsys):
+    _, write = workdir
+    qf = write("q.cq", serialize_query(fx.fixture("triangle")))
+    df = write("d.facts", "R(a,b). R(b,c). R(c,a).")
+    code, out, err = run_cli(["enumerate", qf, df, "--engine", "bespoke:TWO_LOOPS"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: query is not the TWO_LOOPS pattern\n"
+
+
+@pytest.mark.parametrize("engine", [*cli.ENGINES, "oracle"])
+def test_explicit_engine_matches_auto_and_states_its_guarantee(workdir, capsys, engine):
+    # selecting a row by name on a fixture auto gives it runs the same
+    # engine, and --stats names the row's guarantee (none for the fallback)
+    name = min(n for n, picked in AUTO_ENGINE.items() if picked == engine)
+    query = fx.fixture(name)
+    assert cli.select_engine(query, engine)[0] == engine
+    _, write = workdir
+    qf = write("q.cq", serialize_query(query))
+    df = write("d.facts", "")
+    code, out, err = run_cli(["enumerate", qf, df, "--stats"], capsys)
+    assert (code, out) == (0, "")
+    *warnings, stats = err.splitlines()
+    fallback = ["warning: no specialised engine applies, falling back to the generic join"]
+    assert warnings == (fallback if engine == "oracle" else [])
+    assert json.loads(stats)["engine"] == engine
+    assert json.loads(stats)["guarantee"] == cli.ENGINES.get(engine)
 
 
 # Non-minimal inputs whose minimal form is full acyclic: classify_mix seed-1
@@ -813,7 +866,7 @@ def test_benchmark_knows_every_auto_engine_label():
                  if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] == ["ENGINES"])
     fallback, _ = cli.select_engine(fx.fixture("triangle"), "auto")
-    labels = (*cli.AUTO_ORDER, fallback)
+    labels = (*cli.ENGINES, fallback)
     assert set(AUTO_ENGINE.values()) <= set(labels)
     for label in labels:
         assert label.split(":")[-1] in known, label

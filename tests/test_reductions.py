@@ -63,7 +63,7 @@ def test_encoding_trick_empty():
 
 def test_encoding_trick_schema_mismatch(diamond):
     _, occurrence = rd.relabel_self_join_free(diamond)
-    with pytest.raises(rd.SchemaMismatchError):
+    with pytest.raises(rd.GadgetInputError, match="^symbol Zed is not in the occurrence map$"):
         rd.encoding_trick(diamond, parse_database("Zed(a,b)."), occurrence)
     with pytest.raises(ArityMismatchError,
                        match="^relation R1 has arity 3 in the database but 2 in the query$"):
