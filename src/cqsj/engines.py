@@ -475,6 +475,8 @@ class _Forest:
                 stack.extend(reversed(children[cur]))
         self.parent = tree.parent
         self.pos = {a: _first_positions(a) for a in tree.nodes}
+        # per atom, the relation of the lookup its rows are drawn from
+        self.source = {a: a.symbol.name for a in self.preorder}
         # (child, parent, shared variables) per edge, every child before its parent
         self.edges = [(ch, p, sorted(set(ch.args) & set(p.args)))
                       for p in reversed(self.preorder) for ch in children[p]]
@@ -510,6 +512,17 @@ def _fetched(table: dict, keys, ticker: Ticker) -> list:
     return rows
 
 
+def _keeps_every_row(forest: _Forest, ch: Atom, p: Atom, shared: list, whole: dict) -> bool:
+    """Whether the semi-join of parent ``p`` by child ``ch`` keeps every row
+    of ``p``: ``ch`` still reads its whole relation, ``p``'s rows are drawn
+    from that relation, and both atoms hold the ``shared`` variables at the
+    same positions, so every row of ``p`` finds its own key among the
+    relation's buckets, which are ``ch``'s."""
+    pos_ch, pos_p = forest.pos[ch], forest.pos[p]
+    return (whole.get(ch) == forest.source[p]
+            and all(pos_ch[v] == pos_p[v] for v in shared))
+
+
 def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict, edges=None,
                    index: Optional[dict] = None, tables: Optional[dict] = None) -> dict:
     """One leaves-to-root semi-join pass that also builds the enumeration
@@ -525,9 +538,17 @@ def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict,
     read their whole relation are requested before the first edge, so every
     parent finds all of them built.
 
-    A parent is scanned, one tick per row, unless it still reads its whole
-    relation and ``lookup`` has already built that relation's map by the
-    parent's shared positions, with largest bucket ``w``, and the child's
+    A parent whose rows are drawn from the relation its child still reads
+    whole (``forest.source``), and which holds the shared variables at the
+    child's positions, keeps every row: each of its rows is a row of that
+    relation, so its key has a bucket (``_keeps_every_row``).  Such an edge
+    costs only its child's bucketing; the parent keeps the same rows in the
+    same order, and a parent in ``whole`` stays there, so a later edge may
+    still share its relation's buckets or fetch its rows from them.
+
+    Any other parent is scanned, one tick per row, unless it still reads its
+    whole relation and ``lookup`` has already built that relation's map by
+    the parent's shared positions, with largest bucket ``w``, and the child's
     ``k`` keys satisfy k·(1 + w) < |parent|.  Then it fetches its rows from
     that map's buckets at the child's keys (``_fetched``): one tick per key
     and one per row fetched, at most k·(1 + w), so never more than the
@@ -555,6 +576,8 @@ def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict,
         if ch not in index:
             index[ch] = (shared, _atom_buckets(forest, ch, shared, rows, whole, lookup))
         buckets = index[ch][1]
+        if p in rows and _keeps_every_row(forest, ch, p, shared, whole):
+            continue  # p keeps its rows as they are, and stays whole if it was
         at = tuple([forest.pos[p][v] for v in shared])
         built = lookup.built(whole[p], at) if p in whole else None
         if p not in rows:
@@ -571,7 +594,7 @@ def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict,
 def _reduced(forest: _Forest, lookup: _FactIndex) -> tuple:
     """(rows, index) of the whole forest over ``lookup``'s relations after
     its semi-join pass (see ``_reduce_forest``)."""
-    rows, whole = _atom_rows({a: a.symbol.name for a in forest.preorder}, lookup)
+    rows, whole = _atom_rows(forest.source, lookup)
     return rows, _reduce_forest(forest, rows, lookup, whole)
 
 
@@ -720,6 +743,11 @@ class _RestJoin:
       semi-join pass over the edges whose child is live or whose parent is
       restricted.  A live fixed atom takes its rows from its table at its
       first live child's keys and is filtered by its other live children.
+      A restricted atom keeps its rows without a scan under a fixed child
+      that still reads the atom's source relation whole, at the positions
+      the atom holds their shared variables (``forest.source``): its rows
+      are rows of that relation, so each finds its key among the child's
+      buckets, and the edge costs nothing per image answer.
       A restricted atom without a child, a *restricted leaf*, is bucketed
       once per key of its group: its rows depend on the image answer only
       through that key, so its buckets are kept under (atom, key) for the
@@ -736,6 +764,7 @@ class _RestJoin:
         self.forest = forest = _Forest(_join_tree(rewrite.rest))
         relation = {g.relation: g for g in rewrite.groups}
         self.group = {a: relation[a.symbol.name] for a in forest.preorder}
+        forest.source = {a: self.group[a].source for a in forest.preorder}
         self.restricted = [a for a in forest.preorder if self.group[a].positions]
         self.probes = [g for g in rewrite.groups if g.positions]
         # a restricted atom reads whole source rows, its j-th argument at the
@@ -766,9 +795,11 @@ class _RestJoin:
         self.prepared = None
 
     def _prepare(self):
-        """(rows of the fixed roots, index of the fixed children, tables)."""
+        """(rows of the fixed roots, index of the fixed children, tables,
+        the atoms without a live one in their subtree that still read their
+        whole relation)."""
         forest, lookup = self.forest, self.lookup
-        rows, whole = _atom_rows({a: self.group[a].source for a in forest.preorder
+        rows, whole = _atom_rows({a: forest.source[a] for a in forest.preorder
                                   if a not in self.restricted}, lookup)
         # restricted atoms hold no rows before an image answer selects them,
         # so this pass only buckets their fixed children
@@ -776,14 +807,16 @@ class _RestJoin:
         index = _reduce_forest(forest, rows, lookup, whole, self.fixed_edges)
         tables = {p: _atom_buckets(forest, p, shared, rows, whole, lookup)
                   for p, shared in self.table_keys.items()}
-        return {r: rows[r] for r in forest.roots if r not in self.live}, index, tables
+        fixed_whole = {a: name for a, name in whole.items() if a not in self.live}
+        return ({r: rows[r] for r in forest.roots if r not in self.live}, index, tables,
+                fixed_whole)
 
     def assignments(self, assignment: dict):
         """The rest's assignment stream under the image answer ``assignment``,
         into which it binds the rest's variables."""
         if self.prepared is None:
             self.prepared = self._prepare()
-        fixed_rows, fixed_index, tables = self.prepared
+        fixed_rows, fixed_index, tables, fixed_whole = self.prepared
         forest, lookup = self.forest, self.lookup
         selected = {g: lookup.restricted(g, assignment) for g in self.probes}
         rows = dict(fixed_rows)
@@ -801,8 +834,10 @@ class _RestJoin:
                 buckets = self.leaf_buckets[key] = _atom_buckets(forest, a, shared, leaf, {},
                                                                  lookup)
             index[a] = (shared, buckets)
-        # every child this pass buckets is live, so none reads a whole relation
-        _reduce_forest(forest, rows, lookup, {}, self.answer_edges, index, tables)
+        # every child this pass buckets is live; a fixed child that still
+        # reads its whole relation spares its restricted parent the scan.
+        # Every parent here is live, so none is whole and none is removed.
+        _reduce_forest(forest, rows, lookup, fixed_whole, self.answer_edges, index, tables)
         return _forest_assignments(forest, rows, index, lookup.ticker, assignment)
 
 

@@ -249,6 +249,79 @@ def test_semi_join_never_costs_more_than_the_scan(monkeypatch):
     assert cheaper
 
 
+def _delay_run(cursor) -> tuple:
+    """(answer set, ticks, preprocessing ticks, largest gap) of a cursor run
+    to completion, gaps counted as ``measure_delay`` counts them."""
+    got, last, gap = set(), cursor.ticker.count, 0
+    while True:
+        item = cursor.next()
+        gap = max(gap, cursor.ticker.count - last)
+        last = cursor.ticker.count
+        if item is None:
+            return got, cursor.ticker.count, cursor.preprocessing_ticks, gap
+        got.add(item)
+
+
+def test_keeping_every_parent_row_never_costs_more(monkeypatch):
+    # a parent drawn from the relation its child reads whole, keyed at the
+    # same positions, keeps every row without a scan: with the rule off,
+    # every such parent is scanned, and no cursor's ticks or largest gap
+    # get smaller
+    queries = (random_query(seed, 8, 8) for seed in range(300))
+    joins = [q for q in queries if q.is_full and st.is_acyclic(q)]
+    dbs = [random_graph_db(200, 600, s, red_p=0.05, loops=3, s_facts=40) for s in (0, 1)]
+    makers = [lambda q=q, db=db: en.enum_full_acyclic(q, db) for q in joins for db in dbs]
+    untangling = [lambda q=q, w=w, db=db: en.enum_untangle(q, w, db)
+                  for _, q, w, db in _untangle_cursor_cases()]
+    kept = [_delay_run(make()) for make in makers + untangling]
+    monkeypatch.setattr(en, "_keeps_every_row", lambda *args: False)
+    scanned = [_delay_run(make()) for make in makers + untangling]
+    assert len(makers) > 150
+    cheaper = []
+    for (got, ticks, pre, gap), (expect, scan_ticks, scan_pre, scan_gap) in zip(kept, scanned):
+        assert got == expect
+        assert ticks <= scan_ticks and pre <= scan_pre and gap <= scan_gap
+        cheaper.append(ticks < scan_ticks)
+    # both the full acyclic pass and the untangling passes skip some scan
+    assert any(cheaper[:len(makers)]) and any(cheaper[len(makers):])
+
+
+# (query, the relation it reads, preprocessing ticks per fact of it); the
+# parent, the last atom, was scanned once more per fact.  path2_full, which
+# reads R at other positions, keeps its scan (see
+# test_full_acyclic_preprocessing_is_one_pass).
+KEPT_PARENT_SHAPES = [
+    # one edge whose parent reads R keyed at R(z,y)'s position: only the
+    # child's bucketing is paid
+    ("Q(x,y,z) :- R(x,y), R(z,y).", "R", 1),
+    # the parent S(z,x,x) filters S for its repeated variable, then keeps
+    # every row it filtered: S(w,x,v) holds x where S(z,x,x) first does
+    ("Q(w,x,v,z) :- S(w,x,v), S(z,x,x).", "S", 2),
+]
+
+
+@pytest.mark.parametrize("text,name,per_fact", KEPT_PARENT_SHAPES)
+def test_parent_keyed_like_its_whole_child_is_not_scanned(text, name, per_fact):
+    query = parse_query(text)
+    tree = st.gyo_acyclic(query)
+    assert [p for p in tree.parent.values() if p is not None] == [query.atoms[-1]]
+    answered = 0
+    # (30, 120, 0) draws R as random_graph_db(30, 120, 0) does: 111 facts,
+    # read in 111 ticks here and in 222 when the parent was scanned
+    for n, m, seed in ((0, 0, 0), (1, 1, 1), (30, 120, 0), (6, 80, 2), (200, 500, 3)):
+        rng, arity = random.Random(seed), query.atoms[0].symbol.arity
+        db = Database()
+        for _ in range(m):
+            db.add_fact(name, tuple(f"v{rng.randrange(n)}" for _ in range(arity)))
+        cursor = en.enum_full_acyclic(query, db)
+        assert cursor.preprocessing_ticks == per_fact * db.size, (text, n, m)
+        got = list(cursor)
+        assert len(got) == len(set(got))
+        assert set(got) == en.oracle_enumerate(query, db)
+        answered += bool(got)
+    assert answered >= 3
+
+
 # -- generic join ----------------------------------------------------------------------
 
 
