@@ -19,6 +19,7 @@ from cqsj import reductions as rd
 from cqsj import structure as st
 from cqsj.qmodel import (ArityMismatchError, Atom, Database, Pair, RelationSymbol, make_query,
                          parse_database, parse_query)
+from test_acceptance import _bench_graph_db
 
 
 def section3_database() -> Database:
@@ -1007,20 +1008,145 @@ def test_spike_q2_fetches_its_parents_from_the_shared_buckets():
 
 
 def test_bespoke_raw_duplication_bound():
+    # SPIKE_Q3's raw stream repeats nothing; SPIKE_Q2's repeats only the
+    # answers where its top and left passes meet, (b,m,c,m,b,m,c,m,m,m), twice
     assert en.BESPOKE_STRATEGIES["SPIKE_Q3"].group == 3
+    assert en.BESPOKE_STRATEGIES["SPIKE_Q2"].duplication == 2
+    shared = 0
     for strategy in ("SPIKE_Q2", "SPIKE_Q3"):
         bound = en.BESPOKE_STRATEGIES[strategy].duplication
         group = en.BESPOKE_STRATEGIES[strategy].group
         for seed in range(6):
             db = random_graph_db(10, 16, seed, red_p=0.3)
             raw = list(en.enum_bespoke(strategy, db, dedup=False))
-            counts = {}
-            for item in raw:
-                counts[item] = counts.get(item, 0) + 1
+            counts = collections.Counter(raw)
             assert max(counts.values(), default=0) <= bound
+            repeated = [item for item, n in counts.items() if n > 1]
+            if strategy == "SPIKE_Q3":
+                assert not repeated, seed
+            for b, m, c, *rest in repeated:
+                assert rest == [m, b, m, c, m, m, m], (seed, rest)
+            shared += len(repeated)
             # the declared grouping: each prefix is one contiguous block
             blocks = [key for key, _ in itertools.groupby(item[:group] for item in raw)]
             assert len(blocks) == len(set(blocks)), (strategy, seed)
+    assert shared
+
+
+def test_spike_q3_raw_stream_is_duplicate_free_on_criterion_4_data():
+    # acceptance criterion 4's 1k-fact SPIKE_Q3 database; the left and top
+    # passes' answers came a second time from the edge tests, 5,391 raw
+    # emissions for 3,325 answers
+    db = _bench_graph_db(1000, 11, red_p=0.02, nodes=1000)
+    raw = list(en.enum_bespoke("SPIKE_Q3", db, dedup=False))
+    assert len(raw) == len(set(raw)) == 3325
+
+
+def _spiked_ring_skip_db(size: int, seed: int) -> Database:
+    """About ``size`` random R facts over as many nodes, P on one in 50.
+    Each marked m has one successor c, whose only predecessor it is, and
+    every other marked m has one predecessor b, which may have random
+    successors besides m; so whole edge tests of SPIKE_Q3, and whole
+    table entries of SPIKE_Q2, give only answers the induced passes gave."""
+    rng = random.Random(seed)
+    db = Database()
+    k = size // 50
+    for i in range(k):
+        db.add_fact("P", (f"m{i}",))
+        db.add_fact("R", (f"m{i}", f"c{i}"))
+        if i % 2:
+            db.add_fact("R", (f"b{i}", f"m{i}"))
+    free = [f"v{i}" for i in range(size - 3 * k)]
+    sources = free + [f"c{i}" for i in range(k)] + [f"b{i}" for i in range(1, k, 2)]
+    targets = free + [f"m{i}" for i in range(0, k, 2)] + [f"b{i}" for i in range(1, k, 2)]
+    while db.size < size + k:
+        db.add_fact("R", (rng.choice(sources), rng.choice(targets)))
+    return db
+
+
+def test_spike_skips_keep_constant_gaps():
+    # acceptance criterion 4's 2x bound on the largest gap across 1k-8k
+    # facts, on data where the skipped answers come in whole edge tests
+    for strategy in ("SPIKE_Q2", "SPIKE_Q3"):
+        gaps = []
+        for size in (1000, 2000, 4000, 8000):
+            db = _spiked_ring_skip_db(size, 11)
+            succ, pred = collections.defaultdict(list), collections.defaultdict(list)
+            for u, v in db.facts("R"):
+                succ[u].append(v)
+                pred[v].append(u)
+            for i in range(size // 50):
+                assert succ[f"m{i}"] == [f"c{i}"] and pred[f"c{i}"] == [f"m{i}"]
+                if i % 2:
+                    assert pred[f"m{i}"] == [f"b{i}"]
+            raw = list(en.enum_bespoke(strategy, db, dedup=False))
+            assert len(set(raw)) >= size // 10
+            if strategy == "SPIKE_Q3":
+                assert len(raw) == len(set(raw))
+            stats = en.measure_delay(lambda db=db: en.enum_bespoke(strategy, db))
+            assert stats.answers == len(set(raw))
+            gaps.append(max(1, stats.max_gap))
+        assert max(gaps) / min(gaps) <= 2.0, (strategy, gaps)
+
+
+def _spike_hub_db(k: int) -> Database:
+    """Three marked rings whose skipped answers fill whole loops of width k
+    if their skips are not made before those loops."""
+    db = Database()
+    for u, v in ([("bA", "mA")] + [("mA", f"cA{j}") for j in range(k)]
+                 + [("bB", "mB"), ("mB", "cB"), ("wB", "mB")] + [("wB", f"zB{j}") for j in range(k)]
+                 + [("bC", "mC"), ("mC", "cC"), ("qC", "mC")] + [(f"pC{j}", "cC") for j in range(k)]):
+        db.add_fact("R", (u, v))
+    for m in ("mA", "mB", "mC"):
+        db.add_fact("P", (m,))
+    return db
+
+
+def _longest_tickless_run(cursor: en.EnumerationCursor, functions: set) -> tuple:
+    """(the most lines of ``functions`` in engines.py run between two ticks,
+    the answers) of a run of ``cursor``, traced with ``sys.settrace``."""
+    ticker = cursor.ticker
+    run = [ticker.count, 0, 0]  # ticks at the last line, lines since, longest run
+
+    def line(frame, event, arg):
+        if event == "line":
+            if ticker.count != run[0]:
+                run[0], run[1] = ticker.count, 0
+            else:
+                run[1] += 1
+                run[2] = max(run[2], run[1])
+        return line
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        return line if code.co_filename == en.__file__ and code.co_name in functions else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        answers = list(cursor)
+    finally:
+        sys.settrace(previous)
+    return run[2], answers
+
+
+def test_spike_skips_leave_no_loop_idle():
+    # ticks cover the work: the most lines of a strategy's generator run
+    # between two ticks does not grow with the hubs' degree k.  In ring A,
+    # bA's one successor mA has k successors, each with one predecessor; in
+    # ring B, cB's one predecessor mB has another, wB, with k successors; in
+    # ring C, mC's one successor cC has k predecessors
+    for strategy in ("SPIKE_Q2", "SPIKE_Q3"):
+        q = fx.fixture(en.BESPOKE_STRATEGIES[strategy].fixture)
+        runs = []
+        for k in (4, 8, 16):
+            db = _spike_hub_db(k)
+            run, raw = _longest_tickless_run(en.enum_bespoke(strategy, db, dedup=False),
+                                             {"gen", "run_tests", "assembled"})
+            runs.append(run)
+            if k == 4:
+                assert set(raw) == en.oracle_enumerate(q, db)
+        assert len(set(runs)) == 1, (strategy, runs)
 
 
 def test_bespoke_rejects_wrong_schema():
