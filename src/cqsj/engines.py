@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import structure
@@ -72,8 +71,7 @@ class EnumerationCursor:
             yield item
 
 
-@dataclass(frozen=True)
-class DelayStats:
+class DelayStats(NamedTuple):
     preprocessing_ticks: int
     max_gap: int
     answers: int

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_MAX_VARS = 32
@@ -67,22 +66,25 @@ def serialize_value(value: Value) -> str:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class RelationSymbol:
+class RelationSymbol(NamedTuple):
     name: str
     arity: int
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class _AtomFields(NamedTuple):
     symbol: RelationSymbol
     args: tuple  # tuple[str, ...], repeats allowed
 
-    def __post_init__(self):
-        if len(self.args) != self.symbol.arity:
+
+class Atom(_AtomFields):
+    __slots__ = ()
+
+    def __new__(cls, symbol: RelationSymbol, args: tuple):
+        if len(args) != symbol.arity:
             raise ArityMismatchError(
-                f"atom {self.symbol.name} expects {self.symbol.arity} args, got {len(self.args)}"
+                f"atom {symbol.name} expects {symbol.arity} args, got {len(args)}"
             )
+        return super().__new__(cls, symbol, args)
 
     @property
     def var_set(self) -> frozenset:
@@ -95,8 +97,12 @@ class Atom:
         return f"{self.symbol.name}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class Query:
+class _QueryFields(NamedTuple):
+    atoms: tuple  # tuple[Atom, ...], sorted, no duplicates
+    free_vars: tuple  # tuple[str, ...], no duplicates
+
+
+class Query(_QueryFields):
     """A conjunctive query.
 
     ``atoms`` are kept sorted and deduplicated (set semantics); ``free_vars``
@@ -104,23 +110,24 @@ class Query:
     free and *Boolean* when none is.
     """
 
-    atoms: tuple  # tuple[Atom, ...], sorted, no duplicates
-    free_vars: tuple  # tuple[str, ...], no duplicates
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
+    def __new__(cls, atoms: tuple, free_vars: tuple):
+        atoms = tuple(sorted(set(atoms)))
         seen_arities = {}
-        for a in self.atoms:
+        for a in atoms:
             prev = seen_arities.setdefault(a.symbol.name, a.symbol.arity)
             if prev != a.symbol.arity:
                 raise ArityMismatchError(
                     f"symbol {a.symbol.name} used with arities {prev} and {a.symbol.arity}"
                 )
-        if len(set(self.free_vars)) != len(self.free_vars):
+        self = super().__new__(cls, atoms, free_vars)
+        if len(set(free_vars)) != len(free_vars):
             raise QueryModelError("duplicate free variable")
-        missing = set(self.free_vars) - set(self.all_vars)
+        missing = set(free_vars) - set(self.all_vars)
         if missing:
             raise QueryModelError(f"free variables not in any atom: {sorted(missing)}")
+        return self
 
     @property
     def all_vars(self) -> tuple:

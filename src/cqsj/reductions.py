@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .qmodel import MAX_PAIR_DEPTH, Atom, Database, Pair, Query, RelationSymbol, make_query
 
@@ -31,23 +30,27 @@ class GadgetInputError(Exception):
 # -- graphs -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Directed graph, optionally with a three-way vertex partition."""
-
+class _GraphFields(NamedTuple):
     vertices: tuple
     edges: tuple  # tuple[(str, str), ...]
-    parts: Optional[dict] = None  # {"U": (...), "V": (...), "W": (...)}
+    parts: Optional[dict]  # {"U": (...), "V": (...), "W": (...)}
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for u, v in self.edges:
+
+class Graph(_GraphFields):
+    """Directed graph, optionally with a three-way vertex partition."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple, edges: tuple, parts: Optional[dict] = None):
+        vs = set(vertices)
+        for u, v in edges:
             if u not in vs or v not in vs:
                 raise GadgetInputError(f"edge ({u},{v}) uses unknown vertex")
-        if self.parts is not None:
-            labelled = [x for key in ("U", "V", "W") for x in self.parts.get(key, ())]
-            if sorted(labelled) != sorted(self.vertices):
+        if parts is not None:
+            labelled = [x for key in ("U", "V", "W") for x in parts.get(key, ())]
+            if sorted(labelled) != sorted(vertices):
                 raise GadgetInputError("parts do not partition the vertex set")
+        return super().__new__(cls, vertices, edges, parts)
 
     def part_of(self, key: str) -> tuple:
         if self.parts is None:

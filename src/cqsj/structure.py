@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import fixtures
 from .qmodel import (
@@ -38,8 +37,7 @@ class NotAcyclicError(Exception):
 # -- join trees and acyclicity ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class JoinTree:
+class JoinTree(NamedTuple):
     """A forest over the query's atoms satisfying running intersection."""
 
     nodes: tuple  # tuple[Atom, ...]
@@ -321,15 +319,21 @@ def isomorphism(src: Query, dst: Query) -> Optional[dict]:
 # -- images ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Image:
     """Subquery induced by the range atoms of an endomorphism of ``source``,
-    with the first endomorphism found that reaches them."""
+    with the first endomorphism found that reaches them.  Images compare and
+    hash by ``atoms`` and ``query`` only."""
 
-    atoms: frozenset
-    query: Query
-    endo: dict = field(compare=False)
-    source: Query = field(compare=False)
+    def __init__(self, atoms: frozenset, query: Query, endo: dict, source: Query):
+        self.atoms, self.query, self.endo, self.source = atoms, query, endo, source
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atoms, self.query) == (other.atoms, other.query)
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.query))
 
     @cached_property
     def rewrite(self) -> Untangled:
@@ -371,8 +375,7 @@ def images(query: Query) -> list:
 # -- untangling --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UntangledGroup:
+class UntangledGroup(NamedTuple):
     """Removed-side atoms that share one filtered copy of their symbol."""
 
     source: str        # symbol of the atoms
@@ -383,8 +386,7 @@ class UntangledGroup:
     kept: tuple        # argument tuples of the atoms without those positions
 
 
-@dataclass(frozen=True)
-class Untangled:
+class Untangled(NamedTuple):
     """One untangling step: the query without the image's atoms.
 
     ``result`` holds the remaining atoms over paper symbols; ``rest`` holds
@@ -449,8 +451,7 @@ def untangle(query: Query, image_atoms: frozenset) -> Untangled:
     return Untangled(tuple(groups), over("symbol"), over("relation"))
 
 
-@dataclass(frozen=True)
-class UntanglingWitness:
+class UntanglingWitness(NamedTuple):
     """Chain q0..ql with q0 acyclic; ``steps[k]`` is an image of q(k+1) that
     links it to qk, either as the image itself or as its untangling."""
 
@@ -551,8 +552,7 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
 # -- mirrors -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MirrorWitness:
+class MirrorWitness(NamedTuple):
     """Acyclic image plus a shared-fixing isomorphism from the rest onto it."""
 
     image: Image
@@ -926,15 +926,14 @@ def classification_registry() -> dict:
     return registry
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     problem: str
     verdict: str
     assumption: str
     citation: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def classify(query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET) -> Analysis:

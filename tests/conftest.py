@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as hst
+
+# no __pycache__ next to the package: a benchmark run from this checkout
+# would otherwise start from bytecode and read a lower setup_s
+sys.dont_write_bytecode = True
 
 from cqsj.qmodel import Database
 from cqsj import fixtures as fx

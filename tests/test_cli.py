@@ -685,6 +685,20 @@ def test_auto_selection_runs_each_search_once(monkeypatch, name):
     assert calls["minimal_form"] == [query]
 
 
+def _child_env(**extra) -> dict:
+    """Environment of a child ``python``: it imports the same cqsj package
+    as this process, whether it is installed or only on PYTHONPATH, writes
+    no bytecode next to it, and nothing else leaks in."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+            "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+
+def _package_files() -> list:
+    package_dir = Path(cli.__file__).parent
+    return sorted(p.relative_to(package_dir) for p in package_dir.rglob("*"))
+
+
 def test_cross_process_determinism(tmp_path):
     qf = tmp_path / "q.cq"
     qf.write_text(serialize_query(fx.fixture("diamond")))
@@ -702,9 +716,7 @@ def test_cross_process_determinism(tmp_path):
     # the rest of each untangling step joined per image answer
     uf = tmp_path / "u.facts"
     uf.write_text(serialize_database(rd.gadget_utd_spike_q4(ref.gen_tripartite(6, 5, 5, 0.3, 0))))
-    # The child imports the same cqsj package as this process, whether it
-    # is installed or only on PYTHONPATH; nothing else leaks into its env.
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    listing = _package_files()
     for argv in (["enumerate", str(qf), str(df), "--engine", "mirror"],
                  ["classify", str(rf), "--json"],
                  ["enumerate", str(wf), str(gf), "--engine", "oracle"],
@@ -714,13 +726,13 @@ def test_cross_process_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "cqsj.cli", *argv],
                 capture_output=True, text=True, timeout=120,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": package_root},
+                env=_child_env(PYTHONHASHSEED=seed),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0], f"{argv[0]} printed nothing"
         assert outputs[0] == outputs[1], argv[0]
+    assert _package_files() == listing
 
 
 @pytest.mark.parametrize("strategy,kwargs", [
@@ -754,16 +766,28 @@ def test_enumerate_into_a_closed_pipe_exits_0(tmp_path):
     qf.write_text(serialize_query(fx.fixture("path2_full")))
     df = tmp_path / "d.facts"
     df.write_text("".join(f"R(s{i},m). R(m,t{i}).\n" for i in range(200)))
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    listing = _package_files()
     proc = subprocess.Popen(
         [sys.executable, "-m", "cqsj.cli", "enumerate", str(qf), str(df)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert proc.stdout.readline() == b"s0, m, t0\n"
     proc.stdout.close()
     assert proc.wait(timeout=120) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+    assert _package_files() == listing
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # together with the modules they import (dis, tokenize, ast), these were
+    # a large share of every command's start-up; -S keeps site's own
+    # imports out of the count
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, cqsj.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_images_beyond_the_cap_leave_auto_to_the_oracle(workdir, capsys, monkeypatch):

@@ -1,7 +1,6 @@
 """Engines: oracle, evaluation, enumeration, dedup wrapper, delay stats."""
 
 import collections
-import dataclasses
 import gc
 import itertools
 import random
@@ -583,10 +582,10 @@ def _tampered_images(image):
     """(kind, image) pairs: certificates of ``image`` that each break one
     check of validation."""
     q = image.source
-    yield "identity endo", dataclasses.replace(image, endo={v: v for v in q.all_vars})
+    yield "identity endo", st.Image(image.atoms, image.query, {v: v for v in q.all_vars}, q)
     for other in st.images(q):
         if other.atoms not in (image.atoms, frozenset(q.atoms)):
-            yield "other image's endo", dataclasses.replace(image, endo=other.endo)
+            yield "other image's endo", st.Image(image.atoms, image.query, other.endo, q)
             break
     # a map leaving the query: its range is the image's atoms, one of them
     # over a variable the query does not have
@@ -594,8 +593,8 @@ def _tampered_images(image):
     moved = {v: "stray" if t == t0 else t for v, t in image.endo.items()}
     atoms = frozenset(a.rename(moved) for a in q.atoms)
     yield "atom outside the query", st.Image(atoms, st._induced_subquery(atoms), moved, q)
-    yield "query not induced", dataclasses.replace(
-        image, query=make_query(image.query.atoms[:1], image.query.atoms[0].args))
+    yield "query not induced", st.Image(
+        image.atoms, make_query(image.query.atoms[:1], image.query.atoms[0].args), image.endo, q)
 
 
 def test_tampered_untangling_certificates_are_rejected():
@@ -642,7 +641,8 @@ def test_untangling_step_onto_atoms_outside_the_query_is_rejected():
 def test_enum_untangle_cursor_searches_for_nothing(monkeypatch):
     # the cursor checks each step's carried endomorphism, and validation and
     # enumeration share one rewrite per step
-    witnesses = [st.UntanglingWitness(w.base, tuple(dataclasses.replace(img) for img in w.steps))
+    witnesses = [st.UntanglingWitness(w.base, tuple(
+                     st.Image(img.atoms, img.query, img.endo, img.source) for img in w.steps))
                  for w in _untangling_witnesses()]
     calls = collections.Counter()
 
@@ -906,11 +906,13 @@ def test_enum_mirror_examples(diamond):
 def _tampered_mirror_certificates(q, image):
     """(kind, image) pairs: certificates of the mirror image ``image`` of
     ``q`` that each break one check of validation."""
-    yield "identity endo", dataclasses.replace(image, endo={v: v for v in q.all_vars})
-    yield "query not induced", dataclasses.replace(
-        image, query=make_query(image.query.atoms, image.query.all_vars[:1]))
-    yield "another source", dataclasses.replace(
-        image, source=make_query(q.atoms, q.free_vars[:1]))
+    yield "identity endo", st.Image(image.atoms, image.query, {v: v for v in q.all_vars},
+                                    image.source)
+    yield "query not induced", st.Image(
+        image.atoms, make_query(image.query.atoms, image.query.all_vars[:1]), image.endo,
+        image.source)
+    yield "another source", st.Image(
+        image.atoms, image.query, image.endo, make_query(q.atoms, q.free_vars[:1]))
 
 
 @pytest.mark.parametrize("q", [fx.fixture("diamond"), parse_query("Q(x,y,z) :- R(x,y), R(x,z).")],
@@ -921,7 +923,7 @@ def test_tampered_mirror_certificates_are_rejected(q):
     db = random_graph_db(8, 20, 0)
     kinds = 0
     for kind, image in _tampered_mirror_certificates(q, witness.image):
-        tampered = dataclasses.replace(witness, image=image)
+        tampered = witness._replace(image=image)
         assert not st.validate_mirror_witness(q, tampered), kind
         with pytest.raises(en.InvalidWitnessError):
             en.enum_mirror(q, tampered, db)

@@ -9,10 +9,14 @@ from cqsj import fixtures as fx
 from cqsj.qmodel import (
     MAX_PAIR_DEPTH,
     ArityMismatchError,
+    Atom,
     Database,
     LimitExceededError,
     Pair,
     ParseError,
+    Query,
+    QueryModelError,
+    RelationSymbol,
     parse_database,
     parse_query,
     serialize_answer,
@@ -148,6 +152,21 @@ def test_duplicate_facts_collapse():
 def test_fact_arity_mismatch():
     with pytest.raises(ParseError):
         parse_database("R(a,b). R(a).")
+
+
+def test_atom_and_query_checks():
+    r = RelationSymbol("R", 2)
+    with pytest.raises(ArityMismatchError, match="^atom R expects 2 args, got 1$"):
+        Atom(r, ("x",))
+    xy, yz = Atom(r, ("x", "y")), Atom(r, ("y", "z"))
+    q = Query((yz, xy, yz), ("x",))
+    assert q.atoms == (xy, yz) and q == Query([xy, yz], ("x",))
+    with pytest.raises(ArityMismatchError, match="^symbol R used with arities 2 and 3$"):
+        Query((xy, Atom(RelationSymbol("R", 3), ("x", "y", "z"))), ())
+    with pytest.raises(QueryModelError, match="^duplicate free variable$"):
+        Query((xy,), ("x", "x"))
+    with pytest.raises(QueryModelError, match=r"^free variables not in any atom: \['w'\]$"):
+        Query((xy,), ("x", "w"))
 
 
 def test_check_arities():

@@ -291,6 +291,15 @@ def test_graph_parse_errors():
         rd.parse_graph("#parts X:a\n")
 
 
+def test_graph_checks():
+    with pytest.raises(rd.GadgetInputError, match=r"^edge \(a,c\) uses unknown vertex$"):
+        rd.Graph(("a", "b"), (("a", "c"),))
+    with pytest.raises(rd.GadgetInputError, match="^parts do not partition the vertex set$"):
+        rd.Graph(("a", "b"), (("a", "b"),), {"U": ("a",), "V": ("a",)})
+    assert rd.Graph(("a", "b"), (("a", "b"),), {"U": ("b",), "W": ("a",)}).parts["W"] == ("a",)
+    assert rd.Graph(("a", "b"), (("a", "b"),)).parts is None
+
+
 def test_gen_random_graph_deterministic():
     assert rd.gen_random_graph(10, 20, 5).edges == rd.gen_random_graph(10, 20, 5).edges
     g = rd.gen_random_graph(5, 0, 1)

@@ -225,6 +225,14 @@ def test_images_of_ring8_match_known_shapes():
     assert any(_same(i.query, fc) for i in imgs)
 
 
+def test_images_compare_by_atoms_and_query_only():
+    q = fx.fixture("diamond")
+    img = st.images(q)[1]
+    twin = st.Image(img.atoms, img.query, {v: v for v in q.all_vars}, make_query(q.atoms, ()))
+    assert twin == img and hash(twin) == hash(img)
+    assert st.Image(img.atoms, q, img.endo, q) != img
+
+
 def test_single_atom_single_image():
     q = parse_query("Q(x,y) :- R(x,y).")
     assert len(st.images(q)) == 1
