@@ -324,45 +324,31 @@ class _FactIndex:
     parent's rows from a map that is already built (``built``), which
     never builds one.
 
-    An index lives exactly as long as its lookup: one per cursor over a
-    database, and a fresh one per image answer of a ``result_is_previous``
-    step over the relations that answer restricts (``per_answer``).  A
-    relation that step reads whole keeps its name there, and its buckets
-    come from the index the new one was made from.  Nothing outlives its
-    cursor, so a cursor's ticks do not depend on the cursors that ran
+    An index lives exactly as long as its cursor, one per cursor over a
+    database, so a cursor's ticks do not depend on the cursors that ran
     before it.
     """
 
-    __slots__ = ("facts", "ticker", "_whole", "_inherited")
+    __slots__ = ("facts", "ticker", "_whole")
 
     def __init__(self, facts: Callable, ticker: Ticker):
         self.facts = facts
         self.ticker = ticker
         self._whole: dict = {}  # (name, at) -> (buckets, size of the largest bucket)
-        self._inherited: dict = {}  # name -> the index the relation is read whole from
 
     def buckets(self, name: str, at: tuple) -> dict:
         """The relation's rows grouped by their values at positions ``at``."""
         built = self._whole.get((name, at))
         if built is None:
-            parent = self._inherited.get(name)
-            if parent is None:
-                buckets = _bucketed(self.facts(name), at, self.ticker)
-                built = buckets, max(map(len, buckets.values()), default=0)
-            else:
-                parent.buckets(name, at)
-                built = parent._whole[name, at]
-            self._whole[name, at] = built
+            buckets = _bucketed(self.facts(name), at, self.ticker)
+            built = self._whole[name, at] = buckets, max(map(len, buckets.values()), default=0)
         return built[0]
 
     def built(self, name: str, at: tuple) -> Optional[tuple]:
         """(buckets, size of the largest bucket) of the relation's map by
-        positions ``at`` if it is already built, here or in the index this
-        one inherits the relation from; else None.  Builds nothing."""
-        built = self._whole.get((name, at))
-        if built is None and name in self._inherited:
-            return self._inherited[name].built(name, at)
-        return built
+        positions ``at`` if it is already built, else None.  Builds
+        nothing."""
+        return self._whole.get((name, at))
 
     def restricted(self, g: structure.UntangledGroup, assignment: dict):
         """The rows of group ``g``'s source relation that the image answer
@@ -380,29 +366,6 @@ class _FactIndex:
         buckets = self.buckets(g.source, g.positions)
         self.ticker.tick()  # index probe
         return buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
-
-    def per_answer(self, groups: tuple, assignment: dict) -> "_FactIndex":
-        """An index over the relations the image answer ``assignment``
-        restricts, one per group, named by the group's relation and holding
-        its atoms' arguments only.
-
-        A group that drops positions projects its bucket onto the kept
-        positions, one tick per row.  A group that drops none reads its
-        source whole under the source's own name (``structure.untangle``),
-        so the new index takes that relation's buckets from this one, where
-        each is built once per cursor.
-        """
-        facts = {}
-        for g in groups:
-            rows = self.restricted(g, assignment)
-            if g.positions:
-                kept = _kept_positions(g)
-                self.ticker.tick(len(rows))
-                rows = [tuple([row[i] for i in kept]) for row in rows]
-            facts[g.relation] = rows
-        index = _FactIndex(facts.__getitem__, self.ticker)
-        index._inherited = {g.relation: self for g in groups if not g.positions}
-        return index
 
 
 def _kept_positions(g: structure.UntangledGroup) -> tuple:
@@ -720,9 +683,8 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
 
 
 class _RestJoin:
-    """The rest of an untangling step whose image is the previous chain
-    element, joined once per image answer over the relations that answer
-    restricts, read in place.
+    """The rest of an untangling step, joined once per image answer over the
+    relations that answer restricts, read in place.
 
     A rest atom is *restricted* when its group drops a position, so that its
     rows depend on the image answer, and *fixed* when it reads its source
@@ -844,11 +806,14 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     """Enumeration driven by an untangling witness (Prop 4.3).
 
     Recursively enumerates the step's image; for each image answer joins the
-    rest over the relations that answer restricts and enumerates it.  Every
-    image answer extends to at least one full answer, so the gap stays
-    linear in the database size; distinct image answers yield disjoint blocks.
-    Restricted relations are read in place (``_FactIndex.restricted``); no
-    database is built.
+    rest over the relations that answer restricts and enumerates it.
+    Distinct image answers yield disjoint blocks.  Where each step's image
+    is a retract of its source (the range of an endomorphism that fixes it),
+    every image answer extends to at least one full answer, so the gap
+    stays linear in the database size.  Through any other image an answer
+    may extend to none, and the gap is not bounded that way (README,
+    "Untangling").  Restricted relations are read in place
+    (``_FactIndex.restricted``); no database is built.
     """
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
@@ -860,10 +825,9 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
 
 def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, lookup: _FactIndex,
                      assignment: dict):
-    """Assignment stream, a generator, for one chain element over
-    ``lookup``'s relations; it binds the element's variables into
-    ``assignment`` and yields it.  Image and rest variables are disjoint, so
-    one dict serves the whole chain.
+    """Assignment stream, a generator, for one chain element; it binds the
+    element's variables into ``assignment`` and yields it.  Image and rest
+    variables are disjoint, so one dict serves the whole chain.
 
     Preprocessing along the image side of the chain happens here, eagerly;
     the per-image-answer work on the rest is enumeration work and stays
@@ -871,29 +835,14 @@ def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, looku
     """
     if chain_idx == 0:
         return _acyclic_assignments(witness.base, lookup, assignment)
-    image = witness.steps[chain_idx - 1]
-    if image.query == witness.chain[chain_idx - 1]:  # the image is the previous element
-        image_stream = _untangle_stream(witness, chain_idx - 1, lookup, assignment)
-        return _rest_per_image_answer(image_stream, _RestJoin(image.rewrite, lookup), assignment)
-    # rest equals the witness's previous element here (collision-free
-    # step), so the sub-witness applies to it over the relations each
-    # image answer restricts, with an index of their own
-    # (``_FactIndex.per_answer``).
-    image_stream = _acyclic_assignments(image.query, lookup, assignment)
-    return _chain_per_image_answer(witness, chain_idx, image_stream, lookup, assignment)
+    image_stream = _untangle_stream(witness, chain_idx - 1, lookup, assignment)
+    rest = _RestJoin(witness.steps[chain_idx - 1].rewrite, lookup)
+    return _rest_per_image_answer(image_stream, rest, assignment)
 
 
 def _rest_per_image_answer(image_stream, rest: _RestJoin, assignment: dict):
     for _ in image_stream:
         yield from rest.assignments(assignment)
-
-
-def _chain_per_image_answer(witness: structure.UntanglingWitness, chain_idx: int, image_stream,
-                            lookup: _FactIndex, assignment: dict):
-    groups = witness.steps[chain_idx - 1].rewrite.groups
-    for _ in image_stream:
-        yield from _untangle_stream(witness, chain_idx - 1, lookup.per_answer(groups, assignment),
-                                    assignment)
 
 
 # -- mirror enumeration -------------------------------------------------------

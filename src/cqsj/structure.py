@@ -398,11 +398,6 @@ class Untangled(NamedTuple):
     result: Query
     rest: Query
 
-    @property
-    def collision_free(self) -> bool:
-        """Every paper symbol carries a single filter, so rest is result."""
-        return all(g.relation == g.symbol for g in self.groups)
-
 
 def untangle(query: Query, image_atoms: frozenset) -> Untangled:
     """Drop the image's atoms; project the image variables out of the rest.
@@ -452,8 +447,8 @@ def untangle(query: Query, image_atoms: frozenset) -> Untangled:
 
 
 class UntanglingWitness(NamedTuple):
-    """Chain q0..ql with q0 acyclic; ``steps[k]`` is an image of q(k+1) that
-    links it to qk, either as the image itself or as its untangling."""
+    """Chain q0..ql with q0 acyclic; ``steps[k]`` is an image of q(k+1)
+    whose query is qk and whose untangling is acyclic."""
 
     base: Query
     steps: tuple  # tuple[Image, ...]
@@ -473,25 +468,19 @@ def _certified(image: Image) -> bool:
             and image.query == _induced_subquery(image.atoms))
 
 
-def _links(image: Image) -> Iterator[Query]:
-    """The queries an untangling step through ``image`` may follow in a
-    chain: the image itself when its untangling is acyclic, then that
-    untangling when the image is acyclic and the rewrite puts one filter on
-    each paper symbol.  A generator, so a search stops at the first link
-    that leads somewhere."""
-    if is_acyclic(image.rewrite.result):
-        yield image.query
-    if is_acyclic(image.query) and image.rewrite.collision_free:
-        yield image.rewrite.result
+def _is_untangling_step(image: Image) -> bool:
+    """An untangling chain may step from the image's source down to the
+    image itself: the source untangled at the image is acyclic."""
+    return is_acyclic(image.rewrite.result)
 
 
 def validate_untangling_witness(query: Query, witness: UntanglingWitness) -> bool:
     """Check the chain against the maps it carries; no search.  Every step's
-    image is certified and links its source to the previous element."""
+    image is certified, is the previous element and is an untangling step."""
     chain = witness.chain
     if chain[-1] != query or not is_acyclic(witness.base):
         return False
-    return all(_certified(image) and prev in _links(image)
+    return all(_certified(image) and image.query == prev and _is_untangling_step(image)
                for prev, image in zip(chain, witness.steps))
 
 
@@ -530,14 +519,13 @@ def is_untangleable(query: Query, budget: int = DEFAULT_UNTANGLE_BUDGET,
         remaining[0] -= 1
         hit_budget = False
         for img in images(q) if q_images is None else q_images:
-            if img.atoms == set(q.atoms):
-                continue  # trivial image: no progress
-            for prev in _links(img):
-                sub = visit(prev)
-                if isinstance(sub, UntanglingWitness):
-                    return UntanglingWitness(sub.base, sub.steps + (img,))
-                if sub is BUDGET:
-                    hit_budget = True
+            if img.atoms == set(q.atoms) or not _is_untangling_step(img):
+                continue  # a trivial image makes no progress
+            sub = visit(img.query)
+            if isinstance(sub, UntanglingWitness):
+                return UntanglingWitness(sub.base, sub.steps + (img,))
+            if sub is BUDGET:
+                hit_budget = True
         return BUDGET if hit_budget else None
 
     out = UntanglingWitness(query, ()) if is_acyclic(query) else expand(query, imgs)

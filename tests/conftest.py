@@ -25,8 +25,9 @@ FUZZ_TEXT = hst.lists(
 ).map("".join)
 
 
-# the untangling search takes a result_is_previous step for this query (its
-# result is the previous chain element), and no fixture gives one
+# the untangling search once took a result_is_previous step for this query:
+# a chain went on at an untangling's result, not at the image.  Every step
+# now goes on at its image, and the search finds an image-only chain here
 FOUND_RESULT_IS_PREVIOUS = ("Q(x0,x1,x2,x3,x4) :- P(x0), R(x0,x0), R(x1,x0), R(x2,x1), "
                             "R(x2,x2), R(x2,x4), R(x3,x1), R(x3,x2).")
 

@@ -4,21 +4,36 @@ Independent cross-checks of the structural analysis (a brute-force
 join-tree search, running intersection, minimality, homomorphisms and a
 canonical form found by permutation search), the
 copying restriction that the untangling engine's in-place reads are checked
-against, the gadget decoders that map every answer back to a graph object,
-and the copy and tripartite generators.  Import it like ``conftest``.
+against, an untangling search with both step links and the lift of its
+witnesses to image-only ones, the census of small queries that compares
+the two searches, the gadget decoders that map every answer back to a
+graph object, and the copy and tripartite generators.  Import it like
+``conftest``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from cqsj.engines import Ticker
-from cqsj.qmodel import Database, Pair, Query
+from cqsj.qmodel import Atom, Database, Pair, Query, RelationSymbol, serialize_query
 from cqsj.reductions import JOIN, Graph
-from cqsj.structure import UntangledGroup, _folding_endomorphism, find_maps
+from cqsj.structure import (
+    Image,
+    UntangledGroup,
+    UntanglingWitness,
+    _folding_endomorphism,
+    _induced_subquery,
+    find_maps,
+    images,
+    is_untangleable,
+    untangle,
+    validate_untangling_witness,
+)
 
 
 class NonPairValueError(Exception):
@@ -243,6 +258,171 @@ def restrict(groups: tuple, assignment: dict, db: Database, index: dict,
             ticker.tick()
             out.add_fact(g.relation, kept)
     return out
+
+
+def ear_removal_acyclic(atoms) -> bool:
+    """GYO reduction on the atoms' variable sets: drop a variable that one
+    set holds alone, drop a set inside another; acyclic iff none is left."""
+    sets = [set(a.args) for a in atoms]
+    while sets:
+        count = Counter(v for vs in sets for v in vs)
+        for vs in sets:
+            vs -= {v for v in vs if count[v] == 1}
+        covered = next((i for i, vs in enumerate(sets)
+                        if not vs or any(j != i and vs <= other for j, other in enumerate(sets))),
+                       None)
+        if covered is None:
+            return False
+        del sets[covered]
+    return True
+
+
+def two_link_witness(query: Query, memo: Optional[dict] = None) -> Optional[UntanglingWitness]:
+    """An untangling chain for the full ``query`` with both links a step
+    through a nontrivial image I may take: on to I when the query untangled
+    at I is acyclic, or on to that untangling's result when I is acyclic and
+    each paper symbol of the result carries one filter (one group).  The
+    result link is tried first, so that witnesses take it wherever a chain
+    does.  None when no chain exists; exhaustive, with no budget.  ``memo``
+    maps queries already searched to their witness or None."""
+    memo = {} if memo is None else memo
+    if query not in memo:
+        memo[query] = _two_link_search(query, memo)
+    return memo[query]
+
+
+def _two_link_search(query: Query, memo: dict) -> Optional[UntanglingWitness]:
+    if ear_removal_acyclic(query.atoms):
+        return UntanglingWitness(query, ())
+    for image in images(query):
+        if image.atoms == set(query.atoms):
+            continue
+        rewrite = untangle(query, image.atoms)
+        symbols = [g.symbol for g in rewrite.groups]
+        links = []
+        if ear_removal_acyclic(image.query.atoms) and len(symbols) == len(set(symbols)):
+            links.append(rewrite.result)
+        if ear_removal_acyclic(rewrite.result.atoms):
+            links.append(image.query)
+        for prev in links:
+            sub = two_link_witness(prev, memo)
+            if sub is not None:
+                return UntanglingWitness(sub.base, sub.steps + (image,))
+    return None
+
+
+def _lift_result_step(image: Image, below: UntanglingWitness) -> Optional[UntanglingWitness]:
+    """An image-only chain for ``image.source`` = q from a step through the
+    image I on to its untangling's result R, given an image-only chain
+    ``below`` for R; None when I is not a retract of q.
+
+    The rest atoms map one to one onto R's atoms (one group per paper
+    symbol).  With q_j = I plus the rest atoms of R_j, an endomorphism of
+    R_j onto R_(j-1), extended by the identity on I's variables, maps q_j
+    onto q_(j-1), and a retraction of q onto I maps q_0 onto I."""
+    query, i_vars = image.source, sorted({v for a in image.atoms for v in a.args})
+    retraction = next(find_maps(query.atoms, image.atoms, pinned={v: v for v in i_vars}), None)
+    if retraction is None:
+        return None
+    rest_atom = {}  # R's atom -> the rest atom it comes from
+    for g in untangle(query, image.atoms).groups:
+        symbol = RelationSymbol(g.source, len(g.positions) + len(g.kept[0]))
+        for kept in g.kept:
+            args, at = [], iter(kept)
+            for i in range(symbol.arity):
+                args.append(g.image_vars[g.positions.index(i)] if i in g.positions else next(at))
+            rest_atom[Atom(RelationSymbol(g.symbol, len(kept)), kept)] = Atom(symbol, tuple(args))
+    assert set(rest_atom.values()) == set(query.atoms) - image.atoms
+
+    def lifted(atoms) -> frozenset:
+        return image.atoms | {rest_atom[a] for a in atoms}
+
+    chain = [lifted(step.atoms) for step in below.steps] + [frozenset(query.atoms)]
+    sources = [_induced_subquery(atoms) for atoms in chain[:-1]] + [query]
+    steps = [Image(image.atoms, image.query,
+                   {v: retraction[v] for v in sources[0].all_vars}, sources[0])]
+    for step, atoms, source in zip(below.steps, chain, sources[1:]):
+        endo = {**step.endo, **{v: v for v in i_vars}}
+        steps.append(Image(atoms, _induced_subquery(atoms), endo, source))
+    return UntanglingWitness(image.query, tuple(steps))
+
+
+def lift_witness(witness: UntanglingWitness) -> Optional[UntanglingWitness]:
+    """The witness with every step on to an untangling's result replaced by
+    the lifted image-only steps (``_lift_result_step``), from the base up;
+    None when such a step's image is not a retract of its source."""
+    out = UntanglingWitness(witness.base, ())
+    for prev, image in zip(witness.chain, witness.steps):
+        if image.query == prev:
+            out = UntanglingWitness(out.base, out.steps + (image,))
+        else:
+            out = _lift_result_step(image, out)
+            if out is None:
+                return None
+    return out
+
+
+def connected_queries(max_atoms: int, unary: bool = False) -> list:
+    """Every connected cyclic full query over R/2 with at most ``max_atoms``
+    R atoms, plus one P/1 atom when ``unary``, one per class up to renaming
+    (``canonical_form``).
+
+    Grows the digraphs an edge at a time: dropping an edge of a cycle, or a
+    leaf's edge, leaves a connected digraph with one edge fewer, so every
+    connected digraph is a connected one plus an edge."""
+    def query(edges, marked=None) -> Query:
+        atoms = [Atom(RelationSymbol("R", 2), (f"x{u}", f"x{v}")) for u, v in edges]
+        if marked is not None:
+            atoms.append(Atom(RelationSymbol("P", 1), (f"x{marked}",)))
+        return _induced_subquery(atoms)
+
+    level = {canonical_form(query(edges)): edges for edges in (((0, 0),), ((0, 1),))}
+    graphs = dict(level)
+    for _ in range(max_atoms - 1):
+        grown: dict = {}
+        for edges in level.values():
+            n = 1 + max(map(max, edges))  # vertex n is a new one
+            for edge in itertools.product(range(n + 1), repeat=2):
+                if edge not in edges and edge != (n, n):
+                    grown.setdefault(canonical_form(query(edges + (edge,))), edges + (edge,))
+        level = grown
+        graphs.update(grown)
+    queries = {}
+    for edges in graphs.values():
+        for marked in range(1 + max(map(max, edges))) if unary else [None]:
+            q = query(edges, marked)
+            queries.setdefault(canonical_form(q), q)
+    return sorted(q for q in queries.values() if not ear_removal_acyclic(q.atoms))
+
+
+def check_untangling(query: Query, counts: Counter, memo: Optional[dict] = None) -> None:
+    """Assert that ``is_untangleable`` agrees with the two-link search on
+    ``query``, and that the two-link witness, when its steps on to an
+    untangling's result all go through retracts, lifts to an image-only
+    witness that ``validate_untangling_witness`` accepts.  Counts the
+    verdicts, the witnesses with such steps and the ones lifted."""
+    witness = two_link_witness(query, memo)
+    status = is_untangleable(query)[0]
+    assert status == ("no" if witness is None else "yes"), serialize_query(query)
+    counts[status] += 1
+    if witness is None or all(i.query == p for p, i in zip(witness.chain, witness.steps)):
+        return
+    counts["result steps"] += 1
+    lifted = lift_witness(witness)
+    if lifted is not None:
+        assert validate_untangling_witness(query, lifted), serialize_query(query)
+        counts["lifted"] += 1
+
+
+def untangling_census(max_atoms: int, unary: bool = False) -> Counter:
+    """``check_untangling`` on every query of
+    ``connected_queries(max_atoms, unary)``; returns the counts, with the
+    number of classes under "classes"."""
+    counts, memo = Counter(), {}
+    for query in connected_queries(max_atoms, unary):
+        counts["classes"] += 1
+        check_untangling(query, counts, memo)
+    return counts
 
 
 # -- reductions -----------------------------------------------------------------

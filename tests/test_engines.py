@@ -493,34 +493,38 @@ def test_enum_untangle_matches_oracle_on_gadgets(kind):
         assert set(got) == en.oracle_enumerate(q, db), seed
 
 
-def _case(witness, k):
-    """The case of step ``k``, read off the chain as validation reads it."""
-    image, prev = witness.steps[k], witness.chain[k]
-    return "image_is_previous" if image.query == prev else "result_is_previous"
+def _flipped(witness):
+    """The witness with its first step taken the other way round: the chain
+    goes on at the step's untangling, not at its image."""
+    image = witness.steps[0]
+    return st.UntanglingWitness(image.rewrite.result, (image,) + witness.steps[1:])
 
 
 def test_enum_untangle_result_is_previous_step():
     # diamond_red's only step taken the other way round: its image is
-    # acyclic and the rewritten rest is the base, so the rest is enumerated
-    # through the sub-witness over each restricted database
+    # acyclic, its untangling is acyclic and gives each paper symbol one
+    # filter, but a chain steps down to an image only, so the flipped
+    # witness is rejected
     q = fx.fixture("diamond_red")
     _, found = st.is_untangleable(q)
-    image = found.steps[0]
-    witness = st.UntanglingWitness(image.rewrite.result, (image,))
-    assert _case(witness, 0) == "result_is_previous"
-    assert st.validate_untangling_witness(q, witness)
-    for seed in range(10):
-        db = random_graph_db(12, 26, seed, red_p=0.4)
-        got = list(en.enum_untangle(q, witness, db))
-        assert len(got) == len(set(got))
-        assert set(got) == en.oracle_enumerate(q, db)
+    witness = _flipped(found)
+    image = witness.steps[0]
+    assert witness.base == image.rewrite.result != image.query
+    assert st.is_acyclic(image.query) and st.is_acyclic(image.rewrite.result)
+    assert all(g.relation == g.symbol for g in image.rewrite.groups)
+    assert not st.validate_untangling_witness(q, witness)
+    with pytest.raises(en.InvalidWitnessError):
+        en.enum_untangle(q, witness, random_graph_db(12, 26, 0, red_p=0.4))
 
 
 def test_enum_untangle_found_result_is_previous_step():
+    # the search once took a step to the untangling's result here; every
+    # step of the witness it finds now goes on at its image
     q = parse_query(FOUND_RESULT_IS_PREVIOUS)
     status, witness = st.is_untangleable(q)
     assert status == "yes"
-    assert _case(witness, len(witness.steps) - 1) == "result_is_previous"
+    for prev, image in zip(witness.chain, witness.steps):
+        assert image.query == prev
     for seed in range(10):
         db = random_graph_db(10, 40, seed, red_p=0.5, loops=6)
         got = list(en.enum_untangle(q, witness, db))
@@ -568,14 +572,10 @@ def test_enum_untangle_builds_no_database(monkeypatch):
 
 
 def _untangling_witnesses():
-    """Found witnesses for five queries, with diamond_red's step also taken
-    the other way round (a result_is_previous step)."""
-    found = [st.is_untangleable(q)[1] for q in (
+    """Found witnesses for five queries."""
+    return [st.is_untangleable(q)[1] for q in (
         fx.fixture("diamond_red"), fx.fixture("bowtie_chain"), fx.fixture("ring8"),
         fx.fixture("ring8_spikes_flip"), parse_query(FOUND_RESULT_IS_PREVIOUS))]
-    image = found[0].steps[0]
-    flipped = st.UntanglingWitness(image.rewrite.result, (image,))
-    return found + [flipped]
 
 
 def _tampered_images(image):
@@ -600,7 +600,11 @@ def _tampered_images(image):
 def test_tampered_untangling_certificates_are_rejected():
     kinds = collections.Counter()
     db = random_graph_db(8, 20, 0, red_p=0.5, loops=3)
-    for witness in _untangling_witnesses():
+    # with diamond_red's step also taken the other way round, which is
+    # rejected before and after tampering
+    flipped = _flipped(st.is_untangleable(fx.fixture("diamond_red"))[1])
+    assert not st.validate_untangling_witness(flipped.chain[-1], flipped)
+    for witness in _untangling_witnesses() + [flipped]:
         target = witness.chain[-1]
         for k, step in enumerate(witness.steps):
             for kind, image in _tampered_images(step):
@@ -692,7 +696,8 @@ def test_indexed_restriction_matches_plain_scan(name):
     for k, image in enumerate(witness.steps):
         untangled = st.untangle(image.source, image.atoms)
         if k == 0 and name in ("ring8", "windmill_tail"):
-            assert not untangled.collision_free  # so the renaming is exercised
+            # a paper symbol with two filters, so the renaming is exercised
+            assert any(g.relation != g.symbol for g in untangled.groups)
         image_vars = sorted({v for a in image.atoms for v in a.args})
         symbols = {a.symbol for a in image.source.atoms}
         for seed in range(4):
@@ -708,7 +713,7 @@ def test_indexed_restriction_matches_plain_scan(name):
                 assert untangled.rest == want_query
                 projected = {}
                 for g in untangled.groups:
-                    # a relation read whole keeps its name (_FactIndex._inherited)
+                    # a relation read whole keeps its name
                     assert g.positions or g.relation == g.source
                     rows = index.restricted(g, assignment)
                     key = tuple(assignment[v] for v in g.image_vars)
@@ -771,7 +776,7 @@ def test_rest_join_matches_restricted_database(name):
     _, witness = st.is_untangleable(fx.fixture(name))
     total = 0
     for k, step in enumerate(witness.steps):
-        assert _case(witness, k) == "image_is_previous"
+        assert step.query == witness.chain[k]
         untangled = st.untangle(step.source, step.atoms)
         image = step.query
         for seed in range(3):
@@ -1385,9 +1390,9 @@ def _restricted_leaf_bucketings(monkeypatch) -> list:
 
 
 def _untangle_cursor_cases():
-    """(label, query, witness, database): a result_is_previous chain on the
-    database that showed each image answer re-bucketing whole relations,
-    and the witnesses of five fixtures on three databases each."""
+    """(label, query, witness, database): FOUND_RESULT_IS_PREVIOUS's chain
+    on the database that once showed each image answer re-bucketing whole
+    relations, and the witnesses of five fixtures on three databases each."""
     q = parse_query(FOUND_RESULT_IS_PREVIOUS)
     yield ("FOUND_RESULT_IS_PREVIOUS", q, st.is_untangleable(q)[1],
            random_graph_db(10, 40, 0, red_p=0.5, loops=6))
@@ -1400,12 +1405,11 @@ def _untangle_cursor_cases():
 
 
 def test_untangle_cursor_buckets_each_relation_once(monkeypatch):
-    # an untangling cursor's indexes bucket a relation by a set of key
+    # an untangling cursor's index buckets a relation by a set of key
     # positions at most once over a full run: the rest reads the buckets
-    # the image's passes built, and the index of each image answer of a
-    # result_is_previous step takes the cursor's buckets of the relations
-    # it reads whole; a rest join keeps the buckets of each restricted leaf
-    # per key of its group, so no image answer buckets them again
+    # the image's passes built, and a rest join keeps the buckets of each
+    # restricted leaf per key of its group, so no image answer buckets them
+    # again
     builds = _index_bucketings(monkeypatch)
     leaves = _restricted_leaf_bucketings(monkeypatch)
     answered, leaf_cases = set(), set()
@@ -1531,8 +1535,8 @@ def _cursor_makers():
         q = fx.fixture(name)
         witness = st.is_untangleable(q)[1]
         makers[f"untangle_{name}"] = lambda q=q, witness=witness: en.enum_untangle(q, witness, db)
-    # a three-step witness whose steps share one index, and a
-    # result_is_previous step with a fresh index per image answer
+    # a three-step witness whose steps share one index, and the witness
+    # of the query whose search once took a step to an untangling's result
     bowtie = fx.fixture("bowtie_chain")
     chain = st.is_untangleable(bowtie)[1]
     hub_db = random_graph_db(7, 14, 0, hubs=3)

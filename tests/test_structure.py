@@ -375,6 +375,27 @@ def test_bowtie_chain_witness_has_three_steps():
     assert st.validate_untangling_witness(fx.fixture("bowtie_chain"), witness)
 
 
+def test_untangling_census_needs_no_step_to_a_result():
+    # every connected cyclic full query over R/2 with at most 5 atoms, and
+    # with at most 4 plus one P atom, one per class: the image-only search
+    # agrees with a search that may also step on to an untangling's result,
+    # and every such step through a retract lifts to image-only steps
+    triangles = ("Q(x,y,z) :- R(x,y), R(y,z), R(z,x).", "Q(x,y,z) :- R(x,y), R(x,z), R(y,z).")
+    assert sorted(map(ref.canonical_form, ref.connected_queries(3))) \
+        == sorted(ref.canonical_form(parse_query(text)) for text in triangles)
+    counts = ref.untangling_census(5)
+    assert (counts["classes"], counts["yes"], counts["no"]) == (175, 71, 104)
+    assert counts["lifted"] > 0
+    counts = ref.untangling_census(4, unary=True)
+    assert (counts["classes"], counts["yes"], counts["no"]) == (65, 13, 52)
+    assert counts["lifted"] > 0
+    # the query whose search once stepped on to a result: the two-link
+    # witness does so through a retract, and lifts
+    counts.clear()
+    ref.check_untangling(parse_query(FOUND_RESULT_IS_PREVIOUS), counts)
+    assert counts == {"yes": 1, "result steps": 1, "lifted": 1}
+
+
 def test_budget_exhaustion_reports_unknown():
     status, witness = st.is_untangleable(fx.fixture("windmill"), budget=0)
     assert status == "unknown" and witness is None
