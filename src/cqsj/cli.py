@@ -295,7 +295,7 @@ def cmd_gadget(args) -> int:
             query = _load(args.query, parse_query, "query")
             d_prime = _load(args.input, parse_database, "database")
             _, occurrence = reductions.relabel_self_join_free(query)
-            db = reductions.encoding_trick(query, d_prime, occurrence)
+            db = reductions.encoding_trick(d_prime, occurrence)
         else:  # argparse admits no other kind than those of GADGET_BUILDERS
             graph = reductions.parse_graph(Path(args.input).read_text())
             db = reductions.GADGET_BUILDERS[kind](graph)

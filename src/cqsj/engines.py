@@ -46,13 +46,15 @@ class Ticker:
 class EnumerationCursor:
     """Preprocess-then-next answer stream.
 
-    The generator must emit answer tuples; the cursor adds one tick per
-    emission.  Once the generator is exhausted, ``next`` keeps returning None.
+    The ticks counted before the cursor is built are its preprocessing, so
+    an engine builds it once its eager work is done.  The generator must
+    emit answer tuples; the cursor adds one tick per emission.  Once the
+    generator is exhausted, ``next`` keeps returning None.
     """
 
-    def __init__(self, ticker: Ticker, preprocessing_ticks: int, gen: Iterator):
+    def __init__(self, ticker: Ticker, gen: Iterator):
         self.ticker = ticker
-        self.preprocessing_ticks = preprocessing_ticks
+        self.preprocessing_ticks = ticker.count
         self._gen = gen
 
     def next(self):
@@ -137,8 +139,7 @@ def _oracle_atom_order(query: Query) -> list:
 def oracle_cursor(query: Query, db: Database) -> EnumerationCursor:
     """Exhaustive valuation search with projection and online dedup."""
     ticker = Ticker()
-    return EnumerationCursor(ticker, 0, _oracle_answers(query, db, _oracle_atom_order(query),
-                                                        ticker))
+    return EnumerationCursor(ticker, _oracle_answers(query, db, _oracle_atom_order(query), ticker))
 
 
 def _oracle_answers(query: Query, db: Database, order: list, ticker: Ticker):
@@ -216,7 +217,7 @@ def generic_join_cursor(query: Query, db: Database) -> EnumerationCursor:
     without a seen-set.  No delay bound.
     """
     ticker = Ticker()
-    return EnumerationCursor(ticker, 0, _GenericJoin(query, db, ticker).answers())
+    return EnumerationCursor(ticker, _GenericJoin(query, db, ticker).answers())
 
 
 class _GenericJoin:
@@ -356,13 +357,10 @@ class _FactIndex:
         order, whose j-th kept position holds the j-th argument of ``g``'s
         atoms (``_kept_positions``).
 
-        A group that drops no position gets its source relation as it is.
-        Any other gets one bucket of its source by the dropped positions,
-        the bucket map the semi-join passes read: one probe, and one tick
-        per row when no pass has built the map yet.
+        That is one bucket of its source by the dropped positions, the
+        bucket map the semi-join passes read: one probe, and one tick per
+        row when no pass has built the map yet.
         """
-        if not g.positions:
-            return self.facts(g.source)
         buckets = self.buckets(g.source, g.positions)
         self.ticker.tick()  # index probe
         return buckets.get(tuple([assignment[v] for v in g.image_vars]), ())
@@ -659,7 +657,7 @@ def enum_full_acyclic(query: Query, db: Database) -> EnumerationCursor:
     ticker = Ticker()
     stream = _acyclic_assignments(query, _FactIndex(db.facts, ticker))
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in stream)
-    return EnumerationCursor(ticker, ticker.count, gen)
+    return EnumerationCursor(ticker, gen)
 
 
 def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
@@ -820,7 +818,7 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     ticker = Ticker()
     top = _untangle_stream(witness, len(witness.steps), _FactIndex(db.facts, ticker), {})
     gen = (tuple(assignment[v] for v in query.free_vars) for assignment in top)
-    return EnumerationCursor(ticker, ticker.count, gen)
+    return EnumerationCursor(ticker, gen)
 
 
 def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, lookup: _FactIndex,
@@ -890,41 +888,21 @@ def enum_mirror(query: Query, witness: structure.MirrorWitness,
             stored.append(part)
             ticker.tick()  # store
 
-    return EnumerationCursor(ticker, ticker.count, gen())
+    return EnumerationCursor(ticker, gen())
 
 # -- bespoke per-query strategies ----------------------------------------------
 
 
-def _edge_set(db: Database, ticker: Ticker) -> tuple:
-    """(edges, loops): the edges of R as a set and the vertices with a
-    self-loop in fact order, all a twin strategy reads of R besides its
-    edge list; one tick per fact."""
-    db.check_arities({"R": 2})
-    edges, loops = set(), []
-    for u, v in db.facts("R"):
-        ticker.tick()
-        edges.add((u, v))
-        if u == v:
-            loops.append(u)
-    return edges, loops
-
-
-def _binary_adjacency(db: Database, ticker: Ticker):
-    """Adjacency and edges of R and the values P marks, for SPIKE_Q3; one tick per fact."""
-    db.check_arities({"R": 2, "P": 1})
+def _binary_adjacency(edges, ticker: Ticker):
+    """(out, in_): the successor and predecessor lists of the edges of R,
+    for SPIKE_Q3; one tick per edge."""
     out: dict = {}
     in_: dict = {}
-    edges = set()
-    for u, v in db.facts("R"):
+    for u, v in edges:
         ticker.tick()
         out.setdefault(u, []).append(v)
         in_.setdefault(v, []).append(u)
-        edges.add((u, v))
-    red = set()
-    for (u,) in db.facts("P"):
-        ticker.tick()
-        red.add(u)
-    return out, in_, edges, red
+    return out, in_
 
 
 def _two_loops_factory(db: Database, ticker: Ticker):
@@ -935,14 +913,16 @@ def _two_loops_factory(db: Database, ticker: Ticker):
     against the tables before storing makes each cross pair fire exactly
     once; the diagonal pair is emitted explicitly.
     """
-    edges, loops = _edge_set(db, ticker)
-    edge_list = db.facts("R")
+    db.check_arities({"R": 2})
+    edges = db.facts("R")  # a view of R whose membership test is one probe
+    ticker.tick(len(edges))  # the scan for the self-loops
+    loops = [u for u, v in edges if u == v]
 
     def gen():
         t_left: dict = {}   # c -> [(a, b)] with a->b->c->a, loop a
         t_right: dict = {}  # c -> [(a, b)] with a->c, c->b, b->a, loop a
         for a in loops:
-            for u, v in edge_list:
+            for u, v in edges:
                 ticker.tick(3)  # scan + two edge probes
                 if (a, u) in edges and (v, a) in edges:
                     ticker.tick()
@@ -962,14 +942,16 @@ def _two_loops_factory(db: Database, ticker: Ticker):
 
 def _two_triangles_factory(db: Database, ticker: Ticker):
     """Edge-keyed two-table strategy for the twin-triangles pattern."""
-    edges, loops = _edge_set(db, ticker)
-    edge_list = db.facts("R")
+    db.check_arities({"R": 2})
+    edges = db.facts("R")  # a view of R whose membership test is one probe
+    ticker.tick(len(edges))  # the scan for the self-loops
+    loops = [u for u, v in edges if u == v]
 
     def gen():
         t_tri: dict = {}   # (b,c) -> [a] with triangle a->b->c->a, loop a
         t_star: dict = {}  # (b,c) -> [a] with a->b, a->c, loop a
         for a in loops:
-            for u, v in edge_list:
+            for u, v in edges:
                 ticker.tick(3)
                 tri = (v, a) in edges and (a, u) in edges
                 star = (a, u) in edges and (a, v) in edges
@@ -1083,7 +1065,9 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
     test whose every answer is skipped stops after its ticked edge probe,
     like a test whose probe fails, so no loop idles without a tick.
     """
-    out, in_, edges, red = _binary_adjacency(db, ticker)
+    db.check_arities({"R": 2, "P": 1})
+    edges, marked = db.facts("R"), db.facts("P")
+    out, in_ = _binary_adjacency(edges, ticker)
     in_pred: dict = {}
     for c, lst in in_.items():
         ticker.tick()
@@ -1093,9 +1077,9 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
         ticker.tick()
         out_succ[b] = [t for t in lst if t in out]
     core_edges = []
-    for b, m in db.facts("R"):
+    for b, m in edges:
         ticker.tick()
-        if m in red and m in out:
+        if (m,) in marked and m in out:
             core_edges.append((b, m))
 
     def gen():
@@ -1219,7 +1203,7 @@ def enum_bespoke(strategy: str, db: Database, dedup: bool = True) -> Enumeration
         raise ValueError(f"unknown strategy {strategy!r}")
     ticker = Ticker()
     gen = spec.factory(db, ticker)
-    raw = EnumerationCursor(ticker, ticker.count, gen)
+    raw = EnumerationCursor(ticker, gen)
     if dedup:
         return cheater_dedup(raw, spec.duplication, spec.group)
     return raw
@@ -1260,8 +1244,7 @@ def cheater_dedup(inner: EnumerationCursor, c: int, group: int = 0) -> Enumerati
     """
     if c < 1:
         raise ValueError("duplication bound must be positive")
-    return EnumerationCursor(inner.ticker, inner.preprocessing_ticks,
-                             _dedup(inner, c, group))
+    return EnumerationCursor(inner.ticker, _dedup(inner, c, group))
 
 
 def _dedup(inner: EnumerationCursor, c: int, group: int):

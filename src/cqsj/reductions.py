@@ -55,7 +55,7 @@ class Graph(_GraphFields):
     def part_of(self, key: str) -> tuple:
         if self.parts is None:
             raise GadgetInputError("graph has no parts header")
-        return tuple(self.parts[key])
+        return tuple(self.parts.get(key, ()))
 
 
 def make_graph(edges: Iterable, vertices: Iterable = (), parts: Optional[dict] = None) -> Graph:
@@ -132,7 +132,7 @@ def _pair_depth(value) -> int:
     return depth
 
 
-def encoding_trick(query: Query, d_prime: Database, occurrence: dict) -> Database:
+def encoding_trick(d_prime: Database, occurrence: dict) -> Database:
     """Fold a relabelled instance back onto the original schema.
 
     Every fact of an occurrence symbol becomes one fact over tagged pairs,

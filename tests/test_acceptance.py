@@ -317,7 +317,7 @@ def _repeat_stream(items, gap_ticks):
             ticker.tick(gap_ticks)
             yield item
 
-    return en.EnumerationCursor(ticker, 0, gen())
+    return en.EnumerationCursor(ticker, gen())
 
 
 def test_criterion_6_cheater_wrapper():

@@ -347,6 +347,19 @@ def test_gadget_utd_without_parts_exit_2(workdir, capsys):
     assert code == 2
 
 
+def test_gadget_utd_reads_a_missing_part_as_empty(workdir, capsys):
+    # a part the header leaves out reads as one listed with no names
+    tmp, write = workdir
+    written = []
+    for header in ("#parts U:a V:b", "#parts U:a V:b W:"):
+        gf = write("g.graph", f"{header}\na b\n")
+        out_path = tmp / "o.facts"
+        code, _, err = run_cli(["gadget", "utd-spike-q4", gf, str(out_path)], capsys)
+        assert code == 0 and err == ""
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_gadget_unwritable_output_exit_2(workdir, capsys):
     tmp, write = workdir
     gf = write("g.graph", "a b\nb c\nc a\n")

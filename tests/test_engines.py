@@ -18,7 +18,7 @@ from cqsj import reductions as rd
 from cqsj import structure as st
 from cqsj.qmodel import (ArityMismatchError, Atom, Database, Pair, RelationSymbol, make_query,
                          parse_database, parse_query)
-from test_acceptance import _bench_graph_db
+from test_acceptance import BENCH_SIZES, _bench_graph_db
 
 
 def section3_database() -> Database:
@@ -975,6 +975,32 @@ def test_bespoke_matches_oracle(strategy, kwargs):
         assert set(got) == en.oracle_enumerate(q, db), (strategy, seed)
 
 
+def test_bespoke_preprocessing_accounting():
+    # the twins scan R once for its self-loops; SPIKE_Q3 scans R for its
+    # adjacency lists, once more for its core edges, and walks each list
+    # once, testing marks against P's facts without scanning P
+    def twin_dbs():
+        yield from (random_graph_db(12, 20, seed, loops=4) for seed in range(20))
+        yield from (_bench_graph_db(s, 11, loops=max(2, s // 100)) for s in BENCH_SIZES)
+
+    def spike_dbs():
+        yield from (random_graph_db(12, 20, seed, red_p=0.2) for seed in range(20))
+        yield from (_bench_graph_db(s, 11, red_p=0.02, nodes=s) for s in BENCH_SIZES)
+
+    for strategy in ("TWO_LOOPS", "TWO_TRIANGLES"):
+        for db in twin_dbs():
+            cursor = en.enum_bespoke(strategy, db)
+            assert cursor.preprocessing_ticks == len(db.facts("R")), strategy
+    marked = 0
+    for db in spike_dbs():
+        edges = db.facts("R")
+        marked += len(db.facts("P"))
+        expected = (2 * len(edges) + len({v for _, v in edges})
+                    + len({u for u, _ in edges}))
+        assert en.enum_bespoke("SPIKE_Q3", db).preprocessing_ticks == expected
+    assert marked
+
+
 def test_spike_q2_preprocesses_only_its_two_streams():
     # the spikes are read from R's buckets by source and by target, which
     # the two streams' semi-join passes build in the cursor's index
@@ -1038,6 +1064,27 @@ def test_bespoke_raw_duplication_bound():
             blocks = [key for key, _ in itertools.groupby(item[:group] for item in raw)]
             assert len(blocks) == len(set(blocks)), (strategy, seed)
     assert shared
+
+
+def test_spike_q2_pull_rate_pays_for_both_passes():
+    # on k disjoint marked paths b->m->c every answer is one where the top
+    # and left passes meet: each pass gives all k of them, so skipping
+    # either copy would leave a whole pass, about 13k ticks, emitting
+    # nothing; pulled at 2 per emission, the wrapped gap stays flat in k
+    q = fx.fixture("ring8_io")
+    gaps = set()
+    for k in (25, 50, 100, 200):
+        db = Database()
+        for i in range(k):
+            db.add_fact("R", (f"b{i}", f"m{i}"))
+            db.add_fact("R", (f"m{i}", f"c{i}"))
+            db.add_fact("P", (f"m{i}",))
+        raw = list(en.enum_bespoke("SPIKE_Q2", db, dedup=False))
+        answers = en.oracle_enumerate(q, db)
+        assert len(answers) == k
+        assert len(raw) == 2 * k and set(raw[:k]) == set(raw[k:]) == answers, k
+        gaps.add(en.measure_delay(lambda: en.enum_bespoke("SPIKE_Q2", db)).max_gap)
+    assert len(gaps) == 1, gaps
 
 
 def test_spike_q3_raw_stream_is_duplicate_free_on_criterion_4_data():
@@ -1189,7 +1236,7 @@ def _stream_cursor(items, gap_ticks=1):
             ticker.tick(gap_ticks)
             yield item
 
-    return en.EnumerationCursor(ticker, 0, gen())
+    return en.EnumerationCursor(ticker, gen())
 
 
 def test_cheater_dedup_basic():

@@ -45,7 +45,7 @@ def test_encoding_trick_worked_database(diamond):
     # the four colored facts of the worked example, aligned to occurrences:
     # R(u,y)->R1, R(v,y)->R2, R(x,u)->R3, R(x,v)->R4
     dprime = parse_database("R3(a,b). R1(b,c). R4(a,d). R2(d,c).")
-    db = rd.encoding_trick(diamond, dprime, occurrence)
+    db = rd.encoding_trick(dprime, occurrence)
     assert db.size == 4
     assert (Pair("a", "x"), Pair("b", "u")) in db.facts("R")
     assert (Pair("b", "u"), Pair("c", "y")) in db.facts("R")
@@ -58,16 +58,16 @@ def test_encoding_trick_empty():
     _, occurrence = rd.relabel_self_join_free(q)
     from cqsj.qmodel import Database
 
-    assert rd.encoding_trick(q, Database(), occurrence).size == 0
+    assert rd.encoding_trick(Database(), occurrence).size == 0
 
 
 def test_encoding_trick_schema_mismatch(diamond):
     _, occurrence = rd.relabel_self_join_free(diamond)
     with pytest.raises(rd.GadgetInputError, match="^symbol Zed is not in the occurrence map$"):
-        rd.encoding_trick(diamond, parse_database("Zed(a,b)."), occurrence)
+        rd.encoding_trick(parse_database("Zed(a,b)."), occurrence)
     with pytest.raises(ArityMismatchError,
                        match="^relation R1 has arity 3 in the database but 2 in the query$"):
-        rd.encoding_trick(diamond, parse_database("R1(a,b,c)."), occurrence)
+        rd.encoding_trick(parse_database("R1(a,b,c)."), occurrence)
 
 
 def test_encoded_answers_contain_original(diamond):
@@ -75,7 +75,7 @@ def test_encoded_answers_contain_original(diamond):
     for seed in range(15):
         base = random_graph_db(7, 14, seed)
         dprime = ref.duplicate_db(occurrence, base)
-        enc = rd.encoding_trick(diamond, dprime, occurrence)
+        enc = rd.encoding_trick(dprime, occurrence)
         plain = en.oracle_enumerate(qp, dprime)
         encoded = en.oracle_enumerate(diamond, enc)
         for answer in plain:
@@ -88,7 +88,7 @@ def test_identity_class_equals_relabelled_answers(diamond):
     for seed in range(15):
         base = random_graph_db(7, 14, seed)
         dprime = ref.duplicate_db(occurrence, base)
-        enc = rd.encoding_trick(diamond, dprime, occurrence)
+        enc = rd.encoding_trick(dprime, occurrence)
         idents = set()
         auto_counts = {}
         for ans in en.oracle_enumerate(diamond, enc):
