@@ -1163,21 +1163,25 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
 
 
 class BespokeStrategy(NamedTuple):
-    """A strategy and what ``cheater_dedup`` may assume of its raw stream:
-    each answer comes at most ``duplication`` times, and with ``group`` > 0
-    the answers come in groups that share their first ``group`` positions,
-    no group recurring once left, so the dedup table holds one group.
+    """A strategy and what its raw stream promises: each answer comes at
+    most ``duplication`` times, and with ``group`` > 0 the answers come in
+    groups that share their first ``group`` positions, no group recurring
+    once left.
 
-    ``duplication`` is also the wrapper's pull rate, raw answers per
-    emission.  SPIKE_Q2 repeats only the answers its top and left passes
-    share, twice each.  SPIKE_Q3's raw stream repeats nothing, and its 3 is
-    a pull rate alone: each emission then spans three raw gaps, whose
-    largest sum varies by 1.78x across acceptance criterion 4's sizes where
-    the largest single gap, at a rate of 1, varies by 2.18x, past its 2x."""
+    A bound of 1 runs raw: TWO_LOOPS and TWO_TRIANGLES never repeat an
+    answer, so ``enum_bespoke`` returns their cursor as it is.  Above 1,
+    ``cheater_dedup`` removes the repeats, checks the bound and the grouping
+    online, and pulls ``duplication`` raw answers per emission; with
+    ``group`` > 0 its dedup table holds one group.  SPIKE_Q2 repeats only
+    the answers its top and left passes share, twice each.  SPIKE_Q3's raw
+    stream repeats nothing, and its 3 is a pull rate alone: each emission
+    then spans three raw gaps, whose largest sum varies by 1.78x across
+    acceptance criterion 4's sizes where the largest single gap, at a rate
+    of 1, varies by 2.18x, past its 2x."""
 
     fixture: str      # the fixture whose query (up to renaming) it answers
     duplication: int
-    group: int        # 0: no grouping, the dedup table grows with the output
+    group: int        # 0: no grouping; with dedup, its table grows with the output
     factory: Callable  # (db, ticker) -> answer generator; preprocesses eagerly
 
 
@@ -1195,8 +1199,9 @@ def enum_bespoke(strategy: str, db: Database, dedup: bool = True) -> Enumeration
     """Run one of the BESPOKE_STRATEGIES over a database holding R (and P).
 
     The raw stream emits each answer at most the strategy's duplication
-    bound times; by default it is wrapped in cheater_dedup, which also
-    checks that bound, and the strategy's grouping, online.
+    bound times.  A bound of 1 runs raw; above 1 the stream is by default
+    wrapped in cheater_dedup, which also checks that bound, and the
+    strategy's grouping, online.
     """
     spec = BESPOKE_STRATEGIES.get(strategy)
     if spec is None:
@@ -1204,7 +1209,7 @@ def enum_bespoke(strategy: str, db: Database, dedup: bool = True) -> Enumeration
     ticker = Ticker()
     gen = spec.factory(db, ticker)
     raw = EnumerationCursor(ticker, gen)
-    if dedup:
+    if dedup and spec.duplication > 1:
         return cheater_dedup(raw, spec.duplication, spec.group)
     return raw
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 DEFAULT_MAX_VARS = 32
 DEFAULT_MAX_ATOMS = 32
@@ -149,12 +149,6 @@ class Query(_QueryFields):
     def arity(self) -> int:
         return len(self.free_vars)
 
-    def rename(self, mapping: dict) -> "Query":
-        return Query(
-            tuple(a.rename(mapping) for a in self.atoms),
-            tuple(mapping.get(v, v) for v in self.free_vars),
-        )
-
     def __str__(self) -> str:
         return serialize_query(self)
 
@@ -190,9 +184,6 @@ class Database:
     def facts(self, name: str):
         """The relation's facts in first-insertion order, as a read-only view."""
         return self._facts.get(name, {}).keys()
-
-    def arity(self, name: str) -> Optional[int]:
-        return self._arities.get(name)
 
     def check_arities(self, read: dict) -> None:
         """Each relation of ``read`` (name -> arity) has that arity here or
@@ -318,10 +309,11 @@ def parse_query(text: str) -> Query:
     if loose:
         raise sc.error(f"head variables not used in body: {sorted(loose)}")
     limit = max_vars_limit()
-    if len(body_vars) > limit or len(set(atoms)) > max(limit, DEFAULT_MAX_ATOMS):
-        raise LimitExceededError(
-            f"query exceeds size limit ({len(body_vars)} vars / {len(atoms)} atoms > {limit})"
-        )
+    over = [f"{n} {what} > {cap}" for n, what, cap in (
+        (len(body_vars), "vars", limit),
+        (len(set(atoms)), "distinct atoms", max(limit, DEFAULT_MAX_ATOMS))) if n > cap]
+    if over:
+        raise LimitExceededError(f"query exceeds size limit ({', '.join(over)})")
     return Query(tuple(atoms), tuple(free))
 
 

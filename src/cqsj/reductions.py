@@ -260,13 +260,6 @@ GADGET_BUILDERS = {
     "utd-spike-q4": gadget_utd_spike_q4,
 }
 
-GADGET_QUERIES = {
-    "triangle-mirrorfig1": "diamond_red",
-    "triangle-spike-q1": "ring8",
-    "triangle-untangle2": "windmill",
-    "utd-spike-q4": "ring8_spikes_flip",
-}
-
 
 # -- reproducible random inputs --------------------------------------------------
 

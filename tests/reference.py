@@ -226,7 +226,7 @@ def _restriction_buckets(g: UntangledGroup, db: Database, index: dict,
     use with one tick per row."""
     buckets = index.get((g.source, g.positions))
     if buckets is None:
-        kept_positions = [i for i in range(db.arity(g.source) or 0)
+        kept_positions = [i for i in range(len(g.positions) + len(g.kept[0]))
                           if i not in g.positions]
         buckets = index[(g.source, g.positions)] = {}
         ticker.tick(len(db.facts(g.source)))
@@ -535,6 +535,14 @@ def _decode_utd_q4(query: Query, answer: tuple):
         return "EDGE_UV", (u_, v)
     return "NODE", (answer[0].data,)
 
+
+# the fixture whose query each gadget's database is built for
+GADGET_QUERIES = {
+    "triangle-mirrorfig1": "diamond_red",
+    "triangle-spike-q1": "ring8",
+    "triangle-untangle2": "windmill",
+    "utd-spike-q4": "ring8_spikes_flip",
+}
 
 GADGET_DECODERS = {
     "triangle-mirrorfig1": _decode_mirrorfig1,

@@ -272,7 +272,7 @@ NON_TRIANGLE_BUDGET = {
 def test_criterion_5_gadget_soundness_completeness():
     stats = {}
     for kind in rd.GADGET_BUILDERS:
-        query = fx.fixture(rd.GADGET_QUERIES[kind])
+        query = fx.fixture(ref.GADGET_QUERIES[kind])
         triangles = 0
         for seed in range(50):
             if kind == "utd-spike-q4":

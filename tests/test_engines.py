@@ -357,7 +357,7 @@ def test_generic_join_matches_oracle_on_fallback_fixtures(name):
 
 
 def test_generic_join_matches_oracle_on_gadgets():
-    for kind, name in rd.GADGET_QUERIES.items():
+    for kind, name in ref.GADGET_QUERIES.items():
         answers = 0
         for seed in range(3):
             if kind == "utd-spike-q4":
@@ -479,7 +479,7 @@ def test_enum_untangle_matches_oracle_on_spiked_rings(name):
 
 @pytest.mark.parametrize("kind", ["triangle-spike-q1", "utd-spike-q4"])
 def test_enum_untangle_matches_oracle_on_gadgets(kind):
-    q = fx.fixture(rd.GADGET_QUERIES[kind])
+    q = fx.fixture(ref.GADGET_QUERIES[kind])
     _, witness = st.is_untangleable(q)
     for seed in range(3):
         if kind == "utd-spike-q4":
@@ -1064,6 +1064,53 @@ def test_bespoke_raw_duplication_bound():
             blocks = [key for key, _ in itertools.groupby(item[:group] for item in raw)]
             assert len(blocks) == len(set(blocks)), (strategy, seed)
     assert shared
+
+
+def _twin_hub_db(k: int) -> Database:
+    """A looped hub h and k looped vertices a_i around it, each on the
+    triangles a_i->b_i->h->a_i and a_i->h->x_i->a_i: the twins' answers
+    pair every two of them, k^2 and more from a few facts each."""
+    db = Database()
+    db.add_fact("R", ("h", "h"))
+    for i in range(k):
+        a, b, x = f"a{i}", f"b{i}", f"x{i}"
+        for u, v in ((a, a), (a, b), (b, "h"), ("h", a), (a, "h"), ("h", x), (x, a)):
+            db.add_fact("R", (u, v))
+    return db
+
+
+def _twin_core_db(n: int, db=None) -> Database:
+    """Every edge among n vertices, self-loops included, added to ``db``."""
+    db = Database() if db is None else db
+    for i in range(n):
+        for j in range(n):
+            db.add_fact("R", (f"c{i}", f"c{j}"))
+    return db
+
+
+@pytest.mark.parametrize("strategy", ["TWO_LOOPS", "TWO_TRIANGLES"])
+def test_twin_raw_streams_repeat_nothing(strategy):
+    # a duplication bound of 1 runs raw, with no cheater_dedup to catch a
+    # repeat online, so the twins' streams are checked for repeats here:
+    # on acceptance criterion 4's loops databases, on a hub that most
+    # self-loops sit around, and on a dense core, alone and inside
+    # criterion 4's 1k database; against the oracle where it is small
+    spec = en.BESPOKE_STRATEGIES[strategy]
+    assert spec.duplication == 1
+    q = fx.fixture(spec.fixture)
+    small = [_twin_hub_db(8), _twin_core_db(6)]
+    large = [*(_bench_graph_db(s, 11, loops=max(2, s // 100)) for s in BENCH_SIZES),
+             _twin_hub_db(64), _twin_core_db(10),
+             _twin_core_db(8, _bench_graph_db(1000, 11, loops=10))]
+    for i, db in enumerate(small + large):
+        cursor = en.enum_bespoke(strategy, db)
+        raw = list(cursor)
+        assert raw and len(raw) == len(set(raw)), (i, db)
+        # the cursor is the strategy's own: no wrapper pulls or ticks
+        unwrapped = en.enum_bespoke(strategy, db, dedup=False)
+        assert list(unwrapped) == raw and unwrapped.ticker.count == cursor.ticker.count
+        if i < len(small):
+            assert set(raw) == en.oracle_enumerate(q, db), i
 
 
 def test_spike_q2_pull_rate_pays_for_both_passes():

@@ -211,3 +211,23 @@ def test_size_limit(monkeypatch):
         parse_query("Q(a,b,c,d) :- R(a,b), R(c,d).")
     monkeypatch.delenv("CQSJ_MAX_VARS")
     parse_query("Q(a,b,c,d) :- R(a,b), R(c,d).")
+
+
+def test_size_limit_message_names_what_it_compared(monkeypatch):
+    # 33 distinct atoms over 12 variables, the first listed twice: the atom
+    # limit counts distinct atoms and is never below 32, whatever the
+    # variable limit
+    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)][:33]
+    body = ", ".join(f"R(x{i},x{j})" for i, j in [pairs[0], *pairs])
+    text = f"Q(x0) :- {body}."
+    for limit, over in ((None, "33 distinct atoms > 32"), ("12", "33 distinct atoms > 32"),
+                        ("11", "12 vars > 11, 33 distinct atoms > 32")):
+        if limit is None:
+            monkeypatch.delenv("CQSJ_MAX_VARS", raising=False)
+        else:
+            monkeypatch.setenv("CQSJ_MAX_VARS", limit)
+        with pytest.raises(LimitExceededError) as exc:
+            parse_query(text)
+        assert str(exc.value) == f"query exceeds size limit ({over})", limit
+    monkeypatch.setenv("CQSJ_MAX_VARS", "33")
+    assert len(set(parse_query(text).atoms)) == 33

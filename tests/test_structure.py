@@ -451,9 +451,14 @@ def test_no_transfer_for_diamond_or_double_kite():
 # -- canonical forms -------------------------------------------------------------------
 
 
+def _renamed(q, mapping: dict):
+    return make_query([a.rename(mapping) for a in q.atoms],
+                      [mapping.get(v, v) for v in q.free_vars])
+
+
 def test_canonical_invariant_under_renaming():
     q = fx.fixture("ring8")
-    renamed = q.rename({v: f"w{i}" for i, v in enumerate(q.all_vars)})
+    renamed = _renamed(q, {v: f"w{i}" for i, v in enumerate(q.all_vars)})
     assert st.canonical_key(q) == st.canonical_key(renamed)
     assert _same(q, renamed)
 
@@ -529,7 +534,7 @@ def test_canonical_key_of_symmetric_cycles_needs_no_search(free):
     # two cycles of half its length
     for n in range(2, 33):
         q = _directed_cycles(n, free=free)
-        rotated = q.rename({f"x{i}": f"y{(i + 3) % n}" for i in range(n)})
+        rotated = _renamed(q, {f"x{i}": f"y{(i + 3) % n}" for i in range(n)})
         assert st.canonical_key(q) == st.canonical_key(rotated), n
         assert _same(q, rotated), n
         if n % 2 == 0:
