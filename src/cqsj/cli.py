@@ -246,11 +246,14 @@ def cmd_bench_delay(args) -> int:
     needed = {a.symbol.name: a.symbol.arity for a in query.atoms}
     if not needed.keys() <= {"R", "P"}:
         raise InputError(f"generator {gen} cannot feed schema {sorted(needed)}")
+    # the arities the generators write, R/2 and P/1, read off a one-edge
+    # instance: a size's database may lack P, which would pass any arity
+    schema = reductions.graph_to_db(reductions.make_graph([("u", "v")]), red=["u"])
+    schema.check_arities(needed)
     name, factory = select_engine(query, args.engine)
     rows = []
     for size in args.sizes:
         db = _bench_db(gen, size, args.seed, "P" in needed)
-        db.check_arities(needed)
         stats = engines.measure_delay(lambda: factory(db))
         rows.append({"size": db.size, **stats.to_json()})
     verdict = delay_verdict(rows)

@@ -23,10 +23,6 @@ class InvalidWitnessError(Exception):
     pass
 
 
-class CyclicCoreError(Exception):
-    pass
-
-
 class DuplicateBoundError(Exception):
     pass
 
@@ -557,13 +553,6 @@ def _reduced(forest: _Forest, lookup: _FactIndex) -> tuple:
     return rows, _reduce_forest(forest, rows, lookup, whole)
 
 
-def eval_boolean(query: Query, db: Database, ticker: Optional[Ticker] = None) -> bool:
-    """Satisfiability of an acyclic query: every root keeps a row."""
-    forest = _Forest(_join_tree(query))
-    rows, _ = _reduced(forest, _FactIndex(db.facts, ticker or Ticker()))
-    return all(rows[r] for r in forest.roots)
-
-
 def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> set:
     """Answer set of an acyclic unary query: the free variable's values in
     the rows that a root holding it keeps."""
@@ -661,18 +650,17 @@ def enum_full_acyclic(query: Query, db: Database) -> EnumerationCursor:
 
 
 def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
-    """One answer of a full query with an acyclic core, in linear ticks.
+    """One answer of a query with an acyclic core, whatever its head, in
+    linear ticks (Thm 2.2 on the core).
 
-    Evaluates one solution of the full-core and extends it through the
-    retraction; returns None exactly when the query has no answers.
+    The core is a retract of the body, so one solution of the core, read
+    through the retraction, is an answer; returns None exactly when the
+    query has no answers, and a Boolean query's answer is ().  A cyclic
+    core raises NotAcyclicError before any tick.
     """
-    if not query.is_full:
-        raise ValueError("first_solution expects a full query")
     ticker = ticker or Ticker()
-    fcore, retraction = structure.full_core_with_retraction(query)
-    if not structure.is_acyclic(fcore):
-        raise CyclicCoreError("the query's core is cyclic")
-    for assignment in _acyclic_assignments(fcore, _FactIndex(db.facts, ticker)):
+    core, retraction = structure.core_with_retraction(query)
+    for assignment in _acyclic_assignments(core, _FactIndex(db.facts, ticker)):
         return tuple(assignment[retraction[v]] for v in query.free_vars)
     return None
 

@@ -148,17 +148,11 @@ def find_maps(
     the pinned ones first, candidate targets in sorted order.
     """
     dst_by_sym: dict = {}
-    dst_vars = set()
     for a in dst_atoms:
         dst_by_sym.setdefault((a.symbol.name, a.symbol.arity), []).append(a.args)
-        dst_vars.update(a.args)
     src_vars = {v for a in src_atoms for v in a.args}
 
-    pinned = dict(pinned or {})
-    for v, t in pinned.items():
-        if v in src_vars and t not in dst_vars:
-            return  # pinned target outside codomain: no maps
-
+    pinned = pinned or {}
     order = [v for v in join_variable_order(src_atoms, pinned) if v not in pinned]
     atoms_by_var: dict = {v: [] for v in src_vars}
     for a in src_atoms:
@@ -261,13 +255,6 @@ def core_with_retraction(query: Query):
 
 def core(query: Query) -> Query:
     return core_with_retraction(query)[0]
-
-
-def full_core_with_retraction(query: Query):
-    if not query.is_full:
-        raise ValueError("full-core is defined for full queries only")
-    c, retraction = core_with_retraction(query)
-    return make_query(c.atoms, c.all_vars), retraction
 
 
 # -- the same query up to renaming -------------------------------------------

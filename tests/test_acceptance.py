@@ -176,7 +176,7 @@ def test_criterion_3_oracle_equivalence():
     dred = fx.fixture("diamond_red")
     for seed in SEEDS:
         db = random_graph_db(12, 25, seed, red_p=0.3)
-        assert en.eval_boolean(boolean_closure, db) == bool(
+        assert (en.first_solution(boolean_closure, db) is not None) == bool(
             en.oracle_enumerate(boolean_closure, db))
         assert en.eval_unary(unary, db) == {
             t[0] for t in en.oracle_enumerate(unary, db)}

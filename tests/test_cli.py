@@ -295,6 +295,23 @@ def test_bench_generator_mismatch_exit_2(workdir, capsys):
     assert "cannot feed schema" in err
 
 
+@pytest.mark.parametrize("query,small", [
+    ("Q(x,y) :- P(x,y).", "4"), ("Q() :- P().", "10"), ("Q(x) :- R(x,y,z).", "4")])
+def test_bench_arity_mismatch_exit_2_at_every_size(workdir, capsys, query, small):
+    # the generators write R/2 and P/1, P only when they mark some node: the
+    # arities are checked against that schema before engine selection, not
+    # against the relations one size's database happens to hold
+    _, write = workdir
+    qf = write("q.cq", query)
+    errs = []
+    for size in (small, "1000"):
+        code, out, err = run_cli(["bench-delay", qf, "--sizes", size, "--seed", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: relation ") and "warning:" not in err
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
 def test_gadget_triangle_untangle2(workdir, capsys):
     tmp, write = workdir
     gf = write("g.graph", "a b\nb c\nc a\n")
@@ -877,7 +894,6 @@ def test_benchmark_tracer_wraps_existing_names():
 # Public names that nothing in the package or the benchmark calls yet, each
 # kept for a stated reason.
 UNCALLED_BY_DESIGN = {
-    "eval_boolean": "the 0-variable case of the planned projected acyclic engine",
     "eval_unary": "the 1-variable case of the planned projected acyclic engine",
     "first_solution": "the planned `enumerate --limit 1` path for acyclic cores",
     "fixture_names": "the accessor of the fixture table",
@@ -929,6 +945,15 @@ def test_package_holds_only_called_code():
     surprises = {"uncalled": uncalled ^ set(UNCALLED_BY_DESIGN),
                  "shared methods": shared ^ SHARED_METHODS}
     assert surprises == {"uncalled": set(), "shared methods": set()}
+
+
+def test_sources_parse_as_python_3_10():
+    # the package declares requires-python >= 3.10; this checks syntax only
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def _package_module(node: ast.ImportFrom):

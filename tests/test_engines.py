@@ -66,16 +66,10 @@ def test_oracle_empty_query_yields_empty_tuple():
 # -- evaluation ------------------------------------------------------------------
 
 
-def test_eval_boolean_examples():
+def test_first_solution_decides_boolean_queries():
     q = make_query(fx.fixture("path2_full").atoms, ())
-    assert en.eval_boolean(q, parse_database("R(a,b). R(b,c)."))
-    assert not en.eval_boolean(q, parse_database("R(a,b). R(c,d)."))
-
-
-def test_eval_boolean_requires_acyclic():
-    q = make_query(fx.fixture("triangle").atoms, ())
-    with pytest.raises(st.NotAcyclicError):
-        en.eval_boolean(q, Database())
+    assert en.first_solution(q, parse_database("R(a,b). R(b,c).")) == ()
+    assert en.first_solution(q, parse_database("R(a,b). R(c,d).")) is None
 
 
 def test_eval_unary_example():
@@ -88,7 +82,7 @@ def test_eval_matches_oracle_random():
     uq = fx.fixture("unary_path")
     for seed in range(40):
         db = random_graph_db(10, 18, seed)
-        assert en.eval_boolean(bq, db) == bool(en.oracle_enumerate(bq, db))
+        assert en.first_solution(bq, db) == (() if en.oracle_enumerate(bq, db) else None)
         assert en.eval_unary(uq, db) == {t[0] for t in en.oracle_enumerate(uq, db)}
 
 
@@ -99,7 +93,7 @@ def test_eval_ticks_linear():
     for m in sizes:
         db = random_graph_db(m // 2, m, 3)
         t = en.Ticker()
-        en.eval_boolean(bq, db, t)
+        en.first_solution(bq, db, t)
         ticks.append(t.count / db.size)
     assert max(ticks) / min(ticks) < 2.5
 
@@ -123,19 +117,86 @@ def test_first_solution_on_single_edge_gadget(diamond_red):
 
 
 def test_first_solution_rejects_cyclic_core():
-    with pytest.raises(en.CyclicCoreError):
-        en.first_solution(fx.fixture("diamond_reversed"), Database())
+    # the core's join tree is looked for before any fact is read
+    db = random_graph_db(6, 12, 0)
+    for q in (fx.fixture("diamond_reversed"), make_query(fx.fixture("triangle").atoms, ())):
+        t = en.Ticker()
+        with pytest.raises(st.NotAcyclicError):
+            en.first_solution(q, db, t)
+        assert t.count == 0
 
 
 def test_first_solution_agrees_with_boolean_truth():
     q = fx.fixture("diamond_red")
-    bq = make_query(st.full_core_with_retraction(q)[0].atoms, ())
+    bq = make_query(st.Analysis(q).full_core.atoms, ())
     for seed in range(30):
         db = random_graph_db(12, 24, seed, red_p=0.3)
         got = en.first_solution(q, db)
-        assert (got is None) == (not en.eval_boolean(bq, db))
+        assert (got is None) == (not en.oracle_enumerate(bq, db))
         if got is not None:
             assert got in en.oracle_enumerate(q, db)
+
+
+def _oracle_extends(query, db, bound) -> bool:
+    """Whether the oracle's search extends ``bound`` (variable -> value) to
+    a match of every atom of ``query``."""
+    order = en._oracle_atom_order(query)
+    return next(en._oracle_matches(order, 0, db, dict(bound), en.Ticker()), None) is not None
+
+
+def _any_head_cases():
+    """(label, query, databases) for every fixture and random_query seeds
+    0-299: fixtures on graphs with self-loops, P marks and S hubs, random
+    queries on random_query's whole schema over a 4-value domain."""
+    for name in fx.fixture_names():
+        yield name, fx.fixture(name), [
+            random_graph_db(6, 9, seed, red_p=0.4, loops=2, hubs=1) for seed in range(6)]
+    for seed in range(300):
+        yield f"seed {seed}", random_query(seed), [
+            _random_schema_db(seed * 3 + k, 4 + 3 * k) for k in range(3)]
+
+
+def test_first_solution_answers_any_head_from_the_core():
+    # one answer read through the core's retraction, whatever the head: an
+    # answer of the oracle's, and None exactly when the oracle has none; a
+    # cyclic core raises before any tick
+    counts = collections.Counter()
+    for label, query, dbs in _any_head_cases():
+        if not st.is_acyclic(st.core(query)):
+            for db in dbs:
+                t = en.Ticker()
+                with pytest.raises(st.NotAcyclicError):
+                    en.first_solution(query, db, t)
+                assert t.count == 0, label
+            counts["cyclic core"] += 1
+            continue
+        for db in dbs:
+            got = en.first_solution(query, db)
+            if got is None:
+                assert not _oracle_extends(query, db, {}), label
+                counts["none"] += 1
+                continue
+            assert len(got) == query.arity
+            assert _oracle_extends(query, db, zip(query.free_vars, got)), (label, got)
+            counts["full" if query.is_full else "boolean" if query.is_boolean
+                   else "projected"] += 1
+    assert all(counts[k] >= 20 for k in ("none", "full", "boolean", "projected")), counts
+    assert counts["cyclic core"] >= 5, counts
+
+
+def test_first_solution_ticks_stay_linear_on_a_projected_head():
+    # ticks to the first answer grow with the facts, not faster: the core's
+    # semi-join pass reads each fact a bounded number of times
+    q = parse_query("Q(x) :- R(x,y), R(y,z), R(x,w), P(z).")
+    assert not q.is_full and len(st.core(q).atoms) < len(q.atoms)
+    per_fact = []
+    for size in BENCH_SIZES:
+        db = _bench_graph_db(size, 7, red_p=0.05)
+        t = en.Ticker()
+        got = en.first_solution(q, db, t)
+        assert got is not None and _oracle_extends(q, db, zip(q.free_vars, got))
+        per_fact.append(t.count / db.size)
+    assert max(per_fact) / min(per_fact) < 2.5, per_fact
 
 
 # -- full acyclic enumeration ---------------------------------------------------------
@@ -1434,7 +1495,8 @@ def test_whole_relation_buckets_are_built_once_on_random_queries(monkeypatch):
         assert len(builds) == len(set(builds)), (seed, builds)
         assert set(got) == en.oracle_enumerate(query, db), seed
         builds.clear()
-        assert en.eval_boolean(query, db) == bool(got)
+        first = en.first_solution(query, db)
+        assert (first is None) == (not got) and (first is None or first in got)
         assert len(builds) == len(set(builds)), (seed, builds)
         checked += 1
     assert checked > 50

@@ -154,7 +154,7 @@ def test_minimal_form_homomorphic_both_ways():
 
 
 def test_marked_diamond_full_core_is_marked_path():
-    fc = st.full_core_with_retraction(fx.fixture("diamond_red"))[0]
+    fc = st.Analysis(fx.fixture("diamond_red")).full_core
     expect = parse_query("Q(x,y,z) :- R(x,y), R(y,z), P(y).")
     assert _same(fc, expect)
 
@@ -167,7 +167,7 @@ def test_reversed_diamond_core_is_itself():
 
 
 def test_ring8_full_core_is_marked_path():
-    fc = st.full_core_with_retraction(fx.fixture("ring8"))[0]
+    fc = st.Analysis(fx.fixture("ring8")).full_core
     expect = parse_query("Q(x,y,z) :- R(x,y), R(y,z), P(y).")
     assert _same(fc, expect)
 
@@ -175,14 +175,14 @@ def test_ring8_full_core_is_marked_path():
 def test_spiked_rings_share_the_marked_path_core():
     expect = parse_query("Q(x,y,z) :- R(x,y), R(y,z), P(y).")
     for name in ("ring8_io", "ring8_spikes", "ring8_spikes_flip"):
-        fc = st.full_core_with_retraction(fx.fixture(name))[0]
+        fc = st.Analysis(fx.fixture(name)).full_core
         assert _same(fc, expect), name
 
 
 def test_windmill_core_is_hub_with_inner_triangle():
     expect = parse_query("Q(a,b,c) :- S(a,b,c), R(a,b), R(b,c), R(c,a).")
     for name in ("windmill", "windmill_tail", "double_kite"):
-        fc = st.full_core_with_retraction(fx.fixture(name))[0]
+        fc = st.Analysis(fx.fixture(name)).full_core
         assert _same(fc, expect), name
         assert st.is_acyclic(fc)
 
@@ -190,12 +190,12 @@ def test_windmill_core_is_hub_with_inner_triangle():
 def test_twin_loop_cores_are_self_loops():
     expect = parse_query("Q(a) :- R(a,a).")
     for name in ("twin_loops", "twin_triangles", "square_loops"):
-        fc = st.full_core_with_retraction(fx.fixture(name))[0]
+        fc = st.Analysis(fx.fixture(name)).full_core
         assert _same(fc, expect), name
 
 
 def test_cycle20_core_is_two_path():
-    fc = st.full_core_with_retraction(fx.fixture("cycle20"))[0]
+    fc = st.Analysis(fx.fixture("cycle20")).full_core
     assert _same(fc, parse_query("Q(x,y,z) :- R(x,y), R(y,z)."))
 
 
@@ -221,7 +221,7 @@ def test_images_of_ring8_match_known_shapes():
     assert len(imgs) == 4
     sizes = sorted(len(i.atoms) for i in imgs)
     assert sizes == [3, 5, 5, 9]
-    fc = st.full_core_with_retraction(q)[0]
+    fc = st.Analysis(q).full_core
     assert any(_same(i.query, fc) for i in imgs)
 
 
