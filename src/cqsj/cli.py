@@ -254,8 +254,7 @@ def cmd_bench_delay(args) -> int:
     rows = []
     for size in args.sizes:
         db = _bench_db(gen, size, args.seed, "P" in needed)
-        stats = engines.measure_delay(lambda: factory(db))
-        rows.append({"size": db.size, **stats.to_json()})
+        rows.append({"size": db.size, **engines.measure_delay(lambda: factory(db))})
     verdict = delay_verdict(rows)
     payload = {"engine": name, "generator": gen, "rows": rows, "verdict": verdict}
     if args.json:

@@ -69,26 +69,12 @@ class EnumerationCursor:
             yield item
 
 
-class DelayStats(NamedTuple):
-    preprocessing_ticks: int
-    max_gap: int
-    answers: int
-    wall_ms: float
-
-    def to_json(self) -> dict:
-        return {
-            "preprocessing_ticks": self.preprocessing_ticks,
-            "max_gap": self.max_gap,
-            "answers": self.answers,
-            "wall_ms": round(self.wall_ms, 3),
-        }
-
-
-def measure_delay(make_cursor: Callable[[], EnumerationCursor]) -> DelayStats:
+def measure_delay(make_cursor: Callable[[], EnumerationCursor]) -> dict:
     """Run a cursor to completion recording tick gaps between emissions.
 
-    The gap before the first answer and the tail after the last one count
-    toward max_gap.
+    Returns the row ``bench-delay`` prints: preprocessing_ticks, max_gap,
+    answers and wall_ms (rounded to 3 places).  The gap before the first
+    answer and the tail after the last one count toward max_gap.
     """
     start = time.perf_counter()
     cursor = make_cursor()
@@ -105,8 +91,9 @@ def measure_delay(make_cursor: Callable[[], EnumerationCursor]) -> DelayStats:
         if item is None:
             break
         answers += 1
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return DelayStats(cursor.preprocessing_ticks, max_gap, answers, wall_ms)
+    wall_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    return {"preprocessing_ticks": cursor.preprocessing_ticks, "max_gap": max_gap,
+            "answers": answers, "wall_ms": wall_ms}
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -1039,8 +1026,15 @@ def _spike_q3_factory(db: Database, ticker: Ticker):
     left-image solution while collecting (x4,x5,x6)-candidates, a top pass
     does the same for (x8,x7)-candidates, and the cross-product edge tests
     that stitch the two sides into full loops are rationed out at two per
-    emission (the spike products guarantee enough emissions to pay for all
-    tests), with a drain at the end of the group.
+    emission, with a drain at the end of the group.
+
+    The rationing pays for the tests on the benchmark's inputs and on
+    acceptance criterion 4's, but not in the worst case, so the delay is not
+    constant there.  On R = {b->m, m->c, b->t, t->u, a->c} plus k edges
+    w_i->a, with P(m), the tests of the pair (t, u) against the k keys
+    (a, w_i, a) all fail in one run: at k = 25, 50, 100 and 200 the raw
+    largest gap is 25, 50, 100 and 200 ticks, and k + 8 behind
+    cheater_dedup.  ROADMAP.md item 20 (b) holds the open fix.
 
     Every answer is a cross answer, and the raw stream gives each once: the
     left pass owns the cross answers with x6 = x4, x7 = c, x8 = m and

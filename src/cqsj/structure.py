@@ -642,12 +642,8 @@ class Analysis:
         return self.analyzed != self.query
 
     @cached_property
-    def join_tree(self) -> Optional[JoinTree]:
-        return gyo_acyclic(self.analyzed)
-
-    @property
     def acyclic(self) -> bool:
-        return self.join_tree is not None
+        return is_acyclic(self.analyzed)
 
     @cached_property
     def free_connex(self) -> bool:
@@ -832,7 +828,7 @@ class Analysis:
             ),
             "untangleable": self.untangleable,
             "fixture": self.fixture_name,
-            "verdicts": [v.to_json() for v in self.verdicts],
+            "verdicts": [v._asdict() for v in self.verdicts],
         }
 
 
@@ -906,9 +902,6 @@ class Verdict(NamedTuple):
     verdict: str
     assumption: str
     citation: str
-
-    def to_json(self) -> dict:
-        return self._asdict()
 
 
 def classify(query: Query, untangle_budget: int = DEFAULT_UNTANGLE_BUDGET) -> Analysis:

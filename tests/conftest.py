@@ -68,6 +68,21 @@ def random_graph_db(n, m, seed, red_p=0.0, loops=0, s_facts=0, hubs=0) -> Databa
     return db
 
 
+# each bespoke strategy with the random_graph_db options that give its
+# pattern matches; its oracle test and its renamed-head test share these
+BESPOKE_DB_KWARGS = [
+    ("TWO_LOOPS", dict(loops=4)),
+    ("TWO_TRIANGLES", dict(loops=4)),
+    ("SPIKE_Q2", dict(red_p=0.3)),
+    ("SPIKE_Q3", dict(red_p=0.2)),
+]
+
+
+def bespoke_dbs(kwargs) -> list:
+    """The 20 seeded databases a bespoke strategy is tested on."""
+    return [random_graph_db(12, 20, seed, **kwargs) for seed in range(20)]
+
+
 def random_query(seed, max_atoms=6, max_vars=6):
     """Small random query over a mixed schema, possibly with self-joins."""
     rng = random.Random(seed)

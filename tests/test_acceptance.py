@@ -242,17 +242,17 @@ def test_criterion_4_delay_classes():
 
     lines = []
     for name, rows in constant.items():
-        gaps = [max(1, r.max_gap) for r in rows]
+        gaps = [max(1, r["max_gap"]) for r in rows]
         ratio = max(gaps) / min(gaps)
         assert ratio <= 2.0, f"{name}: constant-gap ratio {ratio:.2f} > 2"
         lines.append(f"{name} gap ratio {ratio:.2f}")
     for name, rows in linear.items():
-        slopes = [max(1, r.max_gap) / s for r, s in zip(rows, BENCH_SIZES)]
+        slopes = [max(1, r["max_gap"]) / s for r, s in zip(rows, BENCH_SIZES)]
         stability = max(slopes) / min(slopes)
         assert stability <= 2.0, f"{name}: linear slope varies {stability:.2f}x"
         lines.append(f"{name} gap/size stable x{stability:.2f}")
     for name, rows in {**constant, **linear}.items():
-        preps = [max(1, r.preprocessing_ticks) for r in rows]
+        preps = [max(1, r["preprocessing_ticks"]) for r in rows]
         for a, b in zip(preps, preps[1:]):
             assert b / a <= 2.5, f"{name}: preprocessing grew {b/a:.2f}x per doubling"
     print("\nACCEPTANCE 4 PASS: " + "; ".join(lines) +
@@ -331,8 +331,8 @@ def test_criterion_6_cheater_wrapper():
         assert out == base  # duplicate-free, order of first appearance
         stats = en.measure_delay(
             lambda: en.cheater_dedup(_repeat_stream(items, gap_in), c))
-        bound = c * inner_stats.max_gap + 4 * c + 4
-        assert stats.max_gap <= bound, f"c={c}: {stats.max_gap} > {bound}"
+        bound = c * inner_stats["max_gap"] + 4 * c + 4
+        assert stats["max_gap"] <= bound, f"c={c}: {stats['max_gap']} > {bound}"
     print("\nACCEPTANCE 6 PASS: wrapper removes duplicates for c in 1..4 and "
           "keeps max_gap within c times the inner gap plus a fixed constant")
 

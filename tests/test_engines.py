@@ -10,8 +10,8 @@ import tracemalloc
 import pytest
 
 import reference as ref
-from conftest import (FOUND_RESULT_IS_PREVIOUS, KEPT_F_NAME, KEPT_F_NAME_DB,
-                      random_graph_db, random_query)
+from conftest import (BESPOKE_DB_KWARGS, FOUND_RESULT_IS_PREVIOUS, KEPT_F_NAME, KEPT_F_NAME_DB,
+                      bespoke_dbs, random_graph_db, random_query)
 from cqsj import engines as en
 from cqsj import fixtures as fx
 from cqsj import reductions as rd
@@ -988,20 +988,55 @@ def _tampered_mirror_certificates(q, image):
         image.atoms, image.query, image.endo, make_query(q.atoms, q.free_vars[:1]))
 
 
-@pytest.mark.parametrize("q", [fx.fixture("diamond"), parse_query("Q(x,y,z) :- R(x,y), R(x,z).")],
-                         ids=["diamond", "acyclic_fork"])
+def _tampered_mirror_witnesses(q, witness):
+    """(kind, witness) pairs: the mirror witness of ``q`` with a tampered
+    image certificate, the whole query as image, or a tampered iso, each
+    breaking one check of validation."""
+    for kind, image in _tampered_mirror_certificates(q, witness.image):
+        yield kind, witness._replace(image=image)
+    # certified, and acyclic on acyclic_fork, where only its empty rest refuses it
+    whole = next(img for img in st.images(q) if img.atoms == set(q.atoms))
+    yield "whole query as image", witness._replace(image=whole)
+    iso, image_vars = witness.iso, set(witness.image.query.all_vars)
+    shared, private = sorted(set(iso) & image_vars), sorted(set(iso) - image_vars)
+    yield "iso missing a rest variable", witness._replace(
+        iso={v: w for v, w in iso.items() if v != shared[0]})
+    yield "non-injective iso", witness._replace(iso={**iso, private[0]: iso[shared[0]]})
+    # swapped with a second shared variable where there is one: on the
+    # square, the swapped iso still maps the rest onto the image
+    other = (shared[1:] + private)[0]
+    yield "iso moving a shared variable", witness._replace(
+        iso={**iso, shared[0]: iso[other], other: iso[shared[0]]})
+
+
+@pytest.mark.parametrize("q", [fx.fixture("diamond"), parse_query("Q(x,y,z) :- R(x,y), R(x,z)."),
+                               parse_query("Q(x,y,a,b) :- R(x,a), R(y,a), R(x,b), R(y,b).")],
+                         ids=["diamond", "acyclic_fork", "square"])
 def test_tampered_mirror_certificates_are_rejected(q):
     witness = st.is_mirror(q)
     assert st.validate_mirror_witness(q, witness)
     db = random_graph_db(8, 20, 0)
     kinds = 0
-    for kind, image in _tampered_mirror_certificates(q, witness.image):
-        tampered = witness._replace(image=image)
+    for kind, tampered in _tampered_mirror_witnesses(q, witness):
         assert not st.validate_mirror_witness(q, tampered), kind
         with pytest.raises(en.InvalidWitnessError):
             en.enum_mirror(q, tampered, db)
         kinds += 1
-    assert kinds == 3
+    assert kinds == 7
+
+
+def test_non_injective_iso_onto_a_certified_image_is_rejected():
+    # no mirror: the rest has three variables, the 2-cycle image two, and
+    # this iso maps the rest onto the image's atoms, so only the
+    # injectivity check refuses it
+    q = parse_query("Q(x,y,a,b,c) :- R(x,y), R(y,x), R(a,b), R(b,c).")
+    cycle = frozenset(parse_query("Q(x,y) :- R(x,y), R(y,x).").atoms)
+    image = next(img for img in st.images(q) if img.atoms == cycle)
+    forged = st.MirrorWitness(image, {"a": "x", "b": "y", "c": "x"})
+    assert st.is_mirror(q) is None
+    assert not st.validate_mirror_witness(q, forged)
+    with pytest.raises(en.InvalidWitnessError):
+        en.enum_mirror(q, forged, random_graph_db(8, 20, 0))
 
 
 def test_enum_mirror_matches_oracle(diamond):
@@ -1026,16 +1061,10 @@ def test_two_loops_self_loop_only():
     assert list(en.enum_bespoke("TWO_LOOPS", db)) == [("a", "a", "a", "a", "a")]
 
 
-@pytest.mark.parametrize("strategy,kwargs", [
-    ("TWO_LOOPS", dict(loops=4)),
-    ("TWO_TRIANGLES", dict(loops=4)),
-    ("SPIKE_Q2", dict(red_p=0.3)),
-    ("SPIKE_Q3", dict(red_p=0.2)),
-])
+@pytest.mark.parametrize("strategy,kwargs", BESPOKE_DB_KWARGS)
 def test_bespoke_matches_oracle(strategy, kwargs):
     q = fx.fixture(en.BESPOKE_STRATEGIES[strategy].fixture)
-    for seed in range(20):
-        db = random_graph_db(12, 20, seed, **kwargs)
+    for seed, db in enumerate(bespoke_dbs(kwargs)):
         cursor = en.enum_bespoke(strategy, db)
         assert cursor.preprocessing_ticks == cursor.ticker.count > 0  # before any next()
         got = list(cursor)
@@ -1198,7 +1227,7 @@ def test_spike_q2_pull_rate_pays_for_both_passes():
         answers = en.oracle_enumerate(q, db)
         assert len(answers) == k
         assert len(raw) == 2 * k and set(raw[:k]) == set(raw[k:]) == answers, k
-        gaps.add(en.measure_delay(lambda: en.enum_bespoke("SPIKE_Q2", db)).max_gap)
+        gaps.add(en.measure_delay(lambda: en.enum_bespoke("SPIKE_Q2", db))["max_gap"])
     assert len(gaps) == 1, gaps
 
 
@@ -1253,8 +1282,8 @@ def test_spike_skips_keep_constant_gaps():
             if strategy == "SPIKE_Q3":
                 assert len(raw) == len(set(raw))
             stats = en.measure_delay(lambda db=db: en.enum_bespoke(strategy, db))
-            assert stats.answers == len(set(raw))
-            gaps.append(max(1, stats.max_gap))
+            assert stats["answers"] == len(set(raw))
+            gaps.append(max(1, stats["max_gap"]))
         assert max(gaps) / min(gaps) <= 2.0, (strategy, gaps)
 
 
@@ -1374,8 +1403,8 @@ def test_cheater_dedup_gap_bound():
                        key=lambda item: item[0])
         stats = en.measure_delay(lambda: en.cheater_dedup(_stream_cursor(items, 7), c, group))
         inner_stats = en.measure_delay(lambda: _stream_cursor(items, 7))
-        assert stats.answers == 50
-        assert stats.max_gap <= c * inner_stats.max_gap + 4 * c + 4
+        assert stats["answers"] == 50
+        assert stats["max_gap"] <= c * inner_stats["max_gap"] + 4 * c + 4
 
 
 def test_cheater_dedup_grouped_keeps_answer_order():
@@ -1743,11 +1772,11 @@ def test_measure_delay_counts_answers():
     q = fx.fixture("path2_full")
     db = random_graph_db(6, 10, 1)
     stats = en.measure_delay(lambda: en.enum_full_acyclic(q, db))
-    assert stats.answers == len(en.oracle_enumerate(q, db))
-    assert stats.max_gap >= 1
-    assert stats.preprocessing_ticks > 0
-    payload = stats.to_json()
-    assert set(payload) == {"preprocessing_ticks", "max_gap", "answers", "wall_ms"}
+    assert set(stats) == {"preprocessing_ticks", "max_gap", "answers", "wall_ms"}
+    assert stats["answers"] == len(en.oracle_enumerate(q, db))
+    assert stats["max_gap"] >= 1
+    assert stats["preprocessing_ticks"] > 0
+    assert stats["wall_ms"] == round(stats["wall_ms"], 3)
 
 
 def test_streams_are_deterministic():
@@ -1757,3 +1786,22 @@ def test_streams_are_deterministic():
     first = list(en.enum_mirror(q, witness, db))
     second = list(en.enum_mirror(q, witness, db))
     assert first == second
+
+
+# -- library preconditions ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: st.images(fx.fixture("path2_proj")), "images are defined for full queries"),
+    (lambda: st.is_mirror(fx.fixture("path2_proj")), "mirror detection is defined"),
+    (lambda: st.is_untangleable(fx.fixture("path2_proj")), "untangling is defined"),
+    (lambda: st.hardness_transfer(fx.fixture("path2_proj")), "hardness transfer is defined"),
+    (lambda: en.enum_full_acyclic(fx.fixture("path2_proj"), Database()), "expects a full query"),
+    (lambda: en.eval_unary(fx.fixture("path2_full"), Database()), "exactly one free variable"),
+    (lambda: en.cheater_dedup(en.enum_full_acyclic(fx.fixture("path2_full"), Database()), 0),
+     "duplication bound must be positive"),
+], ids=["images", "is_mirror", "is_untangleable", "hardness_transfer", "enum_full_acyclic",
+        "eval_unary", "cheater_dedup"])
+def test_library_preconditions_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -399,6 +399,16 @@ def test_untangling_census_needs_no_step_to_a_result():
 def test_budget_exhaustion_reports_unknown():
     status, witness = st.is_untangleable(fx.fixture("windmill"), budget=0)
     assert status == "unknown" and witness is None
+    # below the top level: bowtie_chain's chain needs three expansions, so
+    # with one or two its sub-searches run out and the status is unknown
+    bowtie = fx.fixture("bowtie_chain")
+    for budget in (1, 2):
+        assert st.is_untangleable(bowtie, budget=budget) == ("unknown", None), budget
+    assert st.is_untangleable(bowtie, budget=3)[0] == "yes"
+    # at windmill_tail's one expansion, an image whose query is cyclic runs
+    # out, and a later image whose query is acyclic gives a one-step witness
+    status, witness = st.is_untangleable(fx.fixture("windmill_tail"), budget=1)
+    assert status == "yes" and len(witness.steps) == 1
 
 
 def test_witness_validation_rejects_wrong_target():
