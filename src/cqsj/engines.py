@@ -465,7 +465,7 @@ def _keeps_every_row(forest: _Forest, ch: Atom, p: Atom, shared: list, whole: di
             and all(pos_ch[v] == pos_p[v] for v in shared))
 
 
-def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict, edges=None,
+def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict, edges: list,
                    index: Optional[dict] = None, tables: Optional[dict] = None) -> dict:
     """One leaves-to-root semi-join pass that also builds the enumeration
     indexes (Yannakakis's upward pass).
@@ -501,15 +501,14 @@ def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict,
 
     ``rows`` (atom -> rows) is reduced in place; the result is the index:
     per non-root atom, the variables shared with its parent and its buckets.
-    A pass over part of the forest takes ``edges``, a sub-list of
-    ``forest.edges``, and may start from an ``index`` that already holds
+    The pass runs over ``edges``, all of ``forest.edges`` or a sub-list of
+    them, and may start from an ``index`` that already holds
     some children, whose buckets it keeps.  A parent missing from ``rows``
     takes its rows from ``tables[parent]``, its candidate rows bucketed by
     the variables shared with this child, fetched at the child's keys.
     """
     index = {} if index is None else index
     ticker = lookup.ticker
-    edges = forest.edges if edges is None else edges
     parents = {p for _, p, _ in edges}
     for ch, _, shared in edges:
         if ch in whole and ch not in parents and ch not in index:
@@ -533,37 +532,10 @@ def _reduce_forest(forest: _Forest, rows: dict, lookup: _FactIndex, whole: dict,
     return index
 
 
-def _reduced(forest: _Forest, lookup: _FactIndex) -> tuple:
-    """(rows, index) of the whole forest over ``lookup``'s relations after
-    its semi-join pass (see ``_reduce_forest``)."""
-    rows, whole = _atom_rows(forest.source, lookup)
-    return rows, _reduce_forest(forest, rows, lookup, whole)
-
-
-def eval_unary(query: Query, db: Database, ticker: Optional[Ticker] = None) -> set:
-    """Answer set of an acyclic unary query: the free variable's values in
-    the rows that a root holding it keeps."""
-    if query.arity != 1:
-        raise ValueError("eval_unary expects exactly one free variable")
-    ticker = ticker or Ticker()
-    var = query.free_vars[0]
-    holder = next(a for a in query.atoms if var in a.args)
-    forest = _Forest(_join_tree(query).rerooted(holder))
-    rows, _ = _reduced(forest, _FactIndex(db.facts, ticker))
-    if not all(rows[r] for r in forest.roots):
-        return set()
-    ticker.tick(len(rows[holder]))
-    at = forest.pos[holder][var]
-    return {row[at] for row in rows[holder]}
-
-
-def _acyclic_assignments(query: Query, lookup: _FactIndex, assignment: Optional[dict] = None):
+def _acyclic_assignments(query: Query, lookup: _FactIndex):
     """Preprocess a full acyclic query over ``lookup``'s relations; return
-    its assignment stream, a generator (see ``_forest_assignments``)."""
-    forest = _Forest(_join_tree(query))
-    rows, index = _reduced(forest, lookup)
-    return _forest_assignments(forest, rows, index, lookup.ticker,
-                               {} if assignment is None else assignment)
+    its assignment stream, a generator (see ``_RestJoin``)."""
+    return _RestJoin(query, (), lookup).assignments({})
 
 
 def _forest_assignments(forest: _Forest, rows: dict, index: dict, ticker: Ticker,
@@ -656,12 +628,19 @@ def first_solution(query: Query, db: Database, ticker: Optional[Ticker] = None):
 
 
 class _RestJoin:
-    """The rest of an untangling step, joined once per image answer over the
-    relations that answer restricts, read in place.
+    """The join of a full acyclic query: the rest of an untangling step,
+    joined once per image answer over the relations that answer restricts,
+    read in place, or, without groups, a plain query over ``lookup``'s
+    relations.
 
-    A rest atom is *restricted* when its group drops a position, so that its
-    rows depend on the image answer, and *fixed* when it reads its source
-    relation whole; it is *live* when its subtree holds a restricted atom.
+    The query is the step's ``rest`` and ``groups`` its groups.  A rest atom
+    is *restricted* when its group drops a position, so that its rows depend
+    on the image answer, and *fixed* when it reads its source relation
+    whole, as every atom without a restricting group does; it is *live*
+    when its subtree holds a restricted atom.  A plain acyclic query is the
+    case without groups, ``_RestJoin(q, (), lookup).assignments({})``: every
+    atom is fixed, the first call is the whole semi-join pass (Thm 2.2's
+    preprocessing) and its stream the enumeration.
 
     - Here, without ticks: the rest's join forest and that split.
     - At the first image answer, as enumeration work: the reduction of every
@@ -693,13 +672,17 @@ class _RestJoin:
     enumeration makes the same probes.  No fact is copied.
     """
 
-    def __init__(self, rewrite: structure.Untangled, lookup: _FactIndex):
-        self.forest = forest = _Forest(_join_tree(rewrite.rest))
-        relation = {g.relation: g for g in rewrite.groups}
-        self.group = {a: relation[a.symbol.name] for a in forest.preorder}
-        forest.source = {a: self.group[a].source for a in forest.preorder}
-        self.restricted = [a for a in forest.preorder if self.group[a].positions]
-        self.probes = [g for g in rewrite.groups if g.positions]
+    def __init__(self, rest: Query, groups: tuple, lookup: _FactIndex):
+        self.forest = forest = _Forest(_join_tree(rest))
+        # a group that drops no position reads its source whole, under the
+        # source's own name (``structure.untangle``)
+        relation = {g.relation: g for g in groups if g.positions}
+        self.group = {a: relation[a.symbol.name] for a in forest.preorder
+                      if a.symbol.name in relation}
+        self.restricted = list(self.group)
+        self.probes = list(relation.values())
+        for a, g in self.group.items():
+            forest.source[a] = g.source
         # a restricted atom reads whole source rows, its j-th argument at the
         # j-th position its group keeps
         self.at = {a: _kept_positions(self.group[a]) for a in self.restricted}
@@ -778,8 +761,9 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
                   db: Database) -> EnumerationCursor:
     """Enumeration driven by an untangling witness (Prop 4.3).
 
-    Recursively enumerates the step's image; for each image answer joins the
-    rest over the relations that answer restricts and enumerates it.
+    Enumerates the chain's base, then folds the steps over it: for each
+    answer of a step's image, joins the rest over the relations that answer
+    restricts and enumerates it.
     Distinct image answers yield disjoint blocks.  Where each step's image
     is a retract of its source (the range of an endomorphism that fixes it),
     every image answer extends to at least one full answer, so the gap
@@ -791,26 +775,17 @@ def enum_untangle(query: Query, witness: structure.UntanglingWitness,
     if not structure.validate_untangling_witness(query, witness):
         raise InvalidWitnessError("witness does not validate for this query")
     ticker = Ticker()
-    top = _untangle_stream(witness, len(witness.steps), _FactIndex(db.facts, ticker), {})
-    gen = (tuple(assignment[v] for v in query.free_vars) for assignment in top)
+    lookup = _FactIndex(db.facts, ticker)
+    # the base is preprocessed here, eagerly; the per-image-answer work on
+    # each rest is enumeration work.  Image and rest variables are disjoint,
+    # so one dict serves the whole chain.
+    assignment: dict = {}
+    stream = _RestJoin(witness.base, (), lookup).assignments(assignment)
+    for step in witness.steps:
+        rest = _RestJoin(step.rewrite.rest, step.rewrite.groups, lookup)
+        stream = _rest_per_image_answer(stream, rest, assignment)
+    gen = (tuple(assignment[v] for v in query.free_vars) for _ in stream)
     return EnumerationCursor(ticker, gen)
-
-
-def _untangle_stream(witness: structure.UntanglingWitness, chain_idx: int, lookup: _FactIndex,
-                     assignment: dict):
-    """Assignment stream, a generator, for one chain element; it binds the
-    element's variables into ``assignment`` and yields it.  Image and rest
-    variables are disjoint, so one dict serves the whole chain.
-
-    Preprocessing along the image side of the chain happens here, eagerly;
-    the per-image-answer work on the rest is enumeration work and stays
-    inside the returned stream.
-    """
-    if chain_idx == 0:
-        return _acyclic_assignments(witness.base, lookup, assignment)
-    image_stream = _untangle_stream(witness, chain_idx - 1, lookup, assignment)
-    rest = _RestJoin(witness.steps[chain_idx - 1].rewrite, lookup)
-    return _rest_per_image_answer(image_stream, rest, assignment)
 
 
 def _rest_per_image_answer(image_stream, rest: _RestJoin, assignment: dict):

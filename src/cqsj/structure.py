@@ -47,21 +47,6 @@ class JoinTree(NamedTuple):
     def roots(self) -> list:
         return [a for a in self.nodes if self.parent[a] is None]
 
-    def rerooted(self, atom: Atom) -> "JoinTree":
-        """The same forest with ``atom`` as the root of its tree.
-
-        Only the edges on the path from ``atom`` to its old root change
-        direction, so the undirected forest, and with it running
-        intersection, stays as it was.
-        """
-        parent = dict(self.parent)
-        below, cur = None, atom
-        while cur is not None:
-            above = self.parent[cur]
-            parent[cur] = below
-            below, cur = cur, above
-        return JoinTree(self.nodes, parent)
-
 
 def gyo_acyclic(query: Query) -> Optional[JoinTree]:
     """Ear-removal acyclicity test; returns a join forest or None if cyclic.

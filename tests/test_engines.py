@@ -81,18 +81,11 @@ def test_eval_boolean_requires_acyclic():
     assert t.count == 0
 
 
-def test_eval_unary_example():
-    q = fx.fixture("unary_path")
-    assert en.eval_unary(q, parse_database("R(a,b). R(b,c).")) == {"b"}
-
-
 def test_eval_matches_oracle_random():
     bq = make_query(fx.fixture("path2_full").atoms, ())
-    uq = fx.fixture("unary_path")
     for seed in range(40):
         db = random_graph_db(10, 18, seed)
         assert en.first_solution(bq, db) == (() if en.oracle_enumerate(bq, db) else None)
-        assert en.eval_unary(uq, db) == {t[0] for t in en.oracle_enumerate(uq, db)}
 
 
 def test_eval_ticks_linear():
@@ -811,7 +804,7 @@ def _rest_join_matches_restricted_database(untangled, db, image_answers) -> int:
     Returns the number of rest assignments."""
     rest_vars = untangled.rest.all_vars
     ticker, plain_ticker = en.Ticker(), en.Ticker()
-    rest = en._RestJoin(untangled, en._FactIndex(db.facts, ticker))
+    rest = en._RestJoin(untangled.rest, untangled.groups, en._FactIndex(db.facts, ticker))
     index: dict = {}  # the plain restriction's, shared by every answer
     total = 0
     for i, image_answer in enumerate(image_answers):
@@ -878,6 +871,31 @@ def test_rest_join_matches_restricted_database_on_random_steps():
         _rest_join_matches_restricted_database(untangled, db, answers)
         checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("text", [
+    # the rest holds the nullary group R__01(), which R(x0,x0) leaves
+    "Q(x0,x1,x2) :- R(x0,x0), R(x0,x1), R(x0,x2), R(x1,x2), Pin(x0).",
+    # x0 sits twice in one atom, so its group S__02 drops two positions
+    "Q(x0,x1) :- S(x0,x1,x0), R(x1,x1), Pin(x0).",
+], ids=["nullary_group", "pinned_twice"])
+def test_rest_join_matches_restricted_database_on_pinned_queries(text):
+    # Pin(x0) as the image, one image answer per pinned value: the rest's
+    # assignments over all of them are the query's answers
+    q = parse_query(text)
+    untangled = st.untangle(q, frozenset(a for a in q.atoms if a.symbol.name == "Pin"))
+    answered = 0
+    for seed in range(200):
+        rng = random.Random(f"{text}:{seed}")
+        db = Database()
+        for sym in sorted({a.symbol for a in q.atoms}):
+            for _ in range(8):
+                db.add_fact(sym.name, [f"v{rng.randrange(4)}" for _ in range(sym.arity)])
+        pinned = [{"x0": v} for (v,) in db.facts("Pin")]
+        want = len(en.oracle_enumerate(q, db))
+        assert _rest_join_matches_restricted_database(untangled, db, pinned) == want, seed
+        answered += want
+    assert answered
 
 
 def _padded_diamond_red(padding: int) -> Database:
@@ -1023,6 +1041,14 @@ def test_tampered_mirror_certificates_are_rejected(q):
             en.enum_mirror(q, tampered, db)
         kinds += 1
     assert kinds == 7
+    # the empty full query: its one image is the whole query, certified and
+    # acyclic, with an empty rest that only the empty-rest guard refuses
+    empty = make_query((), ())
+    forged = st.MirrorWitness(st.images(empty)[0], {})
+    assert not st.validate_mirror_witness(empty, forged)
+    with pytest.raises(en.InvalidWitnessError):
+        en.enum_mirror(empty, forged, db)
+    assert st.Analysis(empty).mirror is None
 
 
 def test_non_injective_iso_onto_a_certified_image_is_rejected():
@@ -1797,11 +1823,10 @@ def test_streams_are_deterministic():
     (lambda: st.is_untangleable(fx.fixture("path2_proj")), "untangling is defined"),
     (lambda: st.hardness_transfer(fx.fixture("path2_proj")), "hardness transfer is defined"),
     (lambda: en.enum_full_acyclic(fx.fixture("path2_proj"), Database()), "expects a full query"),
-    (lambda: en.eval_unary(fx.fixture("path2_full"), Database()), "exactly one free variable"),
     (lambda: en.cheater_dedup(en.enum_full_acyclic(fx.fixture("path2_full"), Database()), 0),
      "duplication bound must be positive"),
 ], ids=["images", "is_mirror", "is_untangleable", "hardness_transfer", "enum_full_acyclic",
-        "eval_unary", "cheater_dedup"])
+        "cheater_dedup"])
 def test_library_preconditions_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

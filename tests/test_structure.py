@@ -71,20 +71,6 @@ def test_returned_trees_satisfy_running_intersection():
             assert ref.satisfies_running_intersection(tree), name
 
 
-def test_rerooted_trees_keep_running_intersection():
-    for seed in range(60):
-        tree = st.gyo_acyclic(random_query(seed))
-        if tree is None:
-            continue
-        for atom in tree.nodes:
-            moved = tree.rerooted(atom)
-            assert moved.parent[atom] is None
-            assert len(moved.roots) == len(tree.roots)
-            assert ref.satisfies_running_intersection(moved), seed
-            edges = {frozenset((a, p)) for a, p in tree.parent.items() if p is not None}
-            assert edges == {frozenset((a, p)) for a, p in moved.parent.items() if p is not None}
-
-
 # -- free-connexity ---------------------------------------------------------------
 
 
